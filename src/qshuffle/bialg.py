@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .coeff import CoeffAlgebraSpec, DomainError, mono_letter, sym_algebra
 from .freectd import FreeTerm, SignatureError
-from .lincomb import LinearCombination
+from .lincomb import Scalar
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -50,19 +50,19 @@ from .tensorq import (
 
 def square_left_pairs(
     alg: CoeffAlgebraSpec, p1: tuple[Word, Word], p2: tuple[Word, Word]
-) -> dict[tuple[Word, Word], Fraction]:
+) -> dict[tuple[Word, Word], Scalar]:
     """Basis-pair < on the tensor square, unit-pairing convention included."""
     return _square_pairs(alg, _word_op_left, p1, p2)
 
 
 def square_dot_pairs(
     alg: CoeffAlgebraSpec, p1: tuple[Word, Word], p2: tuple[Word, Word]
-) -> dict[tuple[Word, Word], Fraction]:
+) -> dict[tuple[Word, Word], Scalar]:
     """Basis-pair . on the tensor square, unit-pairing convention included."""
     return _square_pairs(alg, _word_op_dot, p1, p2)
 
 
-def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Fraction]:
+def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Scalar]:
     (u1, v1), (u2, v2) = p1, p2
     if not u1 and not u2:
         # both heads are the unit: the operation moves to the right factors;
@@ -73,7 +73,7 @@ def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Fraction]:
     if not heads:
         return {}
     tails = _shuffle_words(alg, v1, v2)
-    out: dict[tuple[Word, Word], Fraction] = {}
+    out: dict[tuple[Word, Word], Scalar] = {}
     for hw, hc in heads.items():
         for tw, tc in tails.items():
             key = (hw, tw)
@@ -86,7 +86,7 @@ def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Fraction]:
 
 
 def _square_bilinear(alg, pair_op, a, b) -> TensorSquareElement:
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    acc: dict[tuple[Word, Word], Scalar] = {}
     for p1, c1 in a.items():
         for p2, c2 in b.items():
             c12 = c1 * c2
@@ -233,8 +233,11 @@ def graded_basis_words(alg: CoeffAlgebraSpec, degree: int) -> list[Word]:
     return words
 
 
-def _rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace by fraction-exact Gauss-Jordan."""
+def _rational_nullspace(rows: list[list[Scalar]], width: int) -> list[list[Scalar]]:
+    """Basis of the right nullspace by fraction-exact Gauss-Jordan.
+
+    Entries may be ints; each pivot row is divided exactly, as a Fraction.
+    """
     matrix = [row[:] for row in rows]
     pivot_cols: list[int] = []
     r = 0
@@ -243,7 +246,7 @@ def _rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fra
         if pivot is None:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][col]
+        inv = Fraction(1) / matrix[r][col]
         matrix[r] = [v * inv for v in matrix[r]]
         for i in range(len(matrix)):
             if i != r and matrix[i][col]:
@@ -256,8 +259,8 @@ def _rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fra
     free_cols = [c for c in range(width) if c not in pivot_cols]
     basis = []
     for free in free_cols:
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
+        vec = [0] * width
+        vec[free] = 1
         for row_idx, col in enumerate(pivot_cols):
             vec[col] = -matrix[row_idx][free]
         basis.append(vec)
@@ -283,7 +286,7 @@ def reduced_coproduct_kernel(alg: CoeffAlgebraSpec, degree: int) -> list[TensorE
             col[idx] = c
         columns.append(col)
     height = len(pair_index)
-    rows = [[Fraction(0)] * len(words) for _ in range(height)]
+    rows = [[0] * len(words) for _ in range(height)]
     for j, col in enumerate(columns):
         for i, c in col.items():
             rows[i][j] = c
@@ -325,6 +328,8 @@ def generator_inclusion(x: TensorElement) -> TensorElement:
 
 def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> bool:
     """projection(inclusion(w)) == w for every pure generator word in range."""
+    if max_word_length < 0:
+        raise ValueError(f"max word length must be nonnegative, got {max_word_length}")
     letters = alg.letters_of_degree(1)
     stack: list[Word] = [EMPTY_WORD]
     while stack:

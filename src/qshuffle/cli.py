@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .bialg import free_ctd_coproduct, splitting_identity_holds
 from .coeff import DomainError, MissingInvolutionError, algebra_by_name
 from .freectd import (
+    MAX_CTD_ENUMERATION,
+    MAX_ITD_ENUMERATION,
     MAX_SERIES_ORDER,
     SignatureError,
     enumerate_ou_partitions,
@@ -91,6 +93,11 @@ def cmd_axioms(config: CommandConfig) -> LawReport:
 
 def cmd_dims(n_max: int, flavor: str):
     """Enumerated partition counts next to the closed-form values."""
+    limit = MAX_CTD_ENUMERATION if flavor == "ctd" else MAX_ITD_ENUMERATION
+    if not 1 <= n_max <= limit:
+        raise ValueError(
+            f"dims --n must satisfy 1 <= n <= {limit} for {flavor}, got {n_max}"
+        )
     rows = []
     ok = True
     for n in range(1, n_max + 1):

@@ -41,7 +41,46 @@ class MissingInvolutionError(ValueError):
 _KINDS = ("atom", "mono", "word", "weight")
 
 
-@dataclass(frozen=True)
+def _validate(kind: str, payload) -> None:
+    if kind == "atom":
+        if not isinstance(payload, str) or not payload:
+            raise ValueError("atom letter needs a nonempty name")
+    elif kind == "weight":
+        if not isinstance(payload, int) or payload < 1:
+            raise ValueError("weight letter needs a positive integer")
+    elif kind in ("mono", "word"):
+        ok = (
+            isinstance(payload, tuple)
+            and payload
+            and all(isinstance(i, int) and i >= 1 for i in payload)
+        )
+        if not ok:
+            raise ValueError(f"{kind} letter needs a nonempty tuple of positive ints")
+        if kind == "mono" and tuple(sorted(payload)) != payload:
+            raise ValueError("mono letter payload must be sorted ascending")
+    else:
+        raise ValueError(f"unknown letter kind {kind!r}")
+
+
+def _derived(kind: str, payload) -> tuple[int, tuple, str]:
+    """``(degree, sort_key, text)`` of a valid letter."""
+    if kind == "weight":
+        degree, text = payload, f"y{payload}"
+    elif kind == "atom":
+        degree, text = 1, payload
+    elif len(payload) == 1:
+        degree, text = 1, f"x{payload[0]}"
+    else:
+        body = " ".join(f"x{i}" for i in payload)
+        degree, text = len(payload), f"[{body}]" if kind == "mono" else f"({body})"
+    key_payload = payload if isinstance(payload, tuple) else (payload,)
+    return degree, (degree, kind, key_payload), text
+
+
+# (kind, payload) -> the one Letter with that value; see Letter
+_LETTERS: dict[tuple, "Letter"] = {}
+
+
 class Letter:
     """One basis letter of a coefficient algebra.
 
@@ -50,47 +89,42 @@ class Letter:
       mono    sorted int tuple    degree = multiset size
       word    int tuple           degree = length
       weight  int k >= 1          degree k
+
+    Letters are interned: every construction returns the one shared object
+    for its value, so equality and hashing are object identity's, which
+    cost no Python call at a dict probe. The degree, the
+    degree-lexicographic ``sort_key`` (a total order stable across kinds)
+    and the rendered ``text`` are computed once, when a letter is first
+    built. Pickling and copying go back through the constructor and so
+    return the shared object of the receiving process.
     """
 
-    kind: str
-    payload: str | int | tuple[int, ...]
+    __slots__ = ("kind", "payload", "degree", "sort_key", "text")
 
-    def __post_init__(self) -> None:
-        if self.kind == "atom":
-            if not isinstance(self.payload, str) or not self.payload:
-                raise ValueError("atom letter needs a nonempty name")
-        elif self.kind == "weight":
-            if not isinstance(self.payload, int) or self.payload < 1:
-                raise ValueError("weight letter needs a positive integer")
-        elif self.kind in ("mono", "word"):
-            p = self.payload
-            ok = (
-                isinstance(p, tuple)
-                and p
-                and all(isinstance(i, int) and i >= 1 for i in p)
-            )
-            if not ok:
-                raise ValueError(f"{self.kind} letter needs a nonempty tuple of positive ints")
-            if self.kind == "mono" and tuple(sorted(p)) != p:
-                raise ValueError("mono letter payload must be sorted ascending")
-        else:
-            raise ValueError(f"unknown letter kind {self.kind!r}")
+    def __new__(cls, kind: str, payload: str | int | tuple[int, ...]) -> "Letter":
+        _validate(kind, payload)
+        letter = _LETTERS.get((kind, payload))
+        if letter is None:
+            degree, sort_key, text = _derived(kind, payload)
+            letter = object.__new__(cls)
+            object.__setattr__(letter, "kind", kind)
+            object.__setattr__(letter, "payload", payload)
+            object.__setattr__(letter, "degree", degree)
+            object.__setattr__(letter, "sort_key", sort_key)
+            object.__setattr__(letter, "text", text)
+            # Threads may build the same new letter at once; setdefault is
+            # atomic, so all of them return whichever copy was stored first.
+            letter = _LETTERS.setdefault((kind, payload), letter)
+        return letter
 
-    @property
-    def degree(self) -> int:
-        if self.kind == "weight":
-            return self.payload
-        if self.kind == "atom":
-            return 1
-        return len(self.payload)
+    def __setattr__(self, name, value):
+        raise AttributeError("letters are immutable")
 
-    @property
-    def sort_key(self):
-        """Degree-lexicographic total order key, stable across kinds."""
-        payload = self.payload
-        if not isinstance(payload, tuple):
-            payload = (payload,)
-        return (self.degree, self.kind, payload)
+    def __delattr__(self, name):
+        raise AttributeError("letters are immutable")
+
+    def __reduce__(self):
+        return (Letter, (self.kind, self.payload))
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, Letter):
@@ -98,14 +132,10 @@ class Letter:
         return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
-        if self.kind == "atom":
-            return self.payload
-        if self.kind == "weight":
-            return f"y{self.payload}"
-        if len(self.payload) == 1:
-            return f"x{self.payload[0]}"
-        body = " ".join(f"x{i}" for i in self.payload)
-        return f"[{body}]" if self.kind == "mono" else f"({body})"
+        return self.text
+
+    def __repr__(self) -> str:
+        return f"Letter(kind={self.kind!r}, payload={self.payload!r})"
 
 
 def atom_letter(name: str) -> Letter:

@@ -46,7 +46,7 @@ from .coeff import (
     word_algebra,
     word_letter,
 )
-from .lincomb import LinearCombination
+from .lincomb import LinearCombination, Scalar
 from .tensorq import TensorElement, op_dot, op_left, op_right, quasi_shuffle
 
 
@@ -142,7 +142,7 @@ class NormalForm(LinearCombination):
             (tuple(mono_letter(block) for block in seq), c) for seq, c in self.items()
         )
 
-    def to_free_terms(self) -> list[tuple[FreeTerm, Fraction]]:
+    def to_free_terms(self) -> list[tuple[FreeTerm, Scalar]]:
         """Reconstruct each comb as a term tree, canonically ordered."""
         return [(comb_term(seq), c) for seq, c in self.terms()]
 
@@ -200,26 +200,26 @@ def _encode(term: FreeTerm) -> tuple:
     return _rdot((_encode(term.left), _encode(term.right)))
 
 
-_NF_CACHE: dict[tuple, dict[BlockSequence, Fraction]] = {}
+_NF_CACHE: dict[tuple, dict[BlockSequence, Scalar]] = {}
 
 
-def _add_scaled(acc: dict, items, scale: Fraction) -> None:
+def _add_into(acc: dict, items) -> None:
     for key, value in items:
-        val = acc.get(key, 0) + scale * value
+        val = acc.get(key, 0) + value
         if val:
             acc[key] = val
         else:
             del acc[key]
 
 
-def _norm(rt: tuple) -> dict[BlockSequence, Fraction]:
+def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
     """Normal form of one encoded term. Cached; results are never mutated."""
     hit = _NF_CACHE.get(rt)
     if hit is not None:
         return hit
     tag = rt[0]
     if tag == "b":
-        out = {(rt[1],): Fraction(1)}
+        out = {(rt[1],): 1}
     elif tag == "d":
         # pull one < factor to the top: (w1 < w2) . rest = (w1 . rest) < w2
         factors = rt[1]
@@ -237,9 +237,9 @@ def _norm(rt: tuple) -> dict[BlockSequence, Fraction]:
             # (x1 < x2) < y = x1 < (x2 < y) + x1 < (y < x2) + x1 < (x2 . y)
             x1, x2 = x[1], x[2]
             out = {}
-            _add_scaled(out, _norm(("p", x1, ("p", x2, y))).items(), Fraction(1))
-            _add_scaled(out, _norm(("p", x1, ("p", y, x2))).items(), Fraction(1))
-            _add_scaled(out, _norm(("p", x1, _rdot([x2, y]))).items(), Fraction(1))
+            _add_into(out, _norm(("p", x1, ("p", x2, y))).items())
+            _add_into(out, _norm(("p", x1, ("p", y, x2))).items())
+            _add_into(out, _norm(("p", x1, _rdot([x2, y]))).items())
         else:
             # dot head with a < inside: rotate as in the "d" case, then the
             # new head is a < node and the branch above applies

@@ -23,6 +23,7 @@ from .coeff import (
     word_letter,
 )
 from .freectd import FreeTerm, NormalForm, dot, gen, prec, succ
+from .lincomb import Scalar
 from .tensorq import EMPTY_WORD, TensorElement, TensorSquareElement, Word
 
 
@@ -125,10 +126,10 @@ def parse_word(alg: CoeffAlgebraSpec, text: str, position: int = 0) -> Word:
     return tuple(letters)
 
 
-def _parse_rational(text: str, position: int) -> Fraction:
+def _parse_rational(text: str, position: int) -> Scalar:
     if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"expected a rational coefficient, got {text!r}", position)
-    return Fraction(text)
+    return Fraction(text) if "/" in text else int(text)
 
 
 def _signed_chunks(text: str) -> list[tuple[int, str, int]]:
@@ -172,7 +173,7 @@ def parse_element(alg: CoeffAlgebraSpec, text: str) -> TensorElement:
     """Parse a signed sum of optionally weighted words."""
     if not text.strip():
         raise ParseError("empty element", 0)
-    terms: list[tuple[Word, Fraction]] = []
+    terms: list[tuple[Word, Scalar]] = []
     for sign, chunk, offset in _signed_chunks(text):
         body = chunk.strip()
         star_chunks = _split_top_level(body, "*", offset)
@@ -183,10 +184,10 @@ def parse_element(alg: CoeffAlgebraSpec, text: str) -> TensorElement:
             word = parse_word(alg, word_text, word_pos)
         elif len(star_chunks) == 1:
             if _RATIONAL_RE.fullmatch(body):
-                coeff = Fraction(body)
+                coeff = _parse_rational(body, offset)
                 word = EMPTY_WORD
             else:
-                coeff = Fraction(1)
+                coeff = 1
                 word = parse_word(alg, body, offset)
         else:
             raise ParseError("at most one * per term", offset)
@@ -261,10 +262,10 @@ def parse_free_term(text: str) -> FreeTerm:
 def render_word(word: Word) -> str:
     if not word:
         return "1"
-    return ".".join(str(letter) for letter in word)
+    return ".".join([letter.text for letter in word])
 
 
-def _join_signed(parts: list[tuple[str, Fraction]]) -> str:
+def _join_signed(parts: list[tuple[str, Scalar]]) -> str:
     if not parts:
         return "0"
     rendered = []
@@ -306,14 +307,14 @@ def render_normal_form(nf: NormalForm) -> str:
 # JSON forms (letters as grammar strings, coefficients as "p/q")
 
 
-def _coeff_string(c: Fraction) -> str:
+def _coeff_string(c: Scalar) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
 def element_to_json(element: TensorElement) -> dict:
     return {
         "terms": [
-            {"coeff": _coeff_string(c), "word": [str(letter) for letter in w]}
+            {"coeff": _coeff_string(c), "word": [letter.text for letter in w]}
             for w, c in element.terms()
         ]
     }
@@ -333,8 +334,8 @@ def square_to_json(square: TensorSquareElement) -> dict:
         "terms": [
             {
                 "coeff": _coeff_string(c),
-                "left": [str(letter) for letter in u],
-                "right": [str(letter) for letter in v],
+                "left": [letter.text for letter in u],
+                "right": [letter.text for letter in v],
             }
             for (u, v), c in square.terms()
         ]

@@ -1,10 +1,15 @@
 """Exact-rational formal linear combinations over hashable basis keys.
 
 Every algebraic object in this package (letter combinations, tensor
-elements, tensor squares, normal forms) is a finite formal sum with
-``fractions.Fraction`` coefficients. Zero coefficients are never stored,
-so two combinations are equal exactly when their backing dicts are equal;
-there is no float tolerance anywhere.
+elements, tensor squares, normal forms) is a finite formal sum with exact
+coefficients: ``int`` where integral, ``fractions.Fraction`` otherwise,
+never ``float``. ``as_scalar`` turns an integral ``Fraction`` into an
+``int`` on the way in; a ``Fraction`` is made only where something
+divides (rational input, Gauss-Jordan, series arithmetic), and sums and
+products of such coefficients may leave a ``Fraction`` with denominator
+one, which compares and hashes equal to its ``int``. Zero coefficients are
+never stored, so two combinations are equal exactly when their backing
+dicts are equal; there is no float tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -13,12 +18,17 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 
-def as_scalar(value: object) -> Fraction:
-    """Coerce an int to Fraction; reject anything inexact."""
-    if isinstance(value, Fraction):
+Scalar = int | Fraction
+
+
+def as_scalar(value: object) -> Scalar:
+    """Keep an int, reduce an integral Fraction to int; reject anything inexact."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact rational scalar required, got {type(value).__name__}")
 
 
@@ -49,7 +59,7 @@ class LinearCombination:
 
     @classmethod
     def _raw(cls, data: dict) -> "LinearCombination":
-        # internal fast path: data must already be zero-free with Fraction values
+        # internal fast path: data must already be zero-free with exact values
         out = cls.__new__(cls)
         out._terms = data
         return out
@@ -64,11 +74,12 @@ class LinearCombination:
         return cls()
 
     @classmethod
-    def basis(cls, key, coeff: int | Fraction = 1):
-        return cls(((key, coeff),))
+    def basis(cls, key, coeff: Scalar = 1):
+        c = as_scalar(coeff)
+        return cls._raw({key: c} if c else {})
 
-    def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coefficient(self, key) -> Scalar:
+        return self._terms.get(key, 0)
 
     def items(self):
         """Unordered (key, coefficient) view; use terms() for canonical order."""

@@ -26,7 +26,6 @@ empty word raises ``UnitPairingError``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .coeff import (
@@ -37,7 +36,7 @@ from .coeff import (
     involute_letter,
 )
 from .coeff import DomainError
-from .lincomb import LinearCombination
+from .lincomb import LinearCombination, Scalar
 
 Word = tuple[Letter, ...]
 
@@ -58,7 +57,7 @@ def word_degree(word: Word) -> int:
 
 def word_sort_key(word: Word):
     """Length-then-letterwise total order on words."""
-    return (len(word), tuple(letter.sort_key for letter in word))
+    return (len(word), tuple([letter.sort_key for letter in word]))
 
 
 class TensorElement(LinearCombination):
@@ -69,11 +68,11 @@ class TensorElement(LinearCombination):
         return word_sort_key(key)
 
     @classmethod
-    def from_word(cls, word, coeff: int | Fraction = 1) -> "TensorElement":
+    def from_word(cls, word, coeff: Scalar = 1) -> "TensorElement":
         return cls.basis(tuple(word), coeff)
 
     @classmethod
-    def from_letter(cls, letter: Letter, coeff: int | Fraction = 1) -> "TensorElement":
+    def from_letter(cls, letter: Letter, coeff: Scalar = 1) -> "TensorElement":
         return cls.basis((letter,), coeff)
 
     @classmethod
@@ -92,7 +91,7 @@ class TensorSquareElement(LinearCombination):
         return (word_sort_key(key[0]), word_sort_key(key[1]))
 
     @classmethod
-    def from_pair(cls, left, right, coeff: int | Fraction = 1) -> "TensorSquareElement":
+    def from_pair(cls, left, right, coeff: Scalar = 1) -> "TensorSquareElement":
         return cls.basis((tuple(left), tuple(right)), coeff)
 
 
@@ -112,15 +111,15 @@ def _check_element(alg: CoeffAlgebraSpec, element: TensorElement) -> None:
 # quasi-shuffle product: memoized recursion
 
 
-def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Fraction]:
+def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Scalar]:
     """Word-level quasi-shuffle as a zero-free dict. Cached per algebra.
 
     Cached dicts are shared and must never be mutated by callers.
     """
     if not u:
-        return {v: Fraction(1)}
+        return {v: 1}
     if not v:
-        return {u: Fraction(1)}
+        return {u: 1}
     cache = alg.cache.setdefault("shuffle", {})
     key = (u, v)
     hit = cache.get(key)
@@ -128,7 +127,7 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Fra
         return hit
     a, x = u[0], u[1:]
     b, y = v[0], v[1:]
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for w, c in _shuffle_words(alg, x, v).items():
         wa = (a,) + w
         acc[wa] = acc.get(wa, 0) + c
@@ -154,7 +153,7 @@ def quasi_shuffle(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> 
     """Quasi-shuffle product of two elements. Total; the empty word is a unit."""
     _check_element(alg, x)
     _check_element(alg, y)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for u, cu in x.items():
         for v, cv in y.items():
             cuv = cu * cv
@@ -199,16 +198,16 @@ def enumerate_lattice_paths(p: int, q: int) -> Iterator[tuple[tuple[int, int], .
 
 def _path_word_terms(
     alg: CoeffAlgebraSpec, steps, u: Word, v: Word
-) -> dict[Word, Fraction]:
+) -> dict[Word, Scalar]:
     """Words contributed by one path; a zero letter product kills the path."""
-    terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+    terms: dict[Word, Scalar] = {EMPTY_WORD: 1}
     i = j = 0
     for step in steps:
         if step == _STEP_FIRST:
-            pieces = ((u[i], Fraction(1)),)
+            pieces = ((u[i], 1),)
             i += 1
         elif step == _STEP_SECOND:
-            pieces = ((v[j], Fraction(1)),)
+            pieces = ((v[j], 1),)
             j += 1
         else:
             merged = alg.product_rule(u[i], v[j])
@@ -229,7 +228,7 @@ def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
     v = tuple(v)
     _check_word(alg, u)
     _check_word(alg, v)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for steps in enumerate_lattice_paths(len(u), len(v)):
         for w, c in _path_word_terms(alg, steps, u, v).items():
             val = acc.get(w, 0) + c
@@ -244,29 +243,29 @@ def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
 # the three partial operations
 
 
-def _word_op_left(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Fraction]:
+def _word_op_left(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
     if not u:
         if not v:
             raise UnitPairingError("1 < 1 is not defined")
         return {}
     if not v:
-        return {u: Fraction(1)}
+        return {u: 1}
     head, tail = u[0], u[1:]
     return {(head,) + w: c for w, c in _shuffle_words(alg, tail, v).items()}
 
 
-def _word_op_right(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Fraction]:
+def _word_op_right(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
     if not v:
         if not u:
             raise UnitPairingError("1 > 1 is not defined")
         return {}
     if not u:
-        return {v: Fraction(1)}
+        return {v: 1}
     head, tail = v[0], v[1:]
     return {(head,) + w: c for w, c in _shuffle_words(alg, u, tail).items()}
 
 
-def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Fraction]:
+def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
     if not u and not v:
         raise UnitPairingError("1 . 1 is not defined")
     if not u or not v:
@@ -275,7 +274,7 @@ def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Fraction
     if not merged:
         return {}
     tails = _shuffle_words(alg, u[1:], v[1:])
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Scalar] = {}
     for letter, cl in merged.items():
         for w, c in tails.items():
             wm = (letter,) + w
@@ -294,7 +293,7 @@ def _bilinear(alg, word_op, x: TensorElement, y: TensorElement) -> TensorElement
         raise UnitPairingError(
             "operation undefined: both arguments have a nonzero empty-word coefficient"
         )
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for u, cu in x.items():
         for v, cv in y.items():
             cuv = cu * cv
@@ -336,7 +335,7 @@ OPERATIONS = {
 
 def deconcatenate(x: TensorElement) -> TensorSquareElement:
     """Full deconcatenation coproduct, including the w (x) 1 and 1 (x) w ends."""
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    acc: dict[tuple[Word, Word], Scalar] = {}
     for w, c in x.items():
         for i in range(len(w) + 1):
             key = (w[:i], w[i:])
@@ -356,7 +355,7 @@ def reduced_coproduct(x: TensorElement) -> TensorSquareElement:
     """
     if x.coefficient(EMPTY_WORD):
         raise DomainError("reduced coproduct needs a zero empty-word coefficient")
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    acc: dict[tuple[Word, Word], Scalar] = {}
     for w, c in x.items():
         for i in range(1, len(w)):
             key = (w[:i], w[i:])
@@ -393,7 +392,7 @@ def project_to_letters(x: TensorElement) -> CoeffCombination:
 def involute_element(alg: CoeffAlgebraSpec, x: TensorElement) -> TensorElement:
     """Letterwise involution; tensor factor order is unchanged."""
     _check_element(alg, x)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for w, c in x.items():
         iw = tuple(involute_letter(alg, letter) for letter in w)
         val = acc.get(iw, 0) + c
@@ -408,7 +407,7 @@ def square_star(
     alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
 ) -> TensorSquareElement:
     """Componentwise quasi-shuffle on two-fold tensors. Total."""
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    acc: dict[tuple[Word, Word], Scalar] = {}
     for (u1, v1), c1 in a.items():
         for (u2, v2), c2 in b.items():
             c12 = c1 * c2

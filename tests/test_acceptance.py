@@ -1,9 +1,9 @@
 """Acceptance gate: twelve end-to-end checks with wall-clock budgets.
 
 Each test covers one numbered acceptance criterion. All comparisons are
-exact (Fraction arithmetic, integer counts); the only inequalities are the
-timing budgets, asserted with time.perf_counter. The conftest terminal
-summary echoes one PASS or FAIL line per criterion after the run.
+exact (int and Fraction arithmetic, integer counts); the only inequalities
+are the timing budgets, asserted with time.perf_counter. The conftest
+terminal summary echoes one PASS or FAIL line per criterion after the run.
 """
 
 from __future__ import annotations

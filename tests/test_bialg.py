@@ -415,6 +415,13 @@ class TestGradedKernel:
         with pytest.raises(ValueError):
             reduced_coproduct_kernel(sym2, 0)
 
+    def test_nullspace_divides_int_entries_exactly(self):
+        from qshuffle.bialg import _rational_nullspace
+
+        basis = _rational_nullspace([[1, 2, 3], [2, 1, 1]], 3)
+        assert basis == [[Fraction(1, 3), Fraction(-5, 3), 1]]
+        assert not any(isinstance(c, float) for vec in basis for c in vec)
+
 
 class TestSplitting:
     def test_projection_keeps_pure_generator_words(self, sym2):
@@ -438,6 +445,10 @@ class TestSplitting:
     def test_splitting_identity_scan(self, sym2, stuffle_alg):
         assert splitting_identity_holds(sym2, 4)
         assert splitting_identity_holds(stuffle_alg, 4)
+
+    def test_splitting_refuses_negative_length(self, sym2):
+        with pytest.raises(ValueError):
+            splitting_identity_holds(sym2, -1)
 
     def test_projection_is_a_coalgebra_morphism(self, sym2):
         rng = random.Random(103)

@@ -107,6 +107,24 @@ class TestDimsCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_zero_is_refused_not_a_vacuous_pass(self, capsys):
+        code, out, err = run_cli(capsys, ["dims", "--flavor", "ctd", "--n", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flavor, n", [("ctd", 9), ("itd", 7)])
+    def test_too_large_is_refused_before_enumerating(self, capsys, monkeypatch, flavor, n):
+        calls = []
+        monkeypatch.setattr(
+            "qshuffle.cli.enumerate_ou_partitions", lambda *args: calls.append(args) or []
+        )
+        code, out, err = run_cli(capsys, ["dims", "--flavor", flavor, "--n", str(n)])
+        assert code == 2
+        assert calls == []
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("qshuffle.cli.fubini", lambda n: 0)
         code, out, _ = run_cli(capsys, ["dims", "--flavor", "ctd", "--n", "2"])
@@ -309,6 +327,12 @@ class TestCompatAndSplitting:
         assert code == 0
         assert "PASS" in out
 
+    def test_splitting_negative_degree_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["splitting", "--alg", "sym2", "--degree", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_splitting_json(self, capsys):
         code, out, _ = run_cli(
             capsys, ["splitting", "--alg", "word2", "--degree", "3", "--json"]
@@ -413,3 +437,20 @@ def test_console_script_is_installed(tmp_path):
             f"qshuffle = {entry!r} failed: {' '.join(cmd)}\n{proc.stderr}"
         )
         assert proc.stdout == "y3 + y1.y2 + y2.y1\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m qshuffle`` runs the same command line from this checkout."""
+    src = str(Path(qshuffle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qshuffle", "product", "y1", "y2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "y3 + y1.y2 + y2.y1\n"

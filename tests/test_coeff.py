@@ -1,10 +1,14 @@
 """Letter pools, letter products, involutions, and algebra lookups."""
 
+import copy
+import pickle
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qshuffle import coeff as coeff_module
 from qshuffle import (
     CoeffCombination,
     DomainError,
@@ -37,6 +41,60 @@ class TestLetter:
         assert mono_letter((2, 1)) == mono_letter((1, 2))
         with pytest.raises(ValueError):
             Letter("mono", (2, 1))
+
+    def test_equal_letters_are_one_object(self, sym2, word2):
+        assert mono_letter([2, 1]) is mono_letter((1, 2))
+        assert Letter("mono", (1, 2)) is mono_letter((2, 1))
+        assert weight_letter(3) is Letter("weight", 3)
+        assert word_letter([1, 2]) is word_letter((1, 2))
+        assert atom_letter("q") is Letter("atom", "q")
+        (product,) = multiply_letters(sym2, mono_letter((2,)), mono_letter((1,))).support()
+        assert product is mono_letter((1, 2))
+        assert involute_letter(word2, word_letter((1, 2))) is word_letter((2, 1))
+
+    def test_pickle_and_copy_keep_the_shared_letter(self):
+        for letter in (
+            atom_letter("q"),
+            mono_letter((1, 1, 2)),
+            word_letter((2, 1)),
+            weight_letter(5),
+        ):
+            assert pickle.loads(pickle.dumps(letter)) is letter
+            for clone in (copy.copy(letter), copy.deepcopy(letter)):
+                assert clone == letter
+                assert hash(clone) == hash(letter)
+
+    def test_concurrent_first_construction_shares_one_letter(self, monkeypatch):
+        # Hold two threads inside the construction of the same new letter,
+        # after both have missed the intern table, so both build a copy.
+        barrier = threading.Barrier(2, timeout=5)
+        derived = coeff_module._derived
+
+        def held(kind, payload):
+            barrier.wait()
+            return derived(kind, payload)
+
+        monkeypatch.setattr(coeff_module, "_derived", held)
+        built = [None, None]
+
+        def build(slot):
+            built[slot] = Letter("atom", "letter-built-by-two-threads")
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert built[0] is not None and built[0] is built[1]
+        assert built[0] is atom_letter("letter-built-by-two-threads")
+
+    def test_letters_are_immutable(self):
+        letter = weight_letter(2)
+        with pytest.raises(AttributeError):
+            letter.payload = 3
+        with pytest.raises(AttributeError):
+            del letter.text
+        assert letter.payload == 2 and letter.text == "y2"
 
     def test_word_payload_keeps_order(self):
         assert word_letter((2, 1)) != word_letter((1, 2))

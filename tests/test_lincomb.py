@@ -1,17 +1,74 @@
 """Semantics of the shared linear-combination container."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qshuffle import CoeffCombination, TensorElement, as_scalar, weight_letter
+from qshuffle import (
+    OPERATIONS,
+    CoeffCombination,
+    TensorElement,
+    algebra_by_name,
+    as_scalar,
+    deconcatenate,
+    eval_ctd,
+    normal_form,
+    reduced_coproduct_kernel,
+    weight_letter,
+)
 from qshuffle.lincomb import LinearCombination
+from qshuffle.sampling import random_ctd_term, random_element
 
 
 def test_as_scalar_accepts_ints_and_fractions():
     assert as_scalar(3) == Fraction(3)
     assert as_scalar(Fraction(2, 7)) == Fraction(2, 7)
+
+
+def test_as_scalar_keeps_integers_as_int():
+    assert type(as_scalar(3)) is int
+    assert type(as_scalar(True)) is int
+    reduced = as_scalar(Fraction(6, 3))
+    assert reduced == 2 and type(reduced) is int
+    assert type(as_scalar(Fraction(1, 2))) is Fraction
+    assert type(TensorElement([((), Fraction(4, 2))]).coefficient(())) is int
+
+
+def _coefficients(*combinations):
+    return [c for combination in combinations for _, c in combination.items()]
+
+
+def test_no_coefficient_is_ever_a_float():
+    """Integer inputs give int coefficients; divisions give Fractions."""
+    rng = random.Random(2024)
+    integral = []
+    for name in ("zero", "stuffle-y", "sym2", "word2"):
+        alg = algebra_by_name(name)
+        for _ in range(6):
+            x = random_element(alg, rng)
+            y = random_element(alg, rng)
+            for op in OPERATIONS.values():
+                integral += _coefficients(op(alg, x, y))
+            integral += _coefficients(deconcatenate(x))
+    for _ in range(6):
+        term = random_ctd_term(rng, rng.randint(2, 4))
+        integral += _coefficients(normal_form(term).to_element(), eval_ctd(term, 3))
+    assert integral and all(type(c) is int for c in integral)
+    kernel = [
+        c
+        for degree in (2, 3)
+        for element in reduced_coproduct_kernel(algebra_by_name("sym2"), degree)
+        for c in _coefficients(element)
+    ]
+    assert kernel and all(type(c) in (int, Fraction) for c in kernel)
+    halves = OPERATIONS["star"](
+        algebra_by_name("sym2"),
+        TensorElement([((), Fraction(1, 2))]),
+        TensorElement([((), 3)]),
+    )
+    assert all(type(c) in (int, Fraction) for c in _coefficients(halves))
 
 
 def test_as_scalar_rejects_floats():
