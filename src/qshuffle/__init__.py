@@ -53,15 +53,12 @@ from .tensorq import (
 from .freectd import (
     FreeTerm,
     NormalForm,
-    OUPartition,
     SignatureError,
     comb_term,
     dot,
-    egf_check,
     enumerate_ou_partitions,
     eval_ctd,
     eval_itd,
-    eval_phi,
     fubini,
     fubini_egf_series,
     gen,
@@ -73,26 +70,17 @@ from .freectd import (
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     prec,
-    rewrite_to_normal_form,
     succ,
-    uctd_dot,
     uctd_identifies_letter_products,
-    uctd_left,
-    uctd_product,
-    uctd_star,
 )
 from .bialg import (
     CompatReport,
     CompatViolation,
-    TensorSquareCtdElement,
-    check_compat,
     check_compatibility,
-    delta_free_ctd,
     free_ctd_coproduct,
     generator_inclusion,
     generator_projection,
     graded_basis_words,
-    phi_coalgebra,
     primitives_closed_under_dot,
     reduced_coproduct_kernel,
     splitting_identity_holds,

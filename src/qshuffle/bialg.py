@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .coeff import CoeffAlgebraSpec, DomainError, mono_letter, sym_algebra
 from .freectd import FreeTerm, SignatureError
-from .lincomb import Scalar
+from .lincomb import Scalar, add_into
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -73,29 +73,15 @@ def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Scalar]:
     if not heads:
         return {}
     tails = _shuffle_words(alg, v1, v2)
-    out: dict[tuple[Word, Word], Scalar] = {}
-    for hw, hc in heads.items():
-        for tw, tc in tails.items():
-            key = (hw, tw)
-            val = out.get(key, 0) + hc * tc
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-    return out
+    # distinct (head, tail) pairs give distinct keys
+    return {(hw, tw): hc * tc for hw, hc in heads.items() for tw, tc in tails.items()}
 
 
 def _square_bilinear(alg, pair_op, a, b) -> TensorSquareElement:
     acc: dict[tuple[Word, Word], Scalar] = {}
     for p1, c1 in a.items():
         for p2, c2 in b.items():
-            c12 = c1 * c2
-            for key, c in pair_op(alg, p1, p2).items():
-                val = acc.get(key, 0) + c12 * c
-                if val:
-                    acc[key] = val
-                else:
-                    del acc[key]
+            add_into(acc, pair_op(alg, p1, p2).items(), c1 * c2)
     return TensorSquareElement._raw(acc)
 
 
@@ -340,10 +326,3 @@ def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> boo
         if len(w) < max_word_length:
             stack.extend(w + (letter,) for letter in letters)
     return True
-
-
-# Established aliases kept alongside the descriptive names.
-TensorSquareCtdElement = TensorSquareElement
-delta_free_ctd = free_ctd_coproduct
-check_compat = check_compatibility
-phi_coalgebra = generator_projection

@@ -4,8 +4,9 @@ Exit codes: 0 when every requested check passes, 1 when a checked law or
 count comparison fails, 2 on usage, parse, or domain errors. With ``--json``
 each command prints one object ``{"command": ..., "seed": ..., "result": ...}``.
 
-The ``cmd_*`` functions are the programmatic command API; the argparse
-layer only adapts flags into them and chooses the output format.
+The ``cmd_*`` functions are the programmatic command API: each takes plain
+arguments and returns the computed result. The argparse layer only adapts
+flags into them and renders the result in the one format requested.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 from .bialg import free_ctd_coproduct, splitting_identity_holds
 from .coeff import DomainError, MissingInvolutionError, algebra_by_name
@@ -51,21 +52,6 @@ from .rota import (
 from .tensorq import OPERATIONS, UnitPairingError
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Everything that determines a law-suite run; equal configs give
-    byte-identical output."""
-
-    subcommand: str
-    algebra: str = "stuffle-y"
-    seed: int = 0
-    cases: int = 100
-    degree: int | None = None
-    output_mode: str = "text"
-    suite: str | None = None
-    parallel: bool = False
-
-
 # ---------------------------------------------------------------------------
 # programmatic command layer
 
@@ -78,17 +64,11 @@ def cmd_product(alg_name: str, lhs_expr: str, rhs_expr: str, operation: str = "s
     return OPERATIONS[operation](alg, x, y)
 
 
-def cmd_axioms(config: CommandConfig) -> LawReport:
-    """Run the configured law suite and return its report."""
-    alg = algebra_by_name(config.algebra)
-    return run_suite(
-        config.suite,
-        alg,
-        config.cases,
-        config.seed,
-        max_degree=config.degree,
-        parallel=config.parallel,
-    )
+def cmd_axioms(
+    suite: str, alg_name: str, cases: int, seed: int, degree: int | None = None
+) -> LawReport:
+    """Run one law suite; equal arguments give byte-identical reports."""
+    return run_suite(suite, algebra_by_name(alg_name), cases, seed, max_degree=degree)
 
 
 def cmd_dims(n_max: int, flavor: str):
@@ -131,37 +111,26 @@ def cmd_coproduct(term_text: str):
 # argparse adapters
 
 
-def _emit(args, command: str, result, text: str, seed=None) -> None:
-    if getattr(args, "json", False):
-        payload = {"command": command, "seed": seed, "result": result}
+def _emit(args, command: str, json_form, text_form, seed=None) -> None:
+    """Print the JSON envelope or the text; each form is a function of no
+    arguments, and only the one printed is built."""
+    if args.json:
+        payload = {"command": command, "seed": seed, "result": json_form()}
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text_form())
 
 
 def _handle_product(args) -> int:
     result = cmd_product(args.alg, args.x, args.y, args.op)
-    _emit(args, "product", element_to_json(result), render_element(result))
+    _emit(args, "product", partial(element_to_json, result), partial(render_element, result))
     return 0
-
-
-def _config_from_args(args, suite: str) -> CommandConfig:
-    return CommandConfig(
-        subcommand=args.command,
-        algebra=args.alg,
-        seed=args.seed,
-        cases=args.cases,
-        degree=args.degree,
-        output_mode="json" if args.json else "text",
-        suite=suite,
-        parallel=args.parallel,
-    )
 
 
 def _run_law_command(args, suite: str) -> int:
     if args.cases == 0:
         print("warning: 0 cases requested; the suite passes vacuously", file=sys.stderr)
-    report = cmd_axioms(_config_from_args(args, suite))
+    report = cmd_axioms(suite, args.alg, args.cases, args.seed, args.degree)
     lines = [
         f"suite {report.suite} algebra {report.algebra} "
         f"seed {report.seed} cases {report.cases}"
@@ -169,15 +138,12 @@ def _run_law_command(args, suite: str) -> int:
     for v in report.violations:
         lines.append(f"FAIL case {v.case_index} {v.law}: {v.lhs} != {v.rhs}")
     lines.append("PASS" if report.ok else f"FAIL ({len(report.violations)} violations)")
-    _emit(args, args.command, report.to_json(), "\n".join(lines), seed=report.seed)
+    _emit(args, args.command, report.to_json, lambda: "\n".join(lines), seed=report.seed)
     return 0 if report.ok else 1
 
 
-_SUITE_ALIASES = {"seven-relations": "seven"}
-
-
 def _handle_axioms(args) -> int:
-    return _run_law_command(args, _SUITE_ALIASES.get(args.suite, args.suite))
+    return _run_law_command(args, args.suite)
 
 
 def _handle_compat(args) -> int:
@@ -192,7 +158,12 @@ def _handle_dims(args) -> int:
         for row in rows
     ]
     lines.append("PASS" if ok else "FAIL")
-    _emit(args, "dims", {"flavor": args.flavor, "rows": rows, "ok": ok}, "\n".join(lines))
+    _emit(
+        args,
+        "dims",
+        lambda: {"flavor": args.flavor, "rows": rows, "ok": ok},
+        lambda: "\n".join(lines),
+    )
     return 0 if ok else 1
 
 
@@ -204,19 +175,29 @@ def _handle_egf(args) -> int:
         rows.append({"k": k, "coefficient": f"{coeff.numerator}/{coeff.denominator}"})
         lines.append(f"{k}: {coeff} (count {fubini(k)})")
     lines.append("PASS" if ok else "FAIL")
-    _emit(args, "egf", {"order": args.order, "rows": rows, "ok": ok}, "\n".join(lines))
+    _emit(
+        args,
+        "egf",
+        lambda: {"order": args.order, "rows": rows, "ok": ok},
+        lambda: "\n".join(lines),
+    )
     return 0 if ok else 1
 
 
 def _handle_normalize(args) -> int:
     nf = cmd_normalize(args.term)
-    _emit(args, "normalize", normal_form_to_json(nf), render_normal_form(nf))
+    _emit(args, "normalize", partial(normal_form_to_json, nf), partial(render_normal_form, nf))
     return 0
 
 
 def _handle_coproduct(args) -> int:
     result = cmd_coproduct(args.term)
-    _emit(args, "coproduct", square_to_json(result), render_square_element(result))
+    _emit(
+        args,
+        "coproduct",
+        partial(square_to_json, result),
+        partial(render_square_element, result),
+    )
     return 0
 
 
@@ -228,7 +209,7 @@ def _handle_splitting(args) -> int:
         f"{'PASS' if ok else 'FAIL'}"
     )
     result = {"algebra": alg.name, "max_word_length": args.degree, "ok": ok}
-    _emit(args, "splitting", result, text)
+    _emit(args, "splitting", lambda: result, lambda: text)
     return 0 if ok else 1
 
 
@@ -256,7 +237,7 @@ def _handle_rota_verify(args) -> int:
         "derived_relations_ok": relations_ok,
         "ok": ok,
     }
-    _emit(args, "rota", result, "\n".join(lines))
+    _emit(args, "rota", lambda: result, lambda: "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -277,8 +258,9 @@ def _handle_rota_table(args) -> int:
                     {"i": labels[i], "j": labels[j], "value": algebra.render(value)}
                 )
         tables[symbol] = entries
-    result = {"example": args.example, "tables": tables}
-    _emit(args, "rota", result, "\n".join(lines))
+    _emit(
+        args, "rota", lambda: {"example": args.example, "tables": tables}, lambda: "\n".join(lines)
+    )
     return 0
 
 
@@ -294,7 +276,6 @@ def _add_run_options(parser, default_cases: int) -> None:
         "--degree", type=int, default=None,
         help="max total degree of each sampled element",
     )
-    parser.add_argument("--parallel", action="store_true", help="run cases in a thread pool")
     parser.add_argument("--json", action="store_true")
 
 
@@ -314,11 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_handle_product)
 
     p = sub.add_parser("axioms", help="run a randomized law suite")
-    p.add_argument(
-        "--suite",
-        choices=sorted(SUITES) + sorted(_SUITE_ALIASES),
-        required=True,
-    )
+    p.add_argument("--suite", choices=sorted(SUITES), required=True)
     _add_run_options(p, default_cases=100)
     p.set_defaults(handler=_handle_axioms)
 

@@ -170,8 +170,10 @@ class CoeffAlgebraSpec:
     ``product_rule`` gives the bilinear product on basis letters,
     ``member_rule`` the basis-family membership test, ``degree_slice`` the
     finite list of basis letters of one degree (used by samplers and by
-    exhaustive checks). ``involution_rule`` is optional; when present it
-    must be a degree-preserving anti-automorphism with square one.
+    exhaustive checks; the builtin algebras build each degree once, since
+    samplers ask for it at every letter they draw). ``involution_rule`` is
+    optional; when present it must be a degree-preserving anti-automorphism
+    with square one.
 
     ``cache`` holds memo tables for the quasi-shuffle recursion. Results
     stored there are never mutated, so concurrent readers at worst
@@ -246,6 +248,7 @@ def zero_algebra() -> CoeffAlgebraSpec:
     def member(letter: Letter) -> bool:
         return letter.kind == "atom" and letter.payload in _ATOM_NAMES
 
+    @lru_cache(maxsize=None)
     def slice_(degree: int) -> tuple[Letter, ...]:
         if degree != 1:
             return ()
@@ -272,6 +275,7 @@ def stuffle_y_algebra() -> CoeffAlgebraSpec:
     def member(letter: Letter) -> bool:
         return letter.kind == "weight"
 
+    @lru_cache(maxsize=None)
     def slice_(degree: int) -> tuple[Letter, ...]:
         return (weight_letter(degree),)
 
@@ -298,6 +302,7 @@ def sym_algebra(n: int) -> CoeffAlgebraSpec:
     def member(letter: Letter) -> bool:
         return letter.kind == "mono" and all(1 <= i <= n for i in letter.payload)
 
+    @lru_cache(maxsize=None)
     def slice_(degree: int) -> tuple[Letter, ...]:
         combos = combinations_with_replacement(range(1, n + 1), degree)
         return tuple(mono_letter(c) for c in combos)
@@ -329,6 +334,7 @@ def word_algebra(n: int) -> CoeffAlgebraSpec:
     def member(letter: Letter) -> bool:
         return letter.kind == "word" and all(1 <= i <= n for i in letter.payload)
 
+    @lru_cache(maxsize=None)
     def slice_(degree: int) -> tuple[Letter, ...]:
         seqs = iter_product(range(1, n + 1), repeat=degree)
         return tuple(word_letter(s) for s in seqs)

@@ -46,8 +46,8 @@ from .coeff import (
     word_algebra,
     word_letter,
 )
-from .lincomb import LinearCombination, Scalar
-from .tensorq import TensorElement, op_dot, op_left, op_right, quasi_shuffle
+from .lincomb import LinearCombination, Scalar, add_into
+from .tensorq import TensorElement, op_dot, op_left, op_right
 
 
 class SignatureError(ValueError):
@@ -203,15 +203,6 @@ def _encode(term: FreeTerm) -> tuple:
 _NF_CACHE: dict[tuple, dict[BlockSequence, Scalar]] = {}
 
 
-def _add_into(acc: dict, items) -> None:
-    for key, value in items:
-        val = acc.get(key, 0) + value
-        if val:
-            acc[key] = val
-        else:
-            del acc[key]
-
-
 def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
     """Normal form of one encoded term. Cached; results are never mutated."""
     hit = _NF_CACHE.get(rt)
@@ -237,9 +228,9 @@ def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
             # (x1 < x2) < y = x1 < (x2 < y) + x1 < (y < x2) + x1 < (x2 . y)
             x1, x2 = x[1], x[2]
             out = {}
-            _add_into(out, _norm(("p", x1, ("p", x2, y))).items())
-            _add_into(out, _norm(("p", x1, ("p", y, x2))).items())
-            _add_into(out, _norm(("p", x1, _rdot([x2, y]))).items())
+            add_into(out, _norm(("p", x1, ("p", x2, y))).items())
+            add_into(out, _norm(("p", x1, ("p", y, x2))).items())
+            add_into(out, _norm(("p", x1, _rdot([x2, y]))).items())
         else:
             # dot head with a < inside: rotate as in the "d" case, then the
             # new head is a < node and the branch above applies
@@ -479,48 +470,6 @@ def multilinear_terms(n: int, include_succ: bool = False) -> Iterator[FreeTerm]:
         yield from build(perm)
 
 
-def uctd_left(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> TensorElement:
-    """The < operation of the CTD structure carried by the full tensor module.
-
-    The tensor module over a commutative coefficient algebra is the
-    universal enveloping object of that algebra in the CTD category; these
-    thin aliases present the quasi-shuffle operations in that role.
-    """
-    return op_left(alg, x, y)
-
-
-def uctd_dot(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> TensorElement:
-    return op_dot(alg, x, y)
-
-
-def uctd_star(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> TensorElement:
-    return quasi_shuffle(alg, x, y)
-
-
-def uctd_product(
-    alg: CoeffAlgebraSpec,
-    x: TensorElement,
-    y: TensorElement,
-    operation: str = "star",
-) -> TensorElement:
-    """One entry point for the enveloping structure's operations.
-
-    ``operation`` selects star, left, right, or dot; these are exactly the
-    tensor-module operations, re-presented as the structure carried by the
-    enveloping object of a commutative coefficient algebra.
-    """
-    table = {
-        "star": quasi_shuffle,
-        "left": op_left,
-        "right": op_right,
-        "dot": op_dot,
-    }
-    if operation not in table:
-        known = ", ".join(sorted(table))
-        raise ValueError(f"unknown operation {operation!r}; known: {known}")
-    return table[operation](alg, x, y)
-
-
 def uctd_identifies_letter_products(alg: CoeffAlgebraSpec, max_degree: int = 2) -> bool:
     """Dot of two embedded letters equals the embedded letter product."""
     letters = alg.letters_up_to_degree(max_degree)
@@ -543,10 +492,3 @@ def enumerate_ou_partitions(n: int, flavor: str = "ctd"):
     if key == "itd":
         return ordered_ordered_partitions(n)
     raise ValueError(f"unknown flavor {flavor!r}; known: ctd, itd")
-
-
-# Established aliases kept alongside the descriptive names.
-OUPartition = BlockSequence
-eval_phi = eval_ctd
-rewrite_to_normal_form = normal_form
-egf_check = generating_series_check

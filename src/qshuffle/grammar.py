@@ -212,19 +212,27 @@ class _TermScanner:
 
 _TERM_BUILDERS = {"<": prec, ">": succ, ".": dot}
 
+# Deepest parenthesis nesting a free term may have. Parsing, rewriting and
+# the coproduct all recurse once per level, so a deeper term is refused
+# here, leaving room below the interpreter's recursion limit for the
+# caller's own frames.
+MAX_TERM_DEPTH = 500
 
-def _parse_term_node(sc: _TermScanner) -> FreeTerm:
+
+def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
     sc.skip_ws()
     ch = sc.peek()
     if ch == "(":
+        if depth == MAX_TERM_DEPTH:
+            raise ParseError(f"terms nest deeper than {MAX_TERM_DEPTH} levels", sc.pos)
         sc.pos += 1
-        left = _parse_term_node(sc)
+        left = _parse_term_node(sc, depth + 1)
         sc.skip_ws()
         op_ch = sc.peek()
         if op_ch not in _TERM_BUILDERS:
             raise ParseError("expected an operation: < > or .", sc.pos)
         sc.pos += 1
-        right = _parse_term_node(sc)
+        right = _parse_term_node(sc, depth + 1)
         sc.skip_ws()
         if sc.peek() != ")":
             raise ParseError("expected )", sc.pos)

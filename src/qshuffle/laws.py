@@ -1,30 +1,30 @@
-"""Randomized law suites over the stuffle operations.
+"""The tridendriform relations, and seeded law suites over the stuffle operations.
+
+``SEVEN``, ``CTD_THREE`` and ``SPLITTING`` are the relation tables. Each row
+is a name and a function of four binary operations ``(L, R, D, S)`` (left
+``<``, right ``>``, dot ``.`` and their sum ``*``) and the elements, which
+returns both sides. ``failed_relations`` checks a table on any structure
+that supplies those four operations: the tensor module here, and the
+finite Rota-Baxter structures of ``rota``.
 
 Each suite draws seeded samples from the augmentation ideal (no empty-word
 part, so the partial operations are total on them) and compares both sides
 of every relation by exact equality. Case `i` of a run gets its own child
-generator ``random.Random(f"{seed}:{i}")``, which makes runs reproducible
-and order-independent, so the parallel path returns byte-identical reports.
+generator ``random.Random(f"{seed}:{i}")``, so a report depends only on the
+suite, algebra, case count and seed.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .bialg import check_compatibility
 from .coeff import CoeffAlgebraSpec
 from .grammar import render_element, render_square_element
 from .sampling import random_element
-from .tensorq import (
-    TensorElement,
-    involute_element,
-    op_dot,
-    op_left,
-    op_right,
-    quasi_shuffle,
-)
+from .tensorq import involute_element, op_dot, op_left, op_right, quasi_shuffle
 
 
 @dataclass(frozen=True)
@@ -68,118 +68,85 @@ class LawReport:
         }
 
 
-# Relation tables. Each entry maps three sampled elements to (lhs, rhs).
-# The seven-relation suite holds over any letter algebra; the three-relation
-# suite (plus x>y = y<x) additionally needs the letter product commutative.
+# Relation tables. The seven relations hold in every tridendriform algebra;
+# the CTD three (with x>y = y<x) additionally need a commutative letter
+# product. CTD_THREE shares SEVEN's two rows on a dot head.
 
-_SEVEN = (
-    ("(x<y)<z = x<(y*z)", lambda A, L, R, D, S, x, y, z: (L(A, L(A, x, y), z), L(A, x, S(A, y, z)))),
-    ("(x>y)<z = x>(y<z)", lambda A, L, R, D, S, x, y, z: (L(A, R(A, x, y), z), R(A, x, L(A, y, z)))),
-    ("(x*y)>z = x>(y>z)", lambda A, L, R, D, S, x, y, z: (R(A, S(A, x, y), z), R(A, x, R(A, y, z)))),
-    ("(x.y)<z = x.(y<z)", lambda A, L, R, D, S, x, y, z: (L(A, D(A, x, y), z), D(A, x, L(A, y, z)))),
-    ("(x<y).z = x.(y>z)", lambda A, L, R, D, S, x, y, z: (D(A, L(A, x, y), z), D(A, x, R(A, y, z)))),
-    ("(x>y).z = x>(y.z)", lambda A, L, R, D, S, x, y, z: (D(A, R(A, x, y), z), R(A, x, D(A, y, z)))),
-    ("(x.y).z = x.(y.z)", lambda A, L, R, D, S, x, y, z: (D(A, D(A, x, y), z), D(A, x, D(A, y, z)))),
+SEVEN = (
+    ("(x<y)<z = x<(y*z)", lambda L, R, D, S, x, y, z: (L(L(x, y), z), L(x, S(y, z)))),
+    ("(x>y)<z = x>(y<z)", lambda L, R, D, S, x, y, z: (L(R(x, y), z), R(x, L(y, z)))),
+    ("(x*y)>z = x>(y>z)", lambda L, R, D, S, x, y, z: (R(S(x, y), z), R(x, R(y, z)))),
+    ("(x.y)<z = x.(y<z)", lambda L, R, D, S, x, y, z: (L(D(x, y), z), D(x, L(y, z)))),
+    ("(x<y).z = x.(y>z)", lambda L, R, D, S, x, y, z: (D(L(x, y), z), D(x, R(y, z)))),
+    ("(x>y).z = x>(y.z)", lambda L, R, D, S, x, y, z: (D(R(x, y), z), R(x, D(y, z)))),
+    ("(x.y).z = x.(y.z)", lambda L, R, D, S, x, y, z: (D(D(x, y), z), D(x, D(y, z)))),
 )
 
-_CTD_THREE = (
+CTD_THREE = (
     (
         "(x<y)<z = x<(y<z + z<y + y.z)",
-        lambda A, L, R, D, S, x, y, z: (
-            L(A, L(A, x, y), z),
-            L(A, x, L(A, y, z) + L(A, z, y) + D(A, y, z)),
-        ),
+        lambda L, R, D, S, x, y, z: (L(L(x, y), z), L(x, L(y, z) + L(z, y) + D(y, z))),
     ),
-    ("(x.y)<z = x.(y<z)", lambda A, L, R, D, S, x, y, z: (L(A, D(A, x, y), z), D(A, x, L(A, y, z)))),
-    ("(x.y).z = x.(y.z)", lambda A, L, R, D, S, x, y, z: (D(A, D(A, x, y), z), D(A, x, D(A, y, z)))),
-    ("x>y = y<x", lambda A, L, R, D, S, x, y, z: (R(A, x, y), L(A, y, x))),
+    SEVEN[3],
+    SEVEN[6],
+    ("x>y = y<x", lambda L, R, D, S, x, y, z: (R(x, y), L(y, x))),
 )
 
+SPLITTING = (
+    ("x*y = x<y + x>y + x.y", lambda L, R, D, S, x, y: (S(x, y), L(x, y) + R(x, y) + D(x, y))),
+)
 
-def _check_triple_relations(alg, relations, x, y, z, index):
-    found = []
-    for name, sides in relations:
-        lhs, rhs = sides(alg, op_left, op_right, op_dot, quasi_shuffle, x, y, z)
-        if lhs != rhs:
-            found.append(
-                LawViolation(
-                    law=name,
-                    case_index=index,
-                    inputs=(render_element(x), render_element(y), render_element(z)),
-                    lhs=render_element(lhs),
-                    rhs=render_element(rhs),
-                )
-            )
-    return found
-
-
-def _sample(alg, rng, max_degree):
-    return random_element(alg, rng, max_total_degree=max_degree)
-
-
-def _case_seven(alg, rng, index, max_degree):
-    x = _sample(alg, rng, max_degree)
-    y = _sample(alg, rng, max_degree)
-    z = _sample(alg, rng, max_degree)
-    return _check_triple_relations(alg, _SEVEN, x, y, z, index)
-
-
-def _case_ctd_three(alg, rng, index, max_degree):
-    x = _sample(alg, rng, max_degree)
-    y = _sample(alg, rng, max_degree)
-    z = _sample(alg, rng, max_degree)
-    return _check_triple_relations(alg, _CTD_THREE, x, y, z, index)
-
-
-def _case_splitting(alg, rng, index, max_degree):
-    x = _sample(alg, rng, max_degree)
-    y = _sample(alg, rng, max_degree)
-    lhs = quasi_shuffle(alg, x, y)
-    rhs = op_left(alg, x, y) + op_right(alg, x, y) + op_dot(alg, x, y)
-    if lhs != rhs:
-        return [
-            LawViolation(
-                law="x*y = x<y + x>y + x.y",
-                case_index=index,
-                inputs=(render_element(x), render_element(y)),
-                lhs=render_element(lhs),
-                rhs=render_element(rhs),
-            )
-        ]
-    return []
-
-
+# the anti-involution s reverses every operation; rows take s after (L, R, D, S)
 _INVOLUTION = (
-    ("s(s(x)) = x", lambda A, s, x, y: (s(A, s(A, x)), x)),
-    ("s(x*y) = s(y)*s(x)", lambda A, s, x, y: (s(A, quasi_shuffle(A, x, y)), quasi_shuffle(A, s(A, y), s(A, x)))),
-    ("s(x<y) = s(y)>s(x)", lambda A, s, x, y: (s(A, op_left(A, x, y)), op_right(A, s(A, y), s(A, x)))),
-    ("s(x>y) = s(y)<s(x)", lambda A, s, x, y: (s(A, op_right(A, x, y)), op_left(A, s(A, y), s(A, x)))),
-    ("s(x.y) = s(y).s(x)", lambda A, s, x, y: (s(A, op_dot(A, x, y)), op_dot(A, s(A, y), s(A, x)))),
+    ("s(s(x)) = x", lambda L, R, D, S, s, x, y: (s(s(x)), x)),
+    ("s(x*y) = s(y)*s(x)", lambda L, R, D, S, s, x, y: (s(S(x, y)), S(s(y), s(x)))),
+    ("s(x<y) = s(y)>s(x)", lambda L, R, D, S, s, x, y: (s(L(x, y)), R(s(y), s(x)))),
+    ("s(x>y) = s(y)<s(x)", lambda L, R, D, S, s, x, y: (s(R(x, y)), L(s(y), s(x)))),
+    ("s(x.y) = s(y).s(x)", lambda L, R, D, S, s, x, y: (s(D(x, y)), D(s(y), s(x)))),
 )
 
 
-def _case_involution(alg, rng, index, max_degree):
-    x = _sample(alg, rng, max_degree)
-    y = _sample(alg, rng, max_degree)
-    found = []
-    for name, sides in _INVOLUTION:
-        lhs, rhs = sides(alg, involute_element, x, y)
+def failed_relations(relations, ops, *elements):
+    """Yield ``(name, lhs, rhs)`` for each relation whose sides differ on
+    ``elements``, with the table's operations taken from ``ops``."""
+    for name, sides in relations:
+        lhs, rhs = sides(*ops, *elements)
         if lhs != rhs:
-            found.append(
-                LawViolation(
-                    law=name,
-                    case_index=index,
-                    inputs=(render_element(x), render_element(y)),
-                    lhs=render_element(lhs),
-                    rhs=render_element(rhs),
-                )
-            )
-    return found
+            yield name, lhs, rhs
+
+
+def _tensor_ops(alg):
+    # looked up when a case runs, not captured at import, so that rebinding
+    # the module's op_left etc. (as a tracer does) reaches the suites
+    return tuple(partial(op, alg) for op in (op_left, op_right, op_dot, quasi_shuffle))
+
+
+def _involution_ops(alg):
+    return _tensor_ops(alg) + (partial(involute_element, alg),)
+
+
+def _relation_case(relations, arity, ops=_tensor_ops):
+    """A suite case: sample ``arity`` elements and check ``relations`` on them."""
+
+    def case(alg, rng, index, max_degree):
+        elements = [
+            random_element(alg, rng, max_total_degree=max_degree) for _ in range(arity)
+        ]
+        failed = list(failed_relations(relations, ops(alg), *elements))
+        if not failed:
+            return []
+        inputs = tuple(render_element(e) for e in elements)
+        return [
+            LawViolation(name, index, inputs, render_element(lhs), render_element(rhs))
+            for name, lhs, rhs in failed
+        ]
+
+    return case
 
 
 def _case_compat(alg, rng, index, max_degree):
-    x = _sample(alg, rng, max_degree)
-    y = _sample(alg, rng, max_degree)
+    x = random_element(alg, rng, max_total_degree=max_degree)
+    y = random_element(alg, rng, max_total_degree=max_degree)
     report = check_compatibility(alg, x, y)
     return [
         LawViolation(
@@ -196,10 +163,10 @@ def _case_compat(alg, rng, index, max_degree):
 # suite name -> (case function, default per-element degree bound); triple
 # suites default to 2 so a whole triple stays at total degree <= 6
 SUITES = {
-    "seven": (_case_seven, 2),
-    "ctd-three": (_case_ctd_three, 2),
-    "splitting": (_case_splitting, 3),
-    "involution": (_case_involution, 3),
+    "seven": (_relation_case(SEVEN, 3), 2),
+    "ctd-three": (_relation_case(CTD_THREE, 3), 2),
+    "splitting": (_relation_case(SPLITTING, 2), 3),
+    "involution": (_relation_case(_INVOLUTION, 2, _involution_ops), 3),
     "bialgebra-compat": (_case_compat, 2),
 }
 
@@ -210,7 +177,6 @@ def run_suite(
     cases: int,
     seed: int,
     max_degree: int | None = None,
-    parallel: bool = False,
 ) -> LawReport:
     """Run `cases` seeded checks of one suite and collect violations."""
     if suite not in SUITES:
@@ -222,15 +188,9 @@ def run_suite(
     degree = default_degree if max_degree is None else max_degree
     if degree < 1:
         raise ValueError("max_degree must be at least 1")
-
-    def one(index: int):
-        rng = random.Random(f"{seed}:{index}")
-        return case_fn(alg, rng, index, degree)
-
-    if parallel and cases > 1:
-        with ThreadPoolExecutor() as pool:
-            per_case = list(pool.map(one, range(cases)))
-    else:
-        per_case = [one(index) for index in range(cases)]
-    violations = [violation for sub in per_case for violation in sub]
+    violations = [
+        violation
+        for index in range(cases)
+        for violation in case_fn(alg, random.Random(f"{seed}:{index}"), index, degree)
+    ]
     return LawReport(suite=suite, algebra=alg.name, cases=cases, seed=seed, violations=violations)

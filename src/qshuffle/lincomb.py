@@ -9,7 +9,8 @@ divides (rational input, Gauss-Jordan, series arithmetic), and sums and
 products of such coefficients may leave a ``Fraction`` with denominator
 one, which compares and hashes equal to its ``int``. Zero coefficients are
 never stored, so two combinations are equal exactly when their backing
-dicts are equal; there is no float tolerance anywhere.
+dicts are equal; there is no float tolerance anywhere. ``add_into`` is the
+one sparse accumulator the kernels share.
 """
 
 from __future__ import annotations
@@ -19,6 +20,23 @@ from typing import Iterable, Iterator, Mapping
 
 
 Scalar = int | Fraction
+
+
+def add_into(acc: dict, items: Iterable[tuple], scale: Scalar = 1) -> dict:
+    """``acc += scale * items`` in place, for (key, coefficient) pairs.
+
+    A key whose sum is 0 is removed, so a zero-free ``acc`` stays
+    zero-free, and adding 0 to a missing key leaves it missing.
+    Returns ``acc``.
+    """
+    get = acc.get
+    for key, value in items:
+        total = get(key, 0) + scale * value
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def as_scalar(value: object) -> Scalar:
@@ -44,18 +62,8 @@ class LinearCombination:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
-        data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, value in items:
-            coeff = as_scalar(value)
-            if not coeff:
-                continue
-            acc = data.get(key, 0) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        self._terms = data
+        self._terms = add_into({}, ((key, as_scalar(value)) for key, value in items))
 
     @classmethod
     def _raw(cls, data: dict) -> "LinearCombination":
@@ -120,26 +128,12 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self._terms)
-        for key, value in other._terms.items():
-            acc = data.get(key, 0) + value
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return type(self)._raw(data)
+        return type(self)._raw(add_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self._terms)
-        for key, value in other._terms.items():
-            acc = data.get(key, 0) - value
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return type(self)._raw(data)
+        return type(self)._raw(add_into(dict(self._terms), other._terms.items(), -1))
 
     def __neg__(self):
         return type(self)._raw({k: -v for k, v in self._terms.items()})

@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+
+from .laws import SEVEN, failed_relations
 
 Vector = tuple[Fraction, ...]
 
@@ -237,24 +240,6 @@ class DerivedStructure:
         return _add(_add(self.left(u, v), self.right(u, v)), self.dot(u, v))
 
 
-def _relation_checks(structure: DerivedStructure):
-    lt, rt, dt, st = (
-        structure.left,
-        structure.right,
-        structure.dot,
-        structure.star,
-    )
-    return (
-        ("(x<y)<z = x<(y*z)", lambda x, y, z: (lt(lt(x, y), z), lt(x, st(y, z)))),
-        ("(x>y)<z = x>(y<z)", lambda x, y, z: (lt(rt(x, y), z), rt(x, lt(y, z)))),
-        ("(x*y)>z = x>(y>z)", lambda x, y, z: (rt(st(x, y), z), rt(x, rt(y, z)))),
-        ("(x.y)<z = x.(y<z)", lambda x, y, z: (lt(dt(x, y), z), dt(x, lt(y, z)))),
-        ("(x<y).z = x.(y>z)", lambda x, y, z: (dt(lt(x, y), z), dt(x, rt(y, z)))),
-        ("(x>y).z = x>(y.z)", lambda x, y, z: (dt(rt(x, y), z), rt(x, dt(y, z)))),
-        ("(x.y).z = x.(y.z)", lambda x, y, z: (dt(dt(x, y), z), dt(x, dt(y, z)))),
-    )
-
-
 def derived_structure(
     algebra: FiniteAlgebra, operator: LinearOperator
 ) -> DerivedStructure:
@@ -291,13 +276,10 @@ def derived_structure(
         tuple(algebra.multiply(basis[i], basis[j]) for j in range(m)) for i in range(m)
     )
     structure = DerivedStructure(algebra, operator, left_table, right_table, dot_table)
-    for name, check in _relation_checks(structure):
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    lhs, rhs = check(x, y, z)
-                    if lhs != rhs:
-                        raise RotaBaxterError(f"derived relation {name} fails")
+    ops = (structure.left, structure.right, structure.dot, structure.star)
+    for triple in product(basis, repeat=3):
+        for name, _, _ in failed_relations(SEVEN, ops, *triple):
+            raise RotaBaxterError(f"derived relation {name} fails")
     if algebra.is_commutative:
         for x in basis:
             for y in basis:

@@ -36,7 +36,7 @@ from .coeff import (
     involute_letter,
 )
 from .coeff import DomainError
-from .lincomb import LinearCombination, Scalar
+from .lincomb import LinearCombination, Scalar, add_into
 
 Word = tuple[Letter, ...]
 
@@ -127,24 +127,14 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
         return hit
     a, x = u[0], u[1:]
     b, y = v[0], v[1:]
-    acc: dict[Word, Scalar] = {}
-    for w, c in _shuffle_words(alg, x, v).items():
-        wa = (a,) + w
-        acc[wa] = acc.get(wa, 0) + c
-    for w, c in _shuffle_words(alg, u, y).items():
-        wb = (b,) + w
-        acc[wb] = acc.get(wb, 0) + c
+    # distinct tails give distinct words, so the a-branch needs no sums
+    acc = {(a,) + w: c for w, c in _shuffle_words(alg, x, v).items()}
+    add_into(acc, (((b,) + w, c) for w, c in _shuffle_words(alg, u, y).items()))
     merged = alg.product_rule(a, b)
     if merged:
         tails = _shuffle_words(alg, x, y)
         for letter, cl in merged.items():
-            for w, c in tails.items():
-                wm = (letter,) + w
-                val = acc.get(wm, 0) + cl * c
-                if val:
-                    acc[wm] = val
-                else:
-                    del acc[wm]
+            add_into(acc, (((letter,) + w, c) for w, c in tails.items()), cl)
     cache[key] = acc
     return acc
 
@@ -156,13 +146,7 @@ def quasi_shuffle(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> 
     acc: dict[Word, Scalar] = {}
     for u, cu in x.items():
         for v, cv in y.items():
-            cuv = cu * cv
-            for w, c in _shuffle_words(alg, u, v).items():
-                val = acc.get(w, 0) + cuv * c
-                if val:
-                    acc[w] = val
-                else:
-                    del acc[w]
+            add_into(acc, _shuffle_words(alg, u, v).items(), cu * cv)
     return TensorElement._raw(acc)
 
 
@@ -274,16 +258,10 @@ def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
     if not merged:
         return {}
     tails = _shuffle_words(alg, u[1:], v[1:])
-    out: dict[Word, Scalar] = {}
-    for letter, cl in merged.items():
-        for w, c in tails.items():
-            wm = (letter,) + w
-            val = out.get(wm, 0) + cl * c
-            if val:
-                out[wm] = val
-            else:
-                del out[wm]
-    return out
+    # distinct (head letter, tail word) pairs give distinct words
+    return {
+        (letter,) + w: cl * c for letter, cl in merged.items() for w, c in tails.items()
+    }
 
 
 def _bilinear(alg, word_op, x: TensorElement, y: TensorElement) -> TensorElement:
@@ -296,13 +274,7 @@ def _bilinear(alg, word_op, x: TensorElement, y: TensorElement) -> TensorElement
     acc: dict[Word, Scalar] = {}
     for u, cu in x.items():
         for v, cv in y.items():
-            cuv = cu * cv
-            for w, c in word_op(alg, u, v).items():
-                val = acc.get(w, 0) + cuv * c
-                if val:
-                    acc[w] = val
-                else:
-                    del acc[w]
+            add_into(acc, word_op(alg, u, v).items(), cu * cv)
     return TensorElement._raw(acc)
 
 
@@ -335,16 +307,10 @@ OPERATIONS = {
 
 def deconcatenate(x: TensorElement) -> TensorSquareElement:
     """Full deconcatenation coproduct, including the w (x) 1 and 1 (x) w ends."""
-    acc: dict[tuple[Word, Word], Scalar] = {}
-    for w, c in x.items():
-        for i in range(len(w) + 1):
-            key = (w[:i], w[i:])
-            val = acc.get(key, 0) + c
-            if val:
-                acc[key] = val
-            else:
-                del acc[key]
-    return TensorSquareElement._raw(acc)
+    # a split (w[:i], w[i:]) determines its word, so no two keys collide
+    return TensorSquareElement._raw(
+        {(w[:i], w[i:]): c for w, c in x.items() for i in range(len(w) + 1)}
+    )
 
 
 def reduced_coproduct(x: TensorElement) -> TensorSquareElement:
@@ -355,16 +321,9 @@ def reduced_coproduct(x: TensorElement) -> TensorSquareElement:
     """
     if x.coefficient(EMPTY_WORD):
         raise DomainError("reduced coproduct needs a zero empty-word coefficient")
-    acc: dict[tuple[Word, Word], Scalar] = {}
-    for w, c in x.items():
-        for i in range(1, len(w)):
-            key = (w[:i], w[i:])
-            val = acc.get(key, 0) + c
-            if val:
-                acc[key] = val
-            else:
-                del acc[key]
-    return TensorSquareElement._raw(acc)
+    return TensorSquareElement._raw(
+        {(w[:i], w[i:]): c for w, c in x.items() for i in range(1, len(w))}
+    )
 
 
 def is_primitive(x: TensorElement) -> bool:
@@ -392,15 +351,9 @@ def project_to_letters(x: TensorElement) -> CoeffCombination:
 def involute_element(alg: CoeffAlgebraSpec, x: TensorElement) -> TensorElement:
     """Letterwise involution; tensor factor order is unchanged."""
     _check_element(alg, x)
-    acc: dict[Word, Scalar] = {}
-    for w, c in x.items():
-        iw = tuple(involute_letter(alg, letter) for letter in w)
-        val = acc.get(iw, 0) + c
-        if val:
-            acc[iw] = val
-        else:
-            del acc[iw]
-    return TensorElement._raw(acc)
+    images = ((tuple(involute_letter(alg, letter) for letter in w), c) for w, c in x.items())
+    # summed, since a user-supplied involution_rule is not checked to be injective
+    return TensorElement._raw(add_into({}, images))
 
 
 def square_star(
@@ -410,15 +363,11 @@ def square_star(
     acc: dict[tuple[Word, Word], Scalar] = {}
     for (u1, v1), c1 in a.items():
         for (u2, v2), c2 in b.items():
-            c12 = c1 * c2
-            lefts = _shuffle_words(alg, u1, u2)
             rights = _shuffle_words(alg, v1, v2)
-            for lw, lc in lefts.items():
-                for rw, rc in rights.items():
-                    key = (lw, rw)
-                    val = acc.get(key, 0) + c12 * lc * rc
-                    if val:
-                        acc[key] = val
-                    else:
-                        del acc[key]
+            block = {
+                (lw, rw): lc * rc
+                for lw, lc in _shuffle_words(alg, u1, u2).items()
+                for rw, rc in rights.items()
+            }
+            add_into(acc, block.items(), c1 * c2)
     return TensorSquareElement._raw(acc)

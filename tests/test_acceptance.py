@@ -24,7 +24,7 @@ from qshuffle import (
     coradical_degree,
     deconcatenate,
     derived_structure,
-    eval_phi,
+    eval_ctd,
     fubini,
     fubini_egf_series,
     generating_series_check,
@@ -186,7 +186,7 @@ def test_criterion_07_rewriting_soundness_and_idempotence():
     for _ in range(500):
         term = random_ctd_term(rng, rng.randint(1, 6))
         nf = normal_form(term)
-        assert nf.to_element() == eval_phi(term, 3)
+        assert nf.to_element() == eval_ctd(term, 3)
         seen_combs.update(seq for seq, _ in nf.items())
     # Idempotence: every comb in any output is its own normal form.
     assert seen_combs

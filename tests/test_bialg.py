@@ -11,13 +11,10 @@ from qshuffle import (
     DomainError,
     SignatureError,
     TensorElement,
-    TensorSquareCtdElement,
     TensorSquareElement,
     UnitPairingError,
-    check_compat,
     check_compatibility,
     deconcatenate,
-    delta_free_ctd,
     dot,
     eval_ctd,
     free_ctd_coproduct,
@@ -29,7 +26,6 @@ from qshuffle import (
     multilinear_terms,
     op_dot,
     op_left,
-    phi_coalgebra,
     prec,
     primitives_closed_under_dot,
     quasi_shuffle,
@@ -473,9 +469,3 @@ class TestSplitting:
             x = TensorElement((word, rng.randint(1, 3)) for word in words)
             assert deconcatenate(generator_inclusion(x)) == deconcatenate(x)
 
-
-def test_established_aliases_are_the_same_objects():
-    assert TensorSquareCtdElement is TensorSquareElement
-    assert delta_free_ctd is free_ctd_coproduct
-    assert check_compat is check_compatibility
-    assert phi_coalgebra is generator_projection

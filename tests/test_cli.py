@@ -19,7 +19,6 @@ from qshuffle import (
     weight_letter,
 )
 from qshuffle.cli import (
-    CommandConfig,
     cmd_axioms,
     cmd_coproduct,
     cmd_dims,
@@ -28,6 +27,7 @@ from qshuffle.cli import (
     cmd_product,
     main,
 )
+from qshuffle.grammar import MAX_TERM_DEPTH
 
 
 def run_cli(capsys, argv):
@@ -76,6 +76,24 @@ class TestProductCommand:
             [((weight_letter(2),), 1), ((weight_letter(1), weight_letter(1)), 2)]
         )
         assert element == expected
+
+    def test_json_mode_renders_no_text(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("text form built for --json")
+
+        monkeypatch.setattr("qshuffle.cli.render_element", refuse)
+        code, out, _ = run_cli(capsys, ["product", "--json", "y1", "y2"])
+        assert code == 0
+        assert json.loads(out)["command"] == "product"
+
+    def test_text_mode_builds_no_json(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("JSON form built for text output")
+
+        monkeypatch.setattr("qshuffle.cli.element_to_json", refuse)
+        code, out, _ = run_cli(capsys, ["product", "y1", "y2"])
+        assert code == 0
+        assert out == "y3 + y1.y2 + y2.y1\n"
 
     def test_programmatic_layer(self):
         result = cmd_product("stuffle-y", "y1", "y2", "star")
@@ -192,6 +210,22 @@ class TestNormalizeCommand:
         assert code == 2
         assert "parse error at position 6" in err
 
+    def test_over_deep_term_is_a_parse_error(self, capsys):
+        term = "(" * 1200 + "a" + " < b)" * 1200
+        code, out, err = run_cli(capsys, ["normalize", term])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"parse error at position {MAX_TERM_DEPTH}: "
+            f"terms nest deeper than {MAX_TERM_DEPTH} levels\n"
+        )
+
+    def test_right_comb_at_the_depth_cap_normalizes(self, capsys):
+        term = "(a < " * MAX_TERM_DEPTH + "a" + ")" * MAX_TERM_DEPTH
+        code, out, _ = run_cli(capsys, ["normalize", term])
+        assert code == 0
+        assert out == "(v1)" * (MAX_TERM_DEPTH + 1) + "\n"
+
     def test_programmatic_layer(self):
         nf = cmd_normalize("(a<b)")
         assert list(nf.support()) == [((1,), (2,))]
@@ -224,15 +258,6 @@ class TestAxiomsCommand:
         lines = out.splitlines()
         assert lines[0] == "suite seven algebra word2 seed 1 cases 25"
         assert lines[-1] == "PASS"
-
-    def test_suite_alias(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["axioms", "--suite", "seven-relations", "--alg", "zero",
-             "--cases", "5", "--seed", "2"],
-        )
-        assert code == 0
-        assert out.splitlines()[0].startswith("suite seven ")
 
     def test_ctd_three_on_shuffle(self, capsys):
         code, out, _ = run_cli(
@@ -291,10 +316,7 @@ class TestAxiomsCommand:
         assert payload["result"]["cases"] == 10
 
     def test_programmatic_config(self):
-        config = CommandConfig(
-            subcommand="axioms", algebra="sym2", seed=5, cases=6, suite="splitting"
-        )
-        report = cmd_axioms(config)
+        report = cmd_axioms("splitting", "sym2", cases=6, seed=5)
         assert report.ok and report.seed == 5
 
 
@@ -305,13 +327,6 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
-
-    def test_parallel_output_matches_serial(self, capsys):
-        base = ["compat", "--alg", "stuffle-y", "--cases", "16", "--seed", "9",
-                "--json"]
-        _, serial, _ = run_cli(capsys, base)
-        _, threaded, _ = run_cli(capsys, base + ["--parallel"])
-        assert serial == threaded
 
 
 class TestCompatAndSplitting:

@@ -150,6 +150,11 @@ class TestBuiltinPools:
         assert len(pool) == 26
         assert list(zero_alg.letters_of_degree(2)) == []
 
+    def test_degree_slices_are_built_once(self):
+        for alg in builtin_algebras():
+            for degree in (1, 2):
+                assert alg.letters_of_degree(degree) is alg.letters_of_degree(degree)
+
     def test_membership(self, sym2, word2):
         assert mono_letter((1, 2)) in sym2
         assert mono_letter((3,)) not in sym2

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from qshuffle import (
+    OPERATIONS,
     DomainError,
     FreeTerm,
     NormalForm,
@@ -14,11 +15,9 @@ from qshuffle import (
     TensorElement,
     comb_term,
     dot,
-    egf_check,
     enumerate_ou_partitions,
     eval_ctd,
     eval_itd,
-    eval_phi,
     fubini,
     fubini_egf_series,
     gen,
@@ -32,11 +31,9 @@ from qshuffle import (
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     prec,
-    rewrite_to_normal_form,
     succ,
     sym_algebra,
     uctd_identifies_letter_products,
-    uctd_product,
     weight_letter,
     word_algebra,
     word_letter,
@@ -389,7 +386,7 @@ class TestUnifiedProduct:
         alg = sym_algebra(2)
         x1 = TensorElement.from_letter(mono_letter((1,)))
         x2 = TensorElement.from_letter(mono_letter((2,)))
-        assert uctd_product(alg, x1, x2, "dot") == TensorElement.from_letter(
+        assert OPERATIONS["dot"](alg, x1, x2) == TensorElement.from_letter(
             mono_letter((1, 2))
         )
 
@@ -399,7 +396,7 @@ class TestUnifiedProduct:
         alg = stuffle_y_algebra()
         y1 = TensorElement.from_letter(weight_letter(1))
         y2 = TensorElement.from_letter(weight_letter(2))
-        assert uctd_product(alg, y1, y2, "dot") == TensorElement.from_letter(
+        assert OPERATIONS["dot"](alg, y1, y2) == TensorElement.from_letter(
             weight_letter(3)
         )
 
@@ -409,23 +406,17 @@ class TestUnifiedProduct:
         alg = zero_algebra()
         a = TensorElement.from_letter(atom_letter("a"))
         b = TensorElement.from_letter(atom_letter("b"))
-        assert uctd_product(alg, a, b, "dot").is_zero
+        assert OPERATIONS["dot"](alg, a, b).is_zero
 
     def test_operation_dispatch(self):
         alg = sym_algebra(2)
         x1 = TensorElement.from_letter(mono_letter((1,)))
         x2 = TensorElement.from_letter(mono_letter((2,)))
-        star = uctd_product(alg, x1, x2, "star")
+        star = OPERATIONS["star"](alg, x1, x2)
         assert star == (
-            uctd_product(alg, x1, x2, "left")
-            + uctd_product(alg, x1, x2, "right")
-            + uctd_product(alg, x1, x2, "dot")
+            OPERATIONS["left"](alg, x1, x2)
+            + OPERATIONS["right"](alg, x1, x2)
+            + OPERATIONS["dot"](alg, x1, x2)
         )
-        with pytest.raises(ValueError):
-            uctd_product(alg, x1, x2, "tensor")
+        assert sorted(OPERATIONS) == ["dot", "left", "right", "star"]
 
-
-def test_established_aliases_are_the_same_objects():
-    assert eval_phi is eval_ctd
-    assert rewrite_to_normal_form is normal_form
-    assert egf_check is generating_series_check

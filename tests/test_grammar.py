@@ -37,6 +37,7 @@ from qshuffle import (
     weight_letter,
     word_letter,
 )
+from qshuffle.grammar import MAX_TERM_DEPTH
 from qshuffle.sampling import random_element, random_td_term
 
 ALGEBRAS = {alg.name: alg for alg in builtin_algebras()}
@@ -154,6 +155,14 @@ class TestParseFreeTerm:
         for _ in range(40):
             term = random_td_term(rng, rng.randint(1, 5))
             assert parse_free_term(str(term)) == term
+
+    def test_nesting_is_capped(self):
+        right_comb = "(a < " * MAX_TERM_DEPTH + "b" + ")" * MAX_TERM_DEPTH
+        assert parse_free_term(right_comb).degree == MAX_TERM_DEPTH + 1
+        deeper = "(" + right_comb + " < c)"
+        with pytest.raises(ParseError, match="nest deeper") as exc:
+            parse_free_term(deeper)
+        assert exc.value.position == deeper.rindex("(")
 
     def test_errors_with_positions(self):
         with pytest.raises(ParseError) as exc:

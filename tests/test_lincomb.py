@@ -18,7 +18,7 @@ from qshuffle import (
     reduced_coproduct_kernel,
     weight_letter,
 )
-from qshuffle.lincomb import LinearCombination
+from qshuffle.lincomb import LinearCombination, add_into
 from qshuffle.sampling import random_ctd_term, random_element
 
 
@@ -89,6 +89,18 @@ def test_accumulation_merges_duplicates():
     w = (weight_letter(1),)
     el = TensorElement([(w, 2), (w, 3)])
     assert el.coefficient(w) == 5
+
+
+def test_add_into_scales_and_drops_cancelled_keys():
+    acc = {"a": 2, "b": 1}
+    out = add_into(acc, [("a", 1), ("c", 1), ("b", Fraction(1, 2))], scale=-2)
+    assert out is acc
+    assert acc == {"c": -2}
+    add_into(acc, [("d", 0), ("c", 0)])
+    assert acc == {"c": -2}
+    add_into(acc, [("c", 1), ("c", 1)])
+    assert acc == {}
+    assert all(acc.values())
 
 
 def test_equality_is_type_strict():

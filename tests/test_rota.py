@@ -20,6 +20,7 @@ from qshuffle import (
     verify_rota_baxter,
     zero_operator,
 )
+from qshuffle.laws import SEVEN, failed_relations
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -151,6 +152,19 @@ class TestDerivedStructure:
             assert structure.dot(structure.dot(x, y), z) == structure.dot(
                 x, structure.dot(y, z)
             )
+
+    def test_failed_relations_on_vectors(self, fun3, sum3):
+        structure = derived_structure(fun3, sum3)
+        ops = (structure.left, structure.right, structure.dot, structure.star)
+        basis = [fun3.basis_vector(k) for k in range(3)]
+        triples = list(product(basis, repeat=3))
+        assert not [f for t in triples for f in failed_relations(SEVEN, ops, *t)]
+        # < in place of .: (e3 < e1) < e1 = e3 P(e1) P(e1) = e3, but
+        # e3 < (e1 < e1) = e3 P(e1 P(e1)) = 0
+        broken = (structure.left, structure.right, structure.left, structure.star)
+        e1, e3 = basis[0], basis[2]
+        failed = {name: (lhs, rhs) for name, lhs, rhs in failed_relations(SEVEN, broken, e3, e1, e1)}
+        assert failed["(x.y).z = x.(y.z)"] == (vec(0, 0, 1), vec(0, 0, 0))
 
     def test_commutative_flip_holds(self, fun3, sum3):
         structure = derived_structure(fun3, sum3)
