@@ -47,7 +47,6 @@ from .tensorq import (
     quasi_shuffle,
     quasi_shuffle_paths,
     reduced_coproduct,
-    square_star,
     word_degree,
 )
 from .freectd import (
@@ -88,6 +87,7 @@ from .bialg import (
     square_dot_pairs,
     square_left,
     square_left_pairs,
+    square_star,
 )
 from .rota import (
     DerivedStructure,

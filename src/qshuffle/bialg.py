@@ -1,8 +1,10 @@
 """Bialgebra structure: tensor-square operations, coproducts, primitives.
 
-The two-fold tensor of the tensor module carries partial operations acting
-on the left factors with the quasi-shuffle on the right factors:
+The two-fold tensor of the tensor module carries the componentwise
+quasi-shuffle, and partial operations acting on the left factors with the
+quasi-shuffle on the right factors:
 
+    (a (x) b) * (a' (x) b')  =  (a * a') (x) (b * b')
     (a (x) b) < (a' (x) b')  =  (a < a') (x) (b * b')
     (a (x) b) . (a' (x) b')  =  (a . a') (x) (b * b')
 
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .coeff import CoeffAlgebraSpec, DomainError, mono_letter, sym_algebra
-from .freectd import FreeTerm, SignatureError
-from .lincomb import Scalar, add_into
+from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
+from .freectd import FreeTerm, SignatureError, fold_term
+from .lincomb import Scalar, bilinear
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -66,7 +69,8 @@ def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Scalar]:
     (u1, v1), (u2, v2) = p1, p2
     if not u1 and not u2:
         # both heads are the unit: the operation moves to the right factors;
-        # raises UnitPairingError when all four components are units
+        # raises UnitPairingError when all four components are units. For
+        # the total star this gives what the general branch gives.
         inner = word_op(alg, v1, v2)
         return {(EMPTY_WORD, w): c for w, c in inner.items()}
     heads = word_op(alg, u1, u2)
@@ -77,26 +81,25 @@ def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Scalar]:
     return {(hw, tw): hc * tc for hw, hc in heads.items() for tw, tc in tails.items()}
 
 
-def _square_bilinear(alg, pair_op, a, b) -> TensorSquareElement:
-    acc: dict[tuple[Word, Word], Scalar] = {}
-    for p1, c1 in a.items():
-        for p2, c2 in b.items():
-            add_into(acc, pair_op(alg, p1, p2).items(), c1 * c2)
-    return TensorSquareElement._raw(acc)
+def square_star(
+    alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
+) -> TensorSquareElement:
+    """Componentwise quasi-shuffle on two-fold tensors. Total."""
+    return bilinear(partial(_square_pairs, alg, _shuffle_words), a, b)
 
 
 def square_left(
     alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
 ) -> TensorSquareElement:
     """< on two-fold tensors; undefined only on the all-units pairing."""
-    return _square_bilinear(alg, square_left_pairs, a, b)
+    return bilinear(partial(_square_pairs, alg, _word_op_left), a, b)
 
 
 def square_dot(
     alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
 ) -> TensorSquareElement:
     """. on two-fold tensors; undefined only on the all-units pairing."""
-    return _square_bilinear(alg, square_dot_pairs, a, b)
+    return bilinear(partial(_square_pairs, alg, _word_op_dot), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +117,12 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
     if not term.is_ctd:
         raise SignatureError("the free coproduct is defined for CTD terms only")
     alg = sym_algebra(n_generators)
-    return _free_coproduct(term, alg)
+    return fold_term(term, alg, _primitive_square, {"prec": square_left, "dot": square_dot})
 
 
-def _free_coproduct(term: FreeTerm, alg: CoeffAlgebraSpec) -> TensorSquareElement:
-    if term.op == "gen":
-        letter = mono_letter((term.index,))
-        if letter not in alg:
-            raise DomainError(
-                f"generator index {term.index} exceeds the generator count of {alg.name}"
-            )
-        word = (letter,)
-        return TensorSquareElement(
-            (((word, EMPTY_WORD), 1), ((EMPTY_WORD, word), 1))
-        )
-    left = _free_coproduct(term.left, alg)
-    right = _free_coproduct(term.right, alg)
-    if term.op == "prec":
-        return square_left(alg, left, right)
-    return square_dot(alg, left, right)
+def _primitive_square(letter) -> TensorSquareElement:
+    word = (letter,)
+    return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +164,11 @@ def check_compatibility(
     report = CompatReport(checked_pairs=1)
     dx = deconcatenate(x)
     dy = deconcatenate(y)
-    lhs = deconcatenate(op_left(alg, x, y))
-    rhs = square_left(alg, dx, dy)
-    if lhs != rhs:
-        report.violations.append(CompatViolation("left", x, y, lhs, rhs))
-    lhs = deconcatenate(op_dot(alg, x, y))
-    rhs = square_dot(alg, dx, dy)
-    if lhs != rhs:
-        report.violations.append(CompatViolation("dot", x, y, lhs, rhs))
+    for name, op, square_op in (("left", op_left, square_left), ("dot", op_dot, square_dot)):
+        lhs = deconcatenate(op(alg, x, y))
+        rhs = square_op(alg, dx, dy)
+        if lhs != rhs:
+            report.violations.append(CompatViolation(name, x, y, lhs, rhs))
     return report
 
 

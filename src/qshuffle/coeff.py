@@ -38,9 +38,6 @@ class MissingInvolutionError(ValueError):
     """The algebra does not declare an involution."""
 
 
-_KINDS = ("atom", "mono", "word", "weight")
-
-
 def _validate(kind: str, payload) -> None:
     if kind == "atom":
         if not isinstance(payload, str) or not payload:

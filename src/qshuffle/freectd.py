@@ -30,7 +30,7 @@ truncated series arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations
@@ -40,11 +40,11 @@ from typing import Iterator
 from .coeff import (
     CoeffAlgebraSpec,
     DomainError,
+    Letter,
     mono_letter,
     multiply_letters,
     sym_algebra,
     word_algebra,
-    word_letter,
 )
 from .lincomb import LinearCombination, Scalar, add_into
 from .tensorq import TensorElement, op_dot, op_left, op_right
@@ -54,28 +54,43 @@ class SignatureError(ValueError):
     """A term uses an operation its signature does not provide."""
 
 
-_TERM_OPS = ("gen", "prec", "succ", "dot")
 _OP_SYMBOL = {"prec": "<", "succ": ">", "dot": "."}
+
+# Deepest nesting a free term may have. Rewriting, evaluation and the
+# coproduct recurse once per level, so a deeper term is refused when it is
+# built, leaving room below the interpreter's recursion limit for the
+# caller's own frames.
+MAX_TERM_DEPTH = 500
 
 
 @dataclass(frozen=True)
 class FreeTerm:
-    """A generator leaf or a binary operation node."""
+    """A generator leaf or a binary operation node.
+
+    ``depth`` is 0 for a generator and one more than the deeper child for
+    a node; a term deeper than ``MAX_TERM_DEPTH`` cannot be built.
+    """
 
     op: str
     index: int = 0
     left: "FreeTerm | None" = None
     right: "FreeTerm | None" = None
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op == "gen":
             if self.index < 1 or self.left is not None or self.right is not None:
                 raise ValueError("generator leaf needs a positive index and no children")
-        elif self.op in ("prec", "succ", "dot"):
+            depth = 0
+        elif self.op in _OP_SYMBOL:
             if self.left is None or self.right is None:
                 raise ValueError(f"{self.op} node needs two children")
+            depth = 1 + max(self.left.depth, self.right.depth)
+            if depth > MAX_TERM_DEPTH:
+                raise ValueError(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
         else:
             raise ValueError(f"unknown term operation {self.op!r}")
+        object.__setattr__(self, "depth", depth)
 
     @property
     def degree(self) -> int:
@@ -257,20 +272,24 @@ _CTD_OPS = {"prec": op_left, "dot": op_dot}
 _ITD_OPS = {"prec": op_left, "succ": op_right, "dot": op_dot}
 
 
-def _eval_term(term: FreeTerm, alg: CoeffAlgebraSpec, gen_letter, ops) -> TensorElement:
+def _generator_letter(alg: CoeffAlgebraSpec, index: int) -> Letter:
+    """Generator ``index`` as the degree-one letter of ``alg``'s own kind."""
+    letter = Letter(alg.letter_style, (index,))
+    if letter not in alg:
+        raise DomainError(f"generator index {index} exceeds the generator count of {alg.name}")
+    return letter
+
+
+def fold_term(term: FreeTerm, alg: CoeffAlgebraSpec, leaf, ops):
+    """The map out of the free algebra fixed by where the generators go.
+
+    A generator goes to ``leaf(letter)``; a node applies
+    ``ops[op](alg, left, right)`` to its children's images.
+    """
     if term.op == "gen":
-        letter = gen_letter(term.index)
-        if letter not in alg:
-            raise DomainError(
-                f"generator index {term.index} exceeds the generator count of {alg.name}"
-            )
-        return TensorElement.from_letter(letter)
-    fn = ops[term.op]
-    return fn(
-        alg,
-        _eval_term(term.left, alg, gen_letter, ops),
-        _eval_term(term.right, alg, gen_letter, ops),
-    )
+        return leaf(_generator_letter(alg, term.index))
+    left = fold_term(term.left, alg, leaf, ops)
+    return ops[term.op](alg, left, fold_term(term.right, alg, leaf, ops))
 
 
 def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
@@ -283,13 +302,13 @@ def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
     if not term.is_ctd:
         raise SignatureError("eval_ctd is defined for CTD terms only")
     alg = sym_algebra(n_generators)
-    return _eval_term(term, alg, lambda i: mono_letter((i,)), _CTD_OPS)
+    return fold_term(term, alg, TensorElement.from_letter, _CTD_OPS)
 
 
 def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
     """Evaluate a tridendriform term in the quasi-shuffle algebra over word(n)."""
     alg = word_algebra(n_generators)
-    return _eval_term(term, alg, lambda i: word_letter((i,)), _ITD_OPS)
+    return fold_term(term, alg, TensorElement.from_letter, _ITD_OPS)
 
 
 def involute_term(term: FreeTerm) -> FreeTerm:

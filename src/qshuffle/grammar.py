@@ -22,7 +22,7 @@ from .coeff import (
     weight_letter,
     word_letter,
 )
-from .freectd import FreeTerm, NormalForm, dot, gen, prec, succ
+from .freectd import MAX_TERM_DEPTH, FreeTerm, NormalForm, dot, gen, prec, succ
 from .lincomb import Scalar
 from .tensorq import EMPTY_WORD, TensorElement, TensorSquareElement, Word
 
@@ -212,17 +212,12 @@ class _TermScanner:
 
 _TERM_BUILDERS = {"<": prec, ">": succ, ".": dot}
 
-# Deepest parenthesis nesting a free term may have. Parsing, rewriting and
-# the coproduct all recurse once per level, so a deeper term is refused
-# here, leaving room below the interpreter's recursion limit for the
-# caller's own frames.
-MAX_TERM_DEPTH = 500
-
 
 def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
     sc.skip_ws()
     ch = sc.peek()
     if ch == "(":
+        # refused before recursing, since parsing recurses once per level too
         if depth == MAX_TERM_DEPTH:
             raise ParseError(f"terms nest deeper than {MAX_TERM_DEPTH} levels", sc.pos)
         sc.pos += 1

@@ -10,7 +10,9 @@ products of such coefficients may leave a ``Fraction`` with denominator
 one, which compares and hashes equal to its ``int``. Zero coefficients are
 never stored, so two combinations are equal exactly when their backing
 dicts are equal; there is no float tolerance anywhere. ``add_into`` is the
-one sparse accumulator the kernels share.
+one sparse accumulator the kernels share, and ``bilinear`` the one
+extension of a rule on basis pairs to whole combinations, which every
+product of tensor elements and of tensor squares goes through.
 """
 
 from __future__ import annotations
@@ -37,6 +39,20 @@ def add_into(acc: dict, items: Iterable[tuple], scale: Scalar = 1) -> dict:
         else:
             acc.pop(key, None)
     return acc
+
+
+def bilinear(rule, x: LinearCombination, y: LinearCombination) -> LinearCombination:
+    """The bilinear extension of ``rule``: the sum of ``cu * cv * rule(u, v)``.
+
+    ``rule(u, v)`` maps a pair of basis keys to a zero-free mapping of
+    keys to coefficients; the result has ``x``'s type.
+    """
+    acc: dict = {}
+    pairs = y._terms.items()
+    for u, cu in x._terms.items():
+        for v, cv in pairs:
+            add_into(acc, rule(u, v).items(), cu * cv)
+    return type(x)._raw(acc)
 
 
 def as_scalar(value: object) -> Scalar:

@@ -15,7 +15,8 @@ equation written two ways.
 Everything here is finite dimensional over exact rationals: an algebra is
 a table of structure constants, an operator is a matrix, and all laws are
 checked exhaustively over basis tuples (they are multilinear, so that is a
-complete check).
+complete check). Every product, the algebra's and the three derived
+operations alike, is one table extended bilinearly by ``_table_product``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from .grammar import _join_signed
 from .laws import SEVEN, failed_relations
 
 Vector = tuple[Fraction, ...]
@@ -42,8 +44,18 @@ def _add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
+def _table_product(table, u: Vector, v: Vector) -> Vector:
+    """The bilinear extension of a basis table: ``table[i][j]`` is e_i e_j."""
+    out = _zero_vector(len(table))
+    for i, ci in enumerate(u):
+        if not ci:
+            continue
+        for j, cj in enumerate(v):
+            if not cj:
+                continue
+            c = ci * cj
+            out = _add(out, tuple(c * e for e in table[i][j]))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,34 +107,10 @@ class FiniteAlgebra:
         )
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
-        out = _zero_vector(self.dimension)
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                out = _add(out, _scale(ci * cj, self.structure[i][j]))
-        return out
+        return _table_product(self.structure, u, v)
 
     def render(self, v: Vector) -> str:
-        parts = []
-        for c, label in zip(v, self.basis_labels):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(("+", label))
-            elif c == -1:
-                parts.append(("-", label))
-            else:
-                parts.append(("-" if c < 0 else "+", f"{abs(c)}*{label}"))
-        if not parts:
-            return "0"
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_signed([(label, c) for c, label in zip(v, self.basis_labels) if c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,18 +144,14 @@ def rota_baxter_defect(
     algebra: FiniteAlgebra, operator: LinearOperator, a: Vector, b: Vector
 ) -> Vector:
     """P(a)P(b) - P(aP(b) + P(a)b + ab); zero exactly when the identity holds."""
-    pa = operator.apply(a)
-    pb = operator.apply(b)
-    lhs = algebra.multiply(pa, pb)
-    inner = _add(
-        _add(algebra.multiply(a, pb), algebra.multiply(pa, b)), algebra.multiply(a, b)
-    )
-    rhs = operator.apply(inner)
+    lhs = algebra.multiply(operator.apply(a), operator.apply(b))
+    rhs = operator.apply(star_product(algebra, operator, a, b))
     return tuple(x - y for x, y in zip(lhs, rhs))
 
 
-def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
-    """Weight-one identity over all basis pairs (bilinear, so complete)."""
+def _first_defect(algebra: FiniteAlgebra, operator: LinearOperator):
+    """``(i, j, defect)`` for the first basis pair failing the weight-one
+    identity, or None when it holds (it is bilinear, so that is complete)."""
     _require_same_dimension(algebra, operator)
     m = algebra.dimension
     for i in range(m):
@@ -176,8 +160,13 @@ def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool
                 algebra, operator, algebra.basis_vector(i), algebra.basis_vector(j)
             )
             if any(defect):
-                return False
-    return True
+                return i, j, defect
+    return None
+
+
+def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
+    """Weight-one identity over all basis pairs (bilinear, so complete)."""
+    return _first_defect(algebra, operator) is None
 
 
 def star_product(
@@ -216,25 +205,14 @@ class DerivedStructure:
     right_table: tuple[tuple[Vector, ...], ...]
     dot_table: tuple[tuple[Vector, ...], ...]
 
-    def _binary(self, table, u: Vector, v: Vector) -> Vector:
-        out = _zero_vector(self.algebra.dimension)
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                out = _add(out, _scale(ci * cj, table[i][j]))
-        return out
-
     def left(self, u: Vector, v: Vector) -> Vector:
-        return self._binary(self.left_table, u, v)
+        return _table_product(self.left_table, u, v)
 
     def right(self, u: Vector, v: Vector) -> Vector:
-        return self._binary(self.right_table, u, v)
+        return _table_product(self.right_table, u, v)
 
     def dot(self, u: Vector, v: Vector) -> Vector:
-        return self._binary(self.dot_table, u, v)
+        return _table_product(self.dot_table, u, v)
 
     def star(self, u: Vector, v: Vector) -> Vector:
         return _add(_add(self.left(u, v), self.right(u, v)), self.dot(u, v))
@@ -250,19 +228,15 @@ def derived_structure(
     exhaustively over basis triples, and the commuted forms x>y = y<x,
     x.y = y.x when the algebra is commutative.
     """
-    _require_same_dimension(algebra, operator)
+    failure = _first_defect(algebra, operator)
+    if failure:
+        i, j, defect = failure
+        raise RotaBaxterError(
+            f"weight-one identity fails on basis pair "
+            f"({algebra.basis_labels[i]}, {algebra.basis_labels[j]}): "
+            f"defect {algebra.render(defect)}"
+        )
     m = algebra.dimension
-    for i in range(m):
-        for j in range(m):
-            defect = rota_baxter_defect(
-                algebra, operator, algebra.basis_vector(i), algebra.basis_vector(j)
-            )
-            if any(defect):
-                raise RotaBaxterError(
-                    f"weight-one identity fails on basis pair "
-                    f"({algebra.basis_labels[i]}, {algebra.basis_labels[j]}): "
-                    f"defect {algebra.render(defect)}"
-                )
     basis = [algebra.basis_vector(k) for k in range(m)]
     left_table = tuple(
         tuple(algebra.multiply(basis[i], operator.apply(basis[j])) for j in range(m))

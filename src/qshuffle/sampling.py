@@ -60,17 +60,12 @@ def random_coefficient(rng: random.Random) -> int:
 def random_element(
     alg: CoeffAlgebraSpec,
     rng: random.Random,
-    max_terms: int = MAX_TERMS,
-    max_length: int = MAX_WORD_LENGTH,
     max_total_degree: int | None = None,
 ) -> TensorElement:
     """A small element of the augmentation ideal (no empty-word part)."""
-    n_terms = rng.randint(1, max_terms)
+    n_terms = rng.randint(1, MAX_TERMS)
     terms = [
-        (
-            random_word(alg, rng, max_length, max_total_degree=max_total_degree),
-            random_coefficient(rng),
-        )
+        (random_word(alg, rng, max_total_degree=max_total_degree), random_coefficient(rng))
         for _ in range(n_terms)
     ]
     return TensorElement(terms)

@@ -26,7 +26,8 @@ empty word raises ``UnitPairingError``.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from functools import partial
+from typing import Iterable, Iterator, Mapping
 
 from .coeff import (
     CoeffAlgebraSpec,
@@ -36,7 +37,7 @@ from .coeff import (
     involute_letter,
 )
 from .coeff import DomainError
-from .lincomb import LinearCombination, Scalar, add_into
+from .lincomb import LinearCombination, Scalar, add_into, bilinear
 
 Word = tuple[Letter, ...]
 
@@ -111,6 +112,12 @@ def _check_element(alg: CoeffAlgebraSpec, element: TensorElement) -> None:
 # quasi-shuffle product: memoized recursion
 
 
+def _prefixed(head, terms: Mapping[tuple, Scalar]) -> Iterable[tuple[tuple, Scalar]]:
+    """``terms`` with ``head`` put in front of every key, as pairs for
+    ``add_into`` (a small dict is built faster by a comprehension)."""
+    return zip(map((head,).__add__, terms), terms.values())
+
+
 def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Scalar]:
     """Word-level quasi-shuffle as a zero-free dict. Cached per algebra.
 
@@ -129,12 +136,12 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
     b, y = v[0], v[1:]
     # distinct tails give distinct words, so the a-branch needs no sums
     acc = {(a,) + w: c for w, c in _shuffle_words(alg, x, v).items()}
-    add_into(acc, (((b,) + w, c) for w, c in _shuffle_words(alg, u, y).items()))
+    add_into(acc, _prefixed(b, _shuffle_words(alg, u, y)))
     merged = alg.product_rule(a, b)
     if merged:
         tails = _shuffle_words(alg, x, y)
         for letter, cl in merged.items():
-            add_into(acc, (((letter,) + w, c) for w, c in tails.items()), cl)
+            add_into(acc, _prefixed(letter, tails), cl)
     cache[key] = acc
     return acc
 
@@ -143,11 +150,7 @@ def quasi_shuffle(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> 
     """Quasi-shuffle product of two elements. Total; the empty word is a unit."""
     _check_element(alg, x)
     _check_element(alg, y)
-    acc: dict[Word, Scalar] = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            add_into(acc, _shuffle_words(alg, u, v).items(), cu * cv)
-    return TensorElement._raw(acc)
+    return bilinear(partial(_shuffle_words, alg), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +274,7 @@ def _bilinear(alg, word_op, x: TensorElement, y: TensorElement) -> TensorElement
         raise UnitPairingError(
             "operation undefined: both arguments have a nonzero empty-word coefficient"
         )
-    acc: dict[Word, Scalar] = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            add_into(acc, word_op(alg, u, v).items(), cu * cv)
-    return TensorElement._raw(acc)
+    return bilinear(partial(word_op, alg), x, y)
 
 
 def op_left(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> TensorElement:
@@ -355,19 +354,3 @@ def involute_element(alg: CoeffAlgebraSpec, x: TensorElement) -> TensorElement:
     # summed, since a user-supplied involution_rule is not checked to be injective
     return TensorElement._raw(add_into({}, images))
 
-
-def square_star(
-    alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
-) -> TensorSquareElement:
-    """Componentwise quasi-shuffle on two-fold tensors. Total."""
-    acc: dict[tuple[Word, Word], Scalar] = {}
-    for (u1, v1), c1 in a.items():
-        for (u2, v2), c2 in b.items():
-            rights = _shuffle_words(alg, v1, v2)
-            block = {
-                (lw, rw): lc * rc
-                for lw, lc in _shuffle_words(alg, u1, u2).items()
-                for rw, rc in rights.items()
-            }
-            add_into(acc, block.items(), c1 * c2)
-    return TensorSquareElement._raw(acc)

@@ -35,6 +35,7 @@ from qshuffle import (
     square_dot_pairs,
     square_left,
     square_left_pairs,
+    square_star,
     stuffle_y_algebra,
     succ,
     sym_algebra,
@@ -111,6 +112,22 @@ class TestSquareOperations:
         combined = square_left(sym2, 2 * a1 - a2, b)
         split = 2 * square_left(sym2, a1, b) - square_left(sym2, a2, b)
         assert combined == split
+
+    def test_star_on_unit_heads_shuffles_the_tails(self, sym2):
+        a = sq(((EMPTY_WORD, w(X1)), 1))
+        b = sq(((EMPTY_WORD, w(X2)), 2))
+        expected = sq(
+            ((EMPTY_WORD, w(X1, X2)), 2),
+            ((EMPTY_WORD, w(X2, X1)), 2),
+            ((EMPTY_WORD, w(mono_letter((1, 2)))), 2),
+        )
+        assert square_star(sym2, a, b) == expected
+
+    def test_star_is_total_with_the_all_units_pair_as_unit(self, sym2):
+        unit = sq(((EMPTY_WORD, EMPTY_WORD), 1))
+        b = sq(((w(X1), w(X2)), 3), ((EMPTY_WORD, w(X1)), -1))
+        assert square_star(sym2, unit, unit) == unit
+        assert square_star(sym2, unit, b) == b == square_star(sym2, b, unit)
 
     def test_pair_level_helpers_agree_with_element_level(self, sym2):
         p1 = (w(X1), w(X2))
@@ -282,8 +299,9 @@ class TestFreeCoproduct:
             free_ctd_coproduct(succ(G1, G2), 2)
 
     def test_rejects_out_of_range_generators(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as refused:
             free_ctd_coproduct(G3, 2)
+        assert str(refused.value) == "generator index 3 exceeds the generator count of sym2"
 
     def test_naturality_on_random_terms(self):
         rng = random.Random(89)

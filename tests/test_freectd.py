@@ -38,7 +38,12 @@ from qshuffle import (
     word_algebra,
     word_letter,
 )
-from qshuffle.freectd import MAX_CTD_ENUMERATION, MAX_ITD_ENUMERATION, MAX_SERIES_ORDER
+from qshuffle.freectd import (
+    MAX_CTD_ENUMERATION,
+    MAX_ITD_ENUMERATION,
+    MAX_SERIES_ORDER,
+    MAX_TERM_DEPTH,
+)
 from qshuffle.sampling import random_ctd_term, random_td_term
 
 from conftest import rational_rank
@@ -71,6 +76,18 @@ class TestFreeTerm:
         term = prec(dot(G2, G1), G3)
         assert term.generators() == (2, 1, 3)
 
+    def test_depth_is_capped_when_built(self):
+        assert G1.depth == 0 and prec(G1, dot(G2, G3)).depth == 2
+        comb = G1
+        for _ in range(MAX_TERM_DEPTH):
+            comb = prec(G2, comb)
+        assert comb.depth == MAX_TERM_DEPTH
+        assert normal_form(comb) == NormalForm({((2,),) * MAX_TERM_DEPTH + ((1,),): 1})
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH} levels"):
+            prec(G1, comb)
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH} levels"):
+            dot(comb, G1)
+
     def test_str_is_parenthesized(self):
         assert str(prec(G1, G2)) == "(a < b)"
         assert str(succ(dot(G1, G2), G3)) == "((a . b) > c)"
@@ -94,8 +111,9 @@ class TestEvalCtd:
             eval_ctd(succ(G1, G2), 2)
 
     def test_rejects_out_of_range_generator(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as refused:
             eval_ctd(G3, 2)
+        assert str(refused.value) == "generator index 3 exceeds the generator count of sym2"
 
     def test_relations_hold_under_evaluation(self):
         # In the image, each defining relation becomes an identity of elements.
@@ -131,6 +149,11 @@ class TestEvalItd:
     def test_prec_on_equal_generators(self):
         expected = TensorElement.from_word((word_letter((1,)), word_letter((1,))))
         assert eval_itd(prec(G1, G1), 1) == expected
+
+    def test_rejects_out_of_range_generator(self):
+        with pytest.raises(DomainError) as refused:
+            eval_itd(succ(G1, G3), 2)
+        assert str(refused.value) == "generator index 3 exceeds the generator count of word2"
 
     # star(x, y) as a list of terms summing to x * y in the image
     @staticmethod

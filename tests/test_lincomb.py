@@ -10,6 +10,7 @@ from qshuffle import (
     OPERATIONS,
     CoeffCombination,
     TensorElement,
+    TensorSquareElement,
     algebra_by_name,
     as_scalar,
     deconcatenate,
@@ -18,7 +19,7 @@ from qshuffle import (
     reduced_coproduct_kernel,
     weight_letter,
 )
-from qshuffle.lincomb import LinearCombination, add_into
+from qshuffle.lincomb import LinearCombination, add_into, bilinear
 from qshuffle.sampling import random_ctd_term, random_element
 
 
@@ -165,3 +166,41 @@ def test_scaling_distributes(scale, k):
     assert (scale * el).coefficient((weight_letter(k),)) == 3 * scale
     if scale == 0:
         assert (scale * el).is_zero
+
+
+A, B = weight_letter(1), weight_letter(2)
+
+
+def _sorted_concat(u, v):
+    return {tuple(sorted(u + v)): 1}
+
+
+def _sorted_concat_left(p, q):
+    return {(tuple(sorted(p[0] + q[0])), p[1]): 1}
+
+
+# (combination type, word -> basis key, commutative rule on basis keys)
+BILINEAR_CASES = [
+    (TensorElement, lambda word: word, _sorted_concat),
+    (TensorSquareElement, lambda word: (word, (A,)), _sorted_concat_left),
+]
+
+
+@pytest.mark.parametrize("kind, key, rule", BILINEAR_CASES)
+def test_bilinear_distributes_over_sums_in_each_argument(kind, key, rule):
+    x1 = kind([(key((A,)), 2), (key((B,)), -1)])
+    x2 = kind([(key((A, B)), Fraction(1, 2))])
+    y = kind([(key((B,)), 3), (key(()), 1)])
+    assert bilinear(rule, x1 + x2, y) == bilinear(rule, x1, y) + bilinear(rule, x2, y)
+    assert bilinear(rule, y, x1 + x2) == bilinear(rule, y, x1) + bilinear(rule, y, x2)
+
+
+@pytest.mark.parametrize("kind, key, rule", BILINEAR_CASES)
+def test_bilinear_returns_a_zero_free_result_of_the_first_type(kind, key, rule):
+    # (a + b)(b - a): the two mixed terms cancel under a commutative rule
+    x = kind([(key((A,)), 1), (key((B,)), 1)])
+    y = kind([(key((A,)), -1), (key((B,)), 1)])
+    out = bilinear(rule, x, y)
+    assert type(out) is kind
+    assert out == kind([(key((B, B)), 1), (key((A, A)), -1)])
+    assert key((A, B)) not in out and all(c for _, c in out.items())

@@ -82,6 +82,9 @@ class TestFiniteAlgebra:
         assert fun3.render(vec(0, 0, 0)) == "0"
         assert fun3.render(vec(1, -1, 0)) == "e1 - e2"
         assert fun3.render(vec(0, 0, Fraction(3, 2))) == "3/2*e3"
+        assert fun3.render(vec(2, 0, 0)) == "2*e1"
+        assert fun3.render(vec(-1, 0, 2)) == "-e1 + 2*e3"
+        assert fun3.render(vec(Fraction(-3, 2), 1, 0)) == "-3/2*e1 + e2"
 
     def test_bounds_on_builtin_factory(self):
         with pytest.raises(ValueError):
@@ -181,8 +184,11 @@ class TestDerivedStructure:
             assert structure.star(x, y) == fun3.multiply(x, y)
 
     def test_identity_operator_refused_with_witness(self, fun3):
-        with pytest.raises(RotaBaxterError, match="e1"):
+        with pytest.raises(RotaBaxterError) as refused:
             derived_structure(fun3, identity_operator(3))
+        assert str(refused.value) == (
+            "weight-one identity fails on basis pair (e1, e1): defect -2*e1"
+        )
 
 
 class TestStarMorphism:
