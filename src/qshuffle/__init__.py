@@ -73,9 +73,6 @@ from .freectd import (
     uctd_identifies_letter_products,
 )
 from .bialg import (
-    CompatReport,
-    CompatViolation,
-    check_compatibility,
     free_ctd_coproduct,
     generator_inclusion,
     generator_projection,
@@ -84,9 +81,7 @@ from .bialg import (
     reduced_coproduct_kernel,
     splitting_identity_holds,
     square_dot,
-    square_dot_pairs,
     square_left,
-    square_left_pairs,
     square_star,
 )
 from .rota import (
@@ -121,7 +116,7 @@ from .grammar import (
     render_word,
     square_to_json,
 )
-from .laws import LawReport, LawViolation, run_suite
+from .laws import LawReport, LawViolation, check_compatibility, run_suite
 from .sampling import (
     random_ctd_term,
     random_element,

@@ -20,15 +20,14 @@ the deconcatenation coproduct is compatible with the partial operations:
     coproduct(x < y) = coproduct(x) < coproduct(y)
     coproduct(x . y) = coproduct(x) . coproduct(y)
 
-which ``check_compatibility`` verifies pair by pair. The length-one words
-are exactly the primitives in each graded piece; ``reduced_coproduct_kernel``
-recomputes that kernel by exact Gaussian elimination as an independent
-route.
+stated once, as the two rows of the law table ``laws.COMPAT``. The
+length-one words are exactly the primitives in each graded piece;
+``reduced_coproduct_kernel`` recomputes that kernel by exact Gaussian
+elimination as an independent route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -43,26 +42,10 @@ from .tensorq import (
     _shuffle_words,
     _word_op_dot,
     _word_op_left,
-    deconcatenate,
     is_primitive,
     op_dot,
-    op_left,
     reduced_coproduct,
 )
-
-
-def square_left_pairs(
-    alg: CoeffAlgebraSpec, p1: tuple[Word, Word], p2: tuple[Word, Word]
-) -> dict[tuple[Word, Word], Scalar]:
-    """Basis-pair < on the tensor square, unit-pairing convention included."""
-    return _square_pairs(alg, _word_op_left, p1, p2)
-
-
-def square_dot_pairs(
-    alg: CoeffAlgebraSpec, p1: tuple[Word, Word], p2: tuple[Word, Word]
-) -> dict[tuple[Word, Word], Scalar]:
-    """Basis-pair . on the tensor square, unit-pairing convention included."""
-    return _square_pairs(alg, _word_op_dot, p1, p2)
 
 
 def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Scalar]:
@@ -123,53 +106,6 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
 def _primitive_square(letter) -> TensorSquareElement:
     word = (letter,)
     return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
-
-
-# ---------------------------------------------------------------------------
-# compatibility of deconcatenation with the partial operations
-
-
-@dataclass
-class CompatViolation:
-    relation: str
-    x: TensorElement
-    y: TensorElement
-    lhs: TensorSquareElement
-    rhs: TensorSquareElement
-
-
-@dataclass
-class CompatReport:
-    checked_pairs: int = 0
-    violations: list[CompatViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def absorb(self, other: "CompatReport") -> None:
-        self.checked_pairs += other.checked_pairs
-        self.violations.extend(other.violations)
-
-
-def check_compatibility(
-    alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement
-) -> CompatReport:
-    """Deconcatenation against the tensor-square < and . for one pair.
-
-    Arguments should lie in the augmentation ideal or be units; when both
-    carry a unit component the operations themselves are undefined and the
-    resulting ``UnitPairingError`` propagates.
-    """
-    report = CompatReport(checked_pairs=1)
-    dx = deconcatenate(x)
-    dy = deconcatenate(y)
-    for name, op, square_op in (("left", op_left, square_left), ("dot", op_dot, square_dot)):
-        lhs = deconcatenate(op(alg, x, y))
-        rhs = square_op(alg, dx, dy)
-        if lhs != rhs:
-            report.violations.append(CompatViolation(name, x, y, lhs, rhs))
-    return report
 
 
 def primitives_closed_under_dot(alg: CoeffAlgebraSpec, pairs) -> bool:

@@ -63,34 +63,55 @@ _OP_SYMBOL = {"prec": "<", "succ": ">", "dot": "."}
 MAX_TERM_DEPTH = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FreeTerm:
     """A generator leaf or a binary operation node.
 
     ``depth`` is 0 for a generator and one more than the deeper child for
-    a node; a term deeper than ``MAX_TERM_DEPTH`` cannot be built.
+    a node; a term deeper than ``MAX_TERM_DEPTH`` cannot be built. ``text``
+    is the term in the parser's grammar, built once from the children's
+    text. The grammar is unambiguous, so equal text means equal trees, and
+    equality, hashing and printing all use it without recursing.
     """
 
     op: str
     index: int = 0
     left: "FreeTerm | None" = None
     right: "FreeTerm | None" = None
-    depth: int = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False)
+    text: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.op == "gen":
             if self.index < 1 or self.left is not None or self.right is not None:
                 raise ValueError("generator leaf needs a positive index and no children")
             depth = 0
+            text = chr(ord("a") + self.index - 1) if self.index <= 26 else f"g{self.index}"
         elif self.op in _OP_SYMBOL:
             if self.left is None or self.right is None:
                 raise ValueError(f"{self.op} node needs two children")
             depth = 1 + max(self.left.depth, self.right.depth)
             if depth > MAX_TERM_DEPTH:
                 raise ValueError(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
+            text = f"({self.left.text} {_OP_SYMBOL[self.op]} {self.right.text})"
         else:
             raise ValueError(f"unknown term operation {self.op!r}")
         object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "text", text)
+
+    def __eq__(self, other):
+        if not isinstance(other, FreeTerm):
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __repr__(self) -> str:
+        return f"FreeTerm({self.text!r})"
 
     @property
     def degree(self) -> int:
@@ -112,13 +133,6 @@ class FreeTerm:
         if self.op == "gen":
             return (self.index,)
         return self.left.generators() + self.right.generators()
-
-    def __str__(self) -> str:
-        if self.op == "gen":
-            if self.index <= 26:
-                return chr(ord("a") + self.index - 1)
-            return f"g{self.index}"
-        return f"({self.left} {_OP_SYMBOL[self.op]} {self.right})"
 
 
 def gen(index: int) -> FreeTerm:
@@ -215,6 +229,15 @@ def _encode(term: FreeTerm) -> tuple:
     return _rdot((_encode(term.left), _encode(term.right)))
 
 
+def _pull_prec(factors) -> tuple:
+    """Pull one < factor of a dot product to the top:
+    (w1 < w2) . rest = (w1 . rest) < w2."""
+    w = next(f for f in factors if f[0] == "p")
+    rest = list(factors)
+    rest.remove(w)
+    return ("p", _rdot([w[1]] + rest), w[2])
+
+
 _NF_CACHE: dict[tuple, dict[BlockSequence, Scalar]] = {}
 
 
@@ -227,12 +250,7 @@ def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
     if tag == "b":
         out = {(rt[1],): 1}
     elif tag == "d":
-        # pull one < factor to the top: (w1 < w2) . rest = (w1 . rest) < w2
-        factors = rt[1]
-        w = next(f for f in factors if f[0] == "p")
-        rest = list(factors)
-        rest.remove(w)
-        out = _norm(("p", _rdot([w[1]] + rest), w[2]))
+        out = _norm(_pull_prec(rt[1]))
     else:
         x, y = rt[1], rt[2]
         if x[0] == "b":
@@ -247,13 +265,9 @@ def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
             add_into(out, _norm(("p", x1, ("p", y, x2))).items())
             add_into(out, _norm(("p", x1, _rdot([x2, y]))).items())
         else:
-            # dot head with a < inside: rotate as in the "d" case, then the
-            # new head is a < node and the branch above applies
-            factors = x[1]
-            w = next(f for f in factors if f[0] == "p")
-            rest = list(factors)
-            rest.remove(w)
-            out = _norm(("p", ("p", _rdot([w[1]] + rest), w[2]), y))
+            # dot head with a < inside: rotate it, then the new head is a
+            # < node and the branch above applies
+            out = _norm(("p", _pull_prec(x[1]), y))
     _NF_CACHE[rt] = out
     return out
 

@@ -1,11 +1,15 @@
-"""The tridendriform relations, and seeded law suites over the stuffle operations.
+"""Every law of the package as a table row, one checker, and seeded law suites.
 
-``SEVEN``, ``CTD_THREE`` and ``SPLITTING`` are the relation tables. Each row
-is a name and a function of four binary operations ``(L, R, D, S)`` (left
-``<``, right ``>``, dot ``.`` and their sum ``*``) and the elements, which
-returns both sides. ``failed_relations`` checks a table on any structure
-that supplies those four operations: the tensor module here, and the
-finite Rota-Baxter structures of ``rota``.
+A law is a row ``(name, sides)``: ``sides`` takes the table's operations and
+then the elements, and returns both sides. Every table's operations start
+with the four binary ones ``(L, R, D, S)`` (left ``<``, right ``>``, dot
+``.`` and their sum ``*``); a table may take more after them. ``SEVEN``,
+``CTD_THREE`` and ``SPLITTING`` need only the four; ``COMPAT`` also takes
+deconcatenation and the tensor-square ``<`` and ``.``; the involution table
+takes the anti-involution, and the weight-one tables of ``rota`` the
+operator. ``failed_relations`` checks a table on given elements and
+``first_failure`` checks it on every tuple of basis vectors, which is
+complete for multilinear laws.
 
 Each suite draws seeded samples from the augmentation ideal (no empty-word
 part, so the partial operations are total on them) and compares both sides
@@ -19,12 +23,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
-from .bialg import check_compatibility
+from .bialg import square_dot, square_left
 from .coeff import CoeffAlgebraSpec
 from .grammar import render_element, render_square_element
 from .sampling import random_element
-from .tensorq import involute_element, op_dot, op_left, op_right, quasi_shuffle
+from .tensorq import (
+    TensorSquareElement,
+    deconcatenate,
+    involute_element,
+    op_dot,
+    op_left,
+    op_right,
+    quasi_shuffle,
+)
 
 
 @dataclass(frozen=True)
@@ -105,6 +118,19 @@ _INVOLUTION = (
     ("s(x.y) = s(y).s(x)", lambda L, R, D, S, s, x, y: (s(D(x, y)), D(s(y), s(x)))),
 )
 
+# deconcatenation C is a morphism for < and . into the tensor square, whose
+# < and . are SL and SD; rows take (C, SL, SD) after (L, R, D, S)
+COMPAT = (
+    (
+        "coproduct is a morphism for left",
+        lambda L, R, D, S, C, SL, SD, x, y: (C(L(x, y)), SL(C(x), C(y))),
+    ),
+    (
+        "coproduct is a morphism for dot",
+        lambda L, R, D, S, C, SL, SD, x, y: (C(D(x, y)), SD(C(x), C(y))),
+    ),
+)
+
 
 def failed_relations(relations, ops, *elements):
     """Yield ``(name, lhs, rhs)`` for each relation whose sides differ on
@@ -115,6 +141,17 @@ def failed_relations(relations, ops, *elements):
             yield name, lhs, rhs
 
 
+def first_failure(relations, ops, basis, arity):
+    """``(indices, name, lhs, rhs)`` for the first ``arity``-tuple of
+    ``basis`` vectors, in lexicographic index order, on which a relation
+    fails, or None when every relation holds on every tuple."""
+    for indices in product(range(len(basis)), repeat=arity):
+        elements = [basis[i] for i in indices]
+        for name, lhs, rhs in failed_relations(relations, ops, *elements):
+            return indices, name, lhs, rhs
+    return None
+
+
 def _tensor_ops(alg):
     # looked up when a case runs, not captured at import, so that rebinding
     # the module's op_left etc. (as a tracer does) reaches the suites
@@ -123,6 +160,27 @@ def _tensor_ops(alg):
 
 def _involution_ops(alg):
     return _tensor_ops(alg) + (partial(involute_element, alg),)
+
+
+def _compat_ops(alg):
+    return _tensor_ops(alg) + (deconcatenate, partial(square_left, alg), partial(square_dot, alg))
+
+
+def check_compatibility(alg: CoeffAlgebraSpec, x, y) -> list:
+    """``(name, lhs, rhs)`` for each ``COMPAT`` row failing on one pair.
+
+    Arguments should lie in the augmentation ideal or be units; when both
+    carry a unit component the operations themselves are undefined and the
+    resulting ``UnitPairingError`` propagates.
+    """
+    return list(failed_relations(COMPAT, _compat_ops(alg), x, y))
+
+
+def _render(element) -> str:
+    # the renderers are looked up per call, so a tracer's rebinding reaches them
+    if isinstance(element, TensorSquareElement):
+        return render_square_element(element)
+    return render_element(element)
 
 
 def _relation_case(relations, arity, ops=_tensor_ops):
@@ -137,27 +195,11 @@ def _relation_case(relations, arity, ops=_tensor_ops):
             return []
         inputs = tuple(render_element(e) for e in elements)
         return [
-            LawViolation(name, index, inputs, render_element(lhs), render_element(rhs))
+            LawViolation(name, index, inputs, _render(lhs), _render(rhs))
             for name, lhs, rhs in failed
         ]
 
     return case
-
-
-def _case_compat(alg, rng, index, max_degree):
-    x = random_element(alg, rng, max_total_degree=max_degree)
-    y = random_element(alg, rng, max_total_degree=max_degree)
-    report = check_compatibility(alg, x, y)
-    return [
-        LawViolation(
-            law=f"coproduct is a morphism for {v.relation}",
-            case_index=index,
-            inputs=(render_element(v.x), render_element(v.y)),
-            lhs=render_square_element(v.lhs),
-            rhs=render_square_element(v.rhs),
-        )
-        for v in report.violations
-    ]
 
 
 # suite name -> (case function, default per-element degree bound); triple
@@ -167,7 +209,7 @@ SUITES = {
     "ctd-three": (_relation_case(CTD_THREE, 3), 2),
     "splitting": (_relation_case(SPLITTING, 2), 3),
     "involution": (_relation_case(_INVOLUTION, 2, _involution_ops), 3),
-    "bialgebra-compat": (_case_compat, 2),
+    "bialgebra-compat": (_relation_case(COMPAT, 2, _compat_ops), 2),
 }
 
 

@@ -13,23 +13,35 @@ so ``check_star_morphism`` and ``verify_rota_baxter`` test the same
 equation written two ways.
 
 Everything here is finite dimensional over exact rationals: an algebra is
-a table of structure constants, an operator is a matrix, and all laws are
-checked exhaustively over basis tuples (they are multilinear, so that is a
-complete check). Every product, the algebra's and the three derived
-operations alike, is one table extended bilinearly by ``_table_product``.
+a table of structure constants, an operator is a matrix, and every law is
+a row of a law table checked by ``laws.first_failure`` over all basis
+tuples (the laws are multilinear, so that is a complete check):
+associativity and commutativity of the algebra, the weight-one identity,
+the star morphism, the seven relations and the commutative flips. Every
+product, the algebra's and the three derived operations alike, is one
+table extended bilinearly by ``_table_product``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
 
 from .grammar import _join_signed
-from .laws import SEVEN, failed_relations
+from .laws import SEVEN, first_failure
 
 Vector = tuple[Fraction, ...]
+
+# The weight-one rows take the operator P after (L, R, D, S), where D is
+# the algebra product and S is star_product; they use only D, S and P.
+_WEIGHT_ONE = (("P(x)P(y) = P(x*y)", lambda L, R, D, S, P, x, y: (D(P(x), P(y)), P(S(x, y)))),)
+_STAR_MORPHISM = (("P(x*y) = P(x)P(y)", lambda L, R, D, S, P, x, y: (P(S(x, y)), D(P(x), P(y)))),)
+
+_COMMUTATIVE = (
+    ("commutative flip x>y = y<x", lambda L, R, D, S, x, y: (R(x, y), L(y, x))),
+    ("dot commutativity", lambda L, R, D, S, x, y: (D(x, y), D(y, x))),
+)
 
 
 class RotaBaxterError(ValueError):
@@ -81,21 +93,17 @@ class FiniteAlgebra:
             len(row) != m or any(len(v) != m for v in row) for row in self.structure
         ):
             raise ValueError("structure constants must form an m x m x m table")
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    left = self.multiply(self.structure[i][j], self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.structure[j][k])
-                    if left != right:
-                        raise ValueError(
-                            f"structure constants are not associative at basis "
-                            f"triple ({i + 1}, {j + 1}, {k + 1})"
-                        )
-        if self.is_commutative:
-            for i in range(m):
-                for j in range(m):
-                    if self.structure[i][j] != self.structure[j][i]:
-                        raise ValueError("algebra flagged commutative is not")
+        # associativity is SEVEN's last row, with the algebra product as D
+        ops, basis = (None, None, self.multiply, None), self.basis()
+        failure = first_failure(SEVEN[6:], ops, basis, 3)
+        if failure:
+            i, j, k = failure[0]
+            raise ValueError(
+                f"structure constants are not associative at basis "
+                f"triple ({i + 1}, {j + 1}, {k + 1})"
+            )
+        if self.is_commutative and first_failure(_COMMUTATIVE[1:], ops, basis, 2):
+            raise ValueError("algebra flagged commutative is not")
 
     @property
     def dimension(self) -> int:
@@ -105,6 +113,9 @@ class FiniteAlgebra:
         return tuple(
             Fraction(1) if i == k else Fraction(0) for i in range(self.dimension)
         )
+
+    def basis(self) -> list[Vector]:
+        return [self.basis_vector(k) for k in range(self.dimension)]
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
         return _table_product(self.structure, u, v)
@@ -135,38 +146,25 @@ class LinearOperator:
         )
 
 
-def _require_same_dimension(algebra: FiniteAlgebra, operator: LinearOperator) -> None:
+def _operator_ops(algebra: FiniteAlgebra, operator: LinearOperator):
+    """The operations ``(L, R, D, S, P)`` of the weight-one rows."""
     if algebra.dimension != operator.dimension:
         raise ValueError("operator and algebra dimensions differ")
+    return (None, None, algebra.multiply, partial(star_product, algebra, operator), operator.apply)
 
 
 def rota_baxter_defect(
     algebra: FiniteAlgebra, operator: LinearOperator, a: Vector, b: Vector
 ) -> Vector:
     """P(a)P(b) - P(aP(b) + P(a)b + ab); zero exactly when the identity holds."""
-    lhs = algebra.multiply(operator.apply(a), operator.apply(b))
-    rhs = operator.apply(star_product(algebra, operator, a, b))
+    lhs, rhs = _WEIGHT_ONE[0][1](*_operator_ops(algebra, operator), a, b)
     return tuple(x - y for x, y in zip(lhs, rhs))
-
-
-def _first_defect(algebra: FiniteAlgebra, operator: LinearOperator):
-    """``(i, j, defect)`` for the first basis pair failing the weight-one
-    identity, or None when it holds (it is bilinear, so that is complete)."""
-    _require_same_dimension(algebra, operator)
-    m = algebra.dimension
-    for i in range(m):
-        for j in range(m):
-            defect = rota_baxter_defect(
-                algebra, operator, algebra.basis_vector(i), algebra.basis_vector(j)
-            )
-            if any(defect):
-                return i, j, defect
-    return None
 
 
 def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
     """Weight-one identity over all basis pairs (bilinear, so complete)."""
-    return _first_defect(algebra, operator) is None
+    ops = _operator_ops(algebra, operator)
+    return first_failure(_WEIGHT_ONE, ops, algebra.basis(), 2) is None
 
 
 def star_product(
@@ -182,17 +180,8 @@ def star_product(
 
 def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
     """P(a * b) == P(a) P(b) over all basis pairs."""
-    _require_same_dimension(algebra, operator)
-    m = algebra.dimension
-    for i in range(m):
-        for j in range(m):
-            a = algebra.basis_vector(i)
-            b = algebra.basis_vector(j)
-            lhs = operator.apply(star_product(algebra, operator, a, b))
-            rhs = algebra.multiply(operator.apply(a), operator.apply(b))
-            if lhs != rhs:
-                return False
-    return True
+    ops = _operator_ops(algebra, operator)
+    return first_failure(_STAR_MORPHISM, ops, algebra.basis(), 2) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,16 +217,17 @@ def derived_structure(
     exhaustively over basis triples, and the commuted forms x>y = y<x,
     x.y = y.x when the algebra is commutative.
     """
-    failure = _first_defect(algebra, operator)
+    m = algebra.dimension
+    basis = algebra.basis()
+    failure = first_failure(_WEIGHT_ONE, _operator_ops(algebra, operator), basis, 2)
     if failure:
-        i, j, defect = failure
+        i, j = failure[0]
+        defect = rota_baxter_defect(algebra, operator, basis[i], basis[j])
         raise RotaBaxterError(
             f"weight-one identity fails on basis pair "
             f"({algebra.basis_labels[i]}, {algebra.basis_labels[j]}): "
             f"defect {algebra.render(defect)}"
         )
-    m = algebra.dimension
-    basis = [algebra.basis_vector(k) for k in range(m)]
     left_table = tuple(
         tuple(algebra.multiply(basis[i], operator.apply(basis[j])) for j in range(m))
         for i in range(m)
@@ -251,16 +241,12 @@ def derived_structure(
     )
     structure = DerivedStructure(algebra, operator, left_table, right_table, dot_table)
     ops = (structure.left, structure.right, structure.dot, structure.star)
-    for triple in product(basis, repeat=3):
-        for name, _, _ in failed_relations(SEVEN, ops, *triple):
-            raise RotaBaxterError(f"derived relation {name} fails")
-    if algebra.is_commutative:
-        for x in basis:
-            for y in basis:
-                if structure.right(x, y) != structure.left(y, x):
-                    raise RotaBaxterError("commutative flip x>y = y<x fails")
-                if structure.dot(x, y) != structure.dot(y, x):
-                    raise RotaBaxterError("dot commutativity fails")
+    failure = first_failure(SEVEN, ops, basis, 3)
+    if failure:
+        raise RotaBaxterError(f"derived relation {failure[1]} fails")
+    failure = algebra.is_commutative and first_failure(_COMMUTATIVE, ops, basis, 2)
+    if failure:
+        raise RotaBaxterError(f"{failure[1]} fails")
     return structure
 
 

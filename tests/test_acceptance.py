@@ -197,20 +197,17 @@ def test_criterion_07_rewriting_soundness_and_idempotence():
 
 def test_criterion_08_coproduct_compatibility():
     start = perf_counter()
-    from qshuffle import CompatReport
-
     for alg in (sym_algebra(2), stuffle_y_algebra()):
         rng = random.Random(f"{SEED}:{alg.name}")
-        total = CompatReport()
+        violations = []
         for _ in range(200):
             x = random_element(alg, rng, max_total_degree=3)
             y = random_element(alg, rng, max_total_degree=3)
-            total.absorb(check_compatibility(alg, x, y))
+            violations += check_compatibility(alg, x, y)
             # Deconcatenation is coassociative on the same sample.
             for e in (x, y):
                 assert coproduct_then_left(e) == coproduct_then_right(e)
-        assert total.checked_pairs == 200
-        assert not total.violations
+        assert violations == []
     assert perf_counter() - start < 60.0
 
 

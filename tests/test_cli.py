@@ -337,6 +337,19 @@ class TestCompatAndSplitting:
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
 
+    def test_compat_violation_exits_one(self, capsys, monkeypatch):
+        from qshuffle.bialg import square_dot
+
+        monkeypatch.setattr("qshuffle.laws.square_left", square_dot)
+        code, out, _ = run_cli(
+            capsys, ["compat", "--alg", "sym2", "--cases", "3", "--seed", "7"]
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1].startswith("FAIL case 0 coproduct is a morphism for left: ")
+        assert " (x) " in lines[1]
+        assert lines[-1].startswith("FAIL (")
+
     def test_splitting_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["splitting", "--alg", "sym2", "--degree", "4"])
         assert code == 0

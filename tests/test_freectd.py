@@ -88,6 +88,23 @@ class TestFreeTerm:
         with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH} levels"):
             dot(comb, G1)
 
+    def test_text_equality_and_hash_at_the_depth_cap(self):
+        # built twice, so equality must compare structure, not identity
+        def comb(top):
+            term = G1
+            for _ in range(MAX_TERM_DEPTH - 1):
+                term = prec(G2, term)
+            return prec(top, term)
+
+        first, second, other = comb(G2), comb(G2), comb(G3)
+        assert first.depth == MAX_TERM_DEPTH
+        text = str(first)
+        assert text == "(b < " * MAX_TERM_DEPTH + "a" + ")" * MAX_TERM_DEPTH
+        assert repr(first) == f"FreeTerm({text!r})"
+        assert first == second and hash(first) == hash(second)
+        assert first != other
+        assert len({first, second, other}) == 2
+
     def test_str_is_parenthesized(self):
         assert str(prec(G1, G2)) == "(a < b)"
         assert str(succ(dot(G1, G2), G3)) == "((a . b) > c)"

@@ -182,6 +182,17 @@ class TestViolationDetection:
         laws_hit = {v.law for v in report.violations}
         assert "s(x.y) = s(y).s(x)" in laws_hit
 
+    def test_compat_violation_renders_tensor_squares(self, sym2, monkeypatch):
+        from qshuffle.bialg import square_dot
+
+        monkeypatch.setattr("qshuffle.laws.square_left", square_dot)
+        report = run_suite("bialgebra-compat", sym2, cases=5, seed=3)
+        assert not report.ok
+        assert {v.law for v in report.violations} == {"coproduct is a morphism for left"}
+        violation = report.violations[0]
+        assert " (x) " in violation.lhs and " (x) " in violation.rhs
+        assert len(violation.inputs) == 2 and " (x) " not in violation.inputs[0]
+
     def test_violations_are_sorted_by_case(self):
         report = run_suite("seven", _sum_product_algebra(), cases=15, seed=13)
         indices = [v.case_index for v in report.violations]
