@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from typing import Iterable
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
 from .freectd import FreeTerm, SignatureError, fold_term
-from .lincomb import Scalar, bilinear
+from .lincomb import Scalar, add_into, bilinear
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -42,6 +43,7 @@ from .tensorq import (
     _shuffle_words,
     _word_op_dot,
     _word_op_left,
+    deconcatenate,
     is_primitive,
     op_dot,
     reduced_coproduct,
@@ -235,17 +237,52 @@ def generator_inclusion(x: TensorElement) -> TensorElement:
     return TensorElement._raw(dict(x.items()))
 
 
+def _project_square(images, square: TensorSquareElement) -> TensorSquareElement:
+    """(projection (x) projection)(square); ``images`` maps each word to
+    the items of its projection."""
+    pairs = (
+        ((u, v), c * cu * cv)
+        for (a, b), c in square.items()
+        for u, cu in images[a]
+        for v, cv in images[b]
+    )
+    return TensorSquareElement._raw(add_into({}, pairs))
+
+
 def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> bool:
-    """projection(inclusion(w)) == w for every pure generator word in range."""
+    """The projection onto generator words, checked on every word in range.
+
+    On each word w up to the given length over the letters of degree <= 2:
+    projection(inclusion(w)) == w when every letter has degree one,
+    projection(w) == 0 exactly when a letter has degree >= 2, and
+    deconcatenate(projection(w)) == (projection (x) projection)(deconcatenate(w)).
+    """
     if max_word_length < 0:
         raise ValueError(f"max word length must be nonnegative, got {max_word_length}")
-    letters = alg.letters_of_degree(1)
-    stack: list[Word] = [EMPTY_WORD]
-    while stack:
-        w = stack.pop()
-        el = TensorElement.from_word(w)
-        if generator_projection(generator_inclusion(el)) != el:
-            return False
-        if len(w) < max_word_length:
-            stack.extend(w + (letter,) for letter in letters)
+    letters = alg.letters_up_to_degree(2)
+    # a word's prefixes and suffixes are no longer than it, so their
+    # projections are in ``images`` by the time it is checked
+    images: dict = {}
+    layer: Iterable[tuple[Word, bool]] = [(EMPTY_WORD, True)]
+    for length in range(max_word_length + 1):
+        for w, generator in layer:
+            x = TensorElement.from_word(w)
+            image = generator_projection(x)
+            images[w] = image.items()
+            if image.is_zero == generator:
+                return False
+            if generator and generator_projection(generator_inclusion(x)) != x:
+                return False
+            if deconcatenate(image) != _project_square(images, deconcatenate(x)):
+                return False
+            if length == max_word_length:
+                del images[w]  # no longer word has it as a prefix or suffix
+        if length < max_word_length:
+            longer = (
+                (w + (letter,), generator and letter.degree == 1)
+                for w, generator in layer
+                for letter in letters
+            )
+            # the longest words are checked as they are made, never stored
+            layer = longer if length + 1 == max_word_length else list(longer)
     return True

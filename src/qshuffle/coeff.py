@@ -172,9 +172,12 @@ class CoeffAlgebraSpec:
     optional; when present it must be a degree-preserving anti-automorphism
     with square one.
 
-    ``cache`` holds memo tables for the quasi-shuffle recursion. Results
-    stored there are never mutated, so concurrent readers at worst
-    recompute an identical value.
+    ``product_rule`` must be a pure function of its two letters: its
+    results are memoised. ``cache`` holds the memo tables of the tensor
+    module: ``"shuffle"`` maps a word pair to its quasi-shuffle and
+    ``"letter"`` a letter pair to its product as (letter, coefficient)
+    pairs. Results stored there are never mutated, so concurrent readers at
+    worst recompute an identical value.
     """
 
     name: str

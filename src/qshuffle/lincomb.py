@@ -9,7 +9,10 @@ divides (rational input, Gauss-Jordan, series arithmetic), and sums and
 products of such coefficients may leave a ``Fraction`` with denominator
 one, which compares and hashes equal to its ``int``. Zero coefficients are
 never stored, so two combinations are equal exactly when their backing
-dicts are equal; there is no float tolerance anywhere. ``add_into`` is the
+dicts are equal; there is no float tolerance anywhere. A combination is
+never changed once built (arithmetic returns a new one), so its canonical
+order is computed once, by the first ``terms()`` call, and kept: text and
+JSON rendering of one element share one sort. ``add_into`` is the
 one sparse accumulator the kernels share, and ``bilinear`` the one
 extension of a rule on basis pairs to whole combinations, which every
 product of tensor elements and of tensor squares goes through.
@@ -75,17 +78,20 @@ class LinearCombination:
     either side.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self._terms = add_into({}, ((key, as_scalar(value)) for key, value in items))
+        self._sorted = None
 
     @classmethod
     def _raw(cls, data: dict) -> "LinearCombination":
-        # internal fast path: data must already be zero-free with exact values
+        # internal fast path: data must already be zero-free with exact
+        # values, and is owned by the new combination from then on
         out = cls.__new__(cls)
         out._terms = data
+        out._sorted = None
         return out
 
     @staticmethod
@@ -110,13 +116,18 @@ class LinearCombination:
         return self._terms.items()
 
     def terms(self) -> list:
-        """Canonically ordered list of (key, coefficient) pairs."""
-        kind = type(self)
-        return sorted(self._terms.items(), key=lambda kv: kind.sort_key(kv[0]))
+        """Canonically ordered list of (key, coefficient) pairs, a new list
+        per call; the order is computed on the first call only."""
+        ordered = self._sorted
+        if ordered is None:
+            kind = type(self)
+            ordered = self._sorted = sorted(
+                self._terms.items(), key=lambda kv: kind.sort_key(kv[0])
+            )
+        return ordered.copy()
 
     def support(self) -> list:
-        kind = type(self)
-        return sorted(self._terms, key=kind.sort_key)
+        return [key for key, _ in self.terms()]
 
     @property
     def is_zero(self) -> bool:

@@ -10,7 +10,15 @@ with the empty word as unit, where a.b is the letter product in the
 coefficient algebra. An independent evaluator expands the same product as
 a sum over lattice paths with unit steps right, up, and diagonal, where a
 diagonal step multiplies the two letters it consumes; the two routes are
-cross-checked in the test suite.
+cross-checked in the test suite. The oracle takes the Delannoy paths of a
+(p, q) pair from a cache (pairs with p + q <= 12; longer ones stream from
+``enumerate_lattice_paths``), turns each step of a path into one column of
+(letter, coefficient) choices, and expands the columns once into the
+path's words. The two routes share only the letter product, which both
+read from the per-algebra memo ``_letter_product``: it is input data, not
+the rule under test. Neither route calls the other's code, and the oracle
+calls neither ``add_into`` nor ``bilinear`` (a test reads this module's
+source to keep it so).
 
 The product splits into three partial operations
 
@@ -26,7 +34,9 @@ empty word raises ``UnitPairingError``.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
+from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Mapping
 
 from .coeff import (
@@ -109,6 +119,25 @@ def _check_element(alg: CoeffAlgebraSpec, element: TensorElement) -> None:
 
 
 # ---------------------------------------------------------------------------
+# letter products, shared input of both routes
+
+
+def _letter_product(
+    alg: CoeffAlgebraSpec, a: Letter, b: Letter
+) -> tuple[tuple[Letter, Scalar], ...]:
+    """``alg.product_rule(a, b)`` as (letter, coefficient) pairs, memoised
+    per algebra in ``alg.cache["letter"]``. Stored tuples are never mutated.
+    """
+    try:
+        return alg.cache["letter"][a, b]
+    except KeyError:
+        pass
+    pairs = tuple(alg.product_rule(a, b).items())
+    alg.cache.setdefault("letter", {})[a, b] = pairs
+    return pairs
+
+
+# ---------------------------------------------------------------------------
 # quasi-shuffle product: memoized recursion
 
 
@@ -137,10 +166,10 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
     # distinct tails give distinct words, so the a-branch needs no sums
     acc = {(a,) + w: c for w, c in _shuffle_words(alg, x, v).items()}
     add_into(acc, _prefixed(b, _shuffle_words(alg, u, y)))
-    merged = alg.product_rule(a, b)
+    merged = _letter_product(alg, a, b)
     if merged:
         tails = _shuffle_words(alg, x, y)
-        for letter, cl in merged.items():
+        for letter, cl in merged:
             add_into(acc, _prefixed(letter, tails), cl)
     cache[key] = acc
     return acc
@@ -183,30 +212,52 @@ def enumerate_lattice_paths(p: int, q: int) -> Iterator[tuple[tuple[int, int], .
             yield (_STEP_BOTH,) + rest
 
 
+# Paths of a pair with p + q <= _PATH_CACHE_LETTERS are kept as tuples: at
+# most D(6, 6) = 8,989 paths for one pair, and 91 pairs. Longer pairs (up to
+# D(9, 9) = 1,462,563 paths) stream from the generator instead.
+_PATH_CACHE_LETTERS = 12
+
+
+@lru_cache(maxsize=None)
+def _cached_paths(p: int, q: int) -> tuple[LatticePath, ...]:
+    return tuple(enumerate_lattice_paths(p, q))
+
+
+def _lattice_paths(p: int, q: int) -> Iterable[LatticePath]:
+    if p + q > _PATH_CACHE_LETTERS:
+        return enumerate_lattice_paths(p, q)
+    return _cached_paths(p, q)
+
+
 def _path_word_terms(
     alg: CoeffAlgebraSpec, steps, u: Word, v: Word
 ) -> dict[Word, Scalar]:
-    """Words contributed by one path; a zero letter product kills the path."""
-    terms: dict[Word, Scalar] = {EMPTY_WORD: 1}
+    """Words contributed by one path; a zero letter product kills the path.
+
+    Each step gives one column of (letter, coefficient) choices, and the
+    path's words are the choices of one entry per column.
+    """
+    columns = []
     i = j = 0
     for step in steps:
         if step == _STEP_FIRST:
-            pieces = ((u[i], 1),)
+            columns.append(((u[i], 1),))
             i += 1
         elif step == _STEP_SECOND:
-            pieces = ((v[j], 1),)
+            columns.append(((v[j], 1),))
             j += 1
         else:
-            merged = alg.product_rule(u[i], v[j])
-            i += 1
-            j += 1
+            merged = _letter_product(alg, u[i], v[j])
             if not merged:
                 return {}
-            pieces = tuple(merged.items())
-        terms = {
-            w + (letter,): c * cl for w, c in terms.items() for letter, cl in pieces
-        }
-    return terms
+            columns.append(merged)
+            i += 1
+            j += 1
+    # distinct choices give distinct words
+    return {
+        tuple([letter for letter, _ in choice]): prod([c for _, c in choice])
+        for choice in product(*columns)
+    }
 
 
 def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
@@ -216,7 +267,7 @@ def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
     _check_word(alg, u)
     _check_word(alg, v)
     acc: dict[Word, Scalar] = {}
-    for steps in enumerate_lattice_paths(len(u), len(v)):
+    for steps in _lattice_paths(len(u), len(v)):
         for w, c in _path_word_terms(alg, steps, u, v).items():
             val = acc.get(w, 0) + c
             if val:
@@ -257,14 +308,12 @@ def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
         raise UnitPairingError("1 . 1 is not defined")
     if not u or not v:
         return {}
-    merged = alg.product_rule(u[0], v[0])
+    merged = _letter_product(alg, u[0], v[0])
     if not merged:
         return {}
     tails = _shuffle_words(alg, u[1:], v[1:])
     # distinct (head letter, tail word) pairs give distinct words
-    return {
-        (letter,) + w: cl * c for letter, cl in merged.items() for w, c in tails.items()
-    }
+    return {(letter,) + w: cl * c for letter, cl in merged for w, c in tails.items()}
 
 
 def _bilinear(alg, word_op, x: TensorElement, y: TensorElement) -> TensorElement:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qshuffle import bialg
 from qshuffle import (
     EMPTY_WORD,
     DomainError,
@@ -455,6 +456,18 @@ class TestSplitting:
     def test_splitting_identity_scan(self, sym2, stuffle_alg):
         assert splitting_identity_holds(sym2, 4)
         assert splitting_identity_holds(stuffle_alg, 4)
+
+    @pytest.mark.parametrize(
+        "projection",
+        [
+            lambda x: x,  # keeps the words with a letter of degree 2
+            lambda x: 2 * generator_projection(x),  # not a section of the inclusion
+            lambda x: TensorElement.zero(),  # kills the generator words too
+        ],
+    )
+    def test_splitting_scan_catches_a_wrong_projection(self, sym2, monkeypatch, projection):
+        monkeypatch.setattr(bialg, "generator_projection", projection)
+        assert not splitting_identity_holds(sym2, 2)
 
     def test_splitting_refuses_negative_length(self, sym2):
         with pytest.raises(ValueError):

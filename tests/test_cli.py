@@ -361,6 +361,14 @@ class TestCompatAndSplitting:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_splitting_fails_when_the_projection_keeps_every_word(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(qshuffle.bialg, "generator_projection", lambda x: x)
+        code, out, _ = run_cli(capsys, ["splitting", "--alg", "sym2", "--degree", "2"])
+        assert code == 1
+        assert out == "splitting identity on sym2 up to word length 2: FAIL\n"
+
     def test_splitting_json(self, capsys):
         code, out, _ = run_cli(
             capsys, ["splitting", "--alg", "word2", "--degree", "3", "--json"]

@@ -27,6 +27,7 @@ from qshuffle import (
     parse_letter,
     parse_word,
     prec,
+    quasi_shuffle,
     render_element,
     render_normal_form,
     render_partition,
@@ -39,6 +40,7 @@ from qshuffle import (
 )
 from qshuffle.grammar import MAX_TERM_DEPTH
 from qshuffle.sampling import random_element, random_td_term
+from qshuffle.tensorq import word_sort_key
 
 ALGEBRAS = {alg.name: alg for alg in builtin_algebras()}
 
@@ -208,6 +210,31 @@ class TestRendering:
         nf = normal_form(prec(prec(gen(1), gen(2)), gen(3)))
         assert render_normal_form(nf) == "(v1)(v2)(v3) + (v1)(v2 v3) + (v1)(v3)(v2)"
         assert render_normal_form(NormalForm.zero()) == "0"
+
+
+    def test_text_and_json_share_one_sort(self, stuffle_alg, monkeypatch):
+        y = [TensorElement.from_letter(weight_letter(k)) for k in (1, 2, 3)]
+        element = quasi_shuffle(stuffle_alg, y[0] + y[2], quasi_shuffle(stuffle_alg, y[1], y[0]))
+        text, data = render_element(element), element_to_json(element)
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return word_sort_key(word)
+
+        fresh = element + TensorElement.zero()
+        monkeypatch.setattr(TensorElement, "sort_key", staticmethod(counted))
+        assert (render_element(fresh), element_to_json(fresh)) == (text, data)
+        assert len(calls) == len(fresh)
+
+    def test_ordered_terms_are_a_copy(self, stuffle_alg):
+        element = 2 * TensorElement.from_word((weight_letter(2), weight_letter(1)))
+        element = element - TensorElement.unit()
+        first = element.terms()
+        first.reverse()
+        first.append((EMPTY_WORD, 5))
+        assert element.terms() == [(EMPTY_WORD, -1), ((weight_letter(2), weight_letter(1)), 2)]
+        assert element.coefficient(EMPTY_WORD) == -1 and len(element) == 2
 
 
 class TestRoundTrips:

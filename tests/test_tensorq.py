@@ -1,7 +1,12 @@
 """Products, operations, coproduct, and filtration on the tensor module."""
 
+import ast
+import dataclasses
 import random
+import types
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,7 @@ from qshuffle import (
     TensorElement,
     TensorSquareElement,
     UnitPairingError,
+    algebra_by_name,
     atom_letter,
     coradical_degree,
     deconcatenate,
@@ -31,9 +37,11 @@ from qshuffle import (
     word_degree,
     word_letter,
 )
+from qshuffle import tensorq
 from qshuffle.sampling import random_element
 
 from conftest import coradical_degree_oracle, delannoy_oracle, shuffle_oracle
+from test_laws import _sum_product_algebra
 
 
 def word_of(*letters):
@@ -379,3 +387,91 @@ def test_word_degree():
 def test_operations_reject_foreign_types(stuffle_alg):
     with pytest.raises(TypeError):
         quasi_shuffle(stuffle_alg, element_of(Y1), "y1")
+
+
+class TestOracleIndependence:
+    """The recursion and the lattice-path oracle check each other, so they
+    may share only the letter product, which is input data to both."""
+
+    PATH_ROUTE = ("quasi_shuffle_paths", "_path_word_terms", "_lattice_paths", "_cached_paths")
+    PATH_CACHE = ("_lattice_paths", "_cached_paths")
+    RECURSION = ("_shuffle_words", "_word_op_left", "_word_op_right", "_word_op_dot")
+
+    @staticmethod
+    def _reach(functions, roots):
+        """Every name the ``roots`` reference, following functions of the module."""
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name in functions:
+                todo.extend(
+                    node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
+                )
+        return seen
+
+    @pytest.fixture(scope="class")
+    def functions(self):
+        tree = ast.parse(Path(tensorq.__file__).read_text())
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def test_every_named_function_exists(self, functions):
+        for name in self.PATH_ROUTE + self.RECURSION + ("_letter_product",):
+            assert name in functions
+
+    def test_paths_use_nothing_of_the_recursion(self, functions):
+        reached = self._reach(functions, self.PATH_ROUTE)
+        assert not reached & {"_shuffle_words", "add_into", "bilinear", "_prefixed"}
+
+    def test_recursion_uses_nothing_of_the_paths(self, functions):
+        reached = self._reach(functions, self.RECURSION)
+        assert not reached & {"enumerate_lattice_paths", *self.PATH_CACHE}
+
+    def test_the_letter_product_is_the_one_shared_helper(self, functions):
+        shared = self._reach(functions, self.PATH_ROUTE) & self._reach(
+            functions, self.RECURSION
+        )
+        assert shared & set(functions) == {"_letter_product"}
+
+
+class TestMemos:
+    def test_cached_paths_match_the_generator(self):
+        for p, q in ((0, 0), (1, 0), (0, 3), (2, 2), (3, 4), (6, 6)):
+            paths = tensorq._lattice_paths(p, q)
+            assert paths == tuple(enumerate_lattice_paths(p, q))
+            assert len(paths) == delannoy_oracle(p, q)
+            assert tensorq._lattice_paths(p, q) is paths
+
+    def test_long_pairs_stream_instead_of_being_stored(self):
+        p = tensorq._PATH_CACHE_LETTERS // 2 + 1
+        stored = tensorq._cached_paths.cache_info().currsize
+        paths = tensorq._lattice_paths(p, p - 1)
+        assert isinstance(paths, types.GeneratorType)
+        assert next(paths) == ((1, 0),) * p + ((0, 1),) * (p - 1)
+        assert tensorq._cached_paths.cache_info().currsize == stored
+        assert isinstance(enumerate_lattice_paths(1, 1), types.GeneratorType)
+
+    @pytest.mark.parametrize("name", ["sym2", "stuffle-y", "word2", "zero", "sum-product"])
+    def test_each_letter_pair_is_multiplied_once(self, name):
+        spec = _sum_product_algebra() if name == "sum-product" else algebra_by_name(name)
+        calls = Counter()
+
+        def counted(a, b):
+            calls[a, b] += 1
+            return spec.product_rule(a, b)
+
+        fresh = dataclasses.replace(spec, cache={}, product_rule=counted)
+        letters = fresh.letters_up_to_degree(2)[:3]
+        words = [(), letters[:1], letters[:2], letters[1:3] + letters[:1], letters[2:] * 2]
+        for u in words:
+            for v in words:
+                x, y = TensorElement.from_word(u), TensorElement.from_word(v)
+                expected = quasi_shuffle(spec, x, y)
+                assert quasi_shuffle(fresh, x, y) == expected
+                assert quasi_shuffle_paths(fresh, u, v) == expected
+                if u or v:
+                    assert op_dot(fresh, x, y) == op_dot(spec, x, y)
+        assert calls and set(calls.values()) == {1}
+        assert set(fresh.cache["letter"]) == set(calls)
