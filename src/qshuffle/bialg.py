@@ -249,6 +249,11 @@ def _project_square(images, square: TensorSquareElement) -> TensorSquareElement:
     return TensorSquareElement._raw(add_into({}, pairs))
 
 
+# the most words ``splitting_identity_holds`` checks: 18,279 is zero's
+# count up to length 3, and the next length would be 475,255
+MAX_SPLITTING_WORDS = 50_000
+
+
 def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> bool:
     """The projection onto generator words, checked on every word in range.
 
@@ -256,10 +261,21 @@ def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> boo
     projection(inclusion(w)) == w when every letter has degree one,
     projection(w) == 0 exactly when a letter has degree >= 2, and
     deconcatenate(projection(w)) == (projection (x) projection)(deconcatenate(w)).
+    Refuses with ``ValueError``, before building any word, when there are
+    more than ``MAX_SPLITTING_WORDS`` such words.
     """
     if max_word_length < 0:
         raise ValueError(f"max word length must be nonnegative, got {max_word_length}")
     letters = alg.letters_up_to_degree(2)
+    words = total = 1
+    for _ in range(max_word_length):
+        words *= len(letters)
+        total += words
+        if total > MAX_SPLITTING_WORDS:
+            raise ValueError(
+                f"splitting check up to word length {max_word_length} over "
+                f"{len(letters)} letters exceeds {MAX_SPLITTING_WORDS} words"
+            )
     # a word's prefixes and suffixes are no longer than it, so their
     # projections are in ``images`` by the time it is checked
     images: dict = {}

@@ -19,14 +19,13 @@ from functools import partial
 from .bialg import free_ctd_coproduct, splitting_identity_holds
 from .coeff import algebra_by_name
 from .freectd import (
-    MAX_CTD_ENUMERATION,
-    MAX_ITD_ENUMERATION,
+    DIMENSION_FLAVORS,
     MAX_SERIES_ORDER,
+    dimension_flavor,
     enumerate_ou_partitions,
     fubini,
     fubini_egf_series,
     generating_series_check,
-    itd_dimension,
     normal_form,
 )
 from .grammar import (
@@ -72,7 +71,7 @@ def cmd_axioms(
 
 def cmd_dims(n_max: int, flavor: str):
     """Enumerated partition counts next to the closed-form values."""
-    limit = MAX_CTD_ENUMERATION if flavor == "ctd" else MAX_ITD_ENUMERATION
+    limit, _, closed_form = dimension_flavor(flavor)
     if not 1 <= n_max <= limit:
         raise ValueError(
             f"dims --n must satisfy 1 <= n <= {limit} for {flavor}, got {n_max}"
@@ -81,7 +80,7 @@ def cmd_dims(n_max: int, flavor: str):
     ok = True
     for n in range(1, n_max + 1):
         enumerated = len(enumerate_ou_partitions(n, flavor))
-        closed = fubini(n) if flavor == "ctd" else itd_dimension(n)
+        closed = closed_form(n)
         row_ok = enumerated == closed
         ok = ok and row_ok
         rows.append({"n": n, "enumerated": enumerated, "closed": closed, "ok": row_ok})
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_handle_compat)
 
     p = sub.add_parser("dims", help="compare enumerated and closed-form dimensions")
-    p.add_argument("--flavor", choices=("ctd", "itd"), default="ctd")
+    p.add_argument("--flavor", choices=tuple(DIMENSION_FLAVORS), default="ctd")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_handle_dims)

@@ -517,11 +517,21 @@ def uctd_identifies_letter_products(alg: CoeffAlgebraSpec, max_degree: int = 2) 
     return True
 
 
+# each flavour's enumeration limit, partition enumerator and closed-form count
+DIMENSION_FLAVORS = {
+    "ctd": (MAX_CTD_ENUMERATION, ordered_unordered_partitions, fubini),
+    "itd": (MAX_ITD_ENUMERATION, ordered_ordered_partitions, itd_dimension),
+}
+
+
+def dimension_flavor(flavor: str):
+    """The ``(limit, enumerator, closed_form)`` row of a flavour, any case."""
+    row = DIMENSION_FLAVORS.get(flavor.lower())
+    if row is None:
+        raise ValueError(f"unknown flavor {flavor!r}; known: {', '.join(DIMENSION_FLAVORS)}")
+    return row
+
+
 def enumerate_ou_partitions(n: int, flavor: str = "ctd"):
     """Multilinear partition bases by flavor: unordered or ordered blocks."""
-    key = flavor.lower()
-    if key == "ctd":
-        return ordered_unordered_partitions(n)
-    if key == "itd":
-        return ordered_ordered_partitions(n)
-    raise ValueError(f"unknown flavor {flavor!r}; known: ctd, itd")
+    return dimension_flavor(flavor)[1](n)

@@ -1,9 +1,9 @@
 """Exact-rational formal linear combinations over hashable basis keys.
 
 Every algebraic object in this package (letter combinations, tensor
-elements, tensor squares, normal forms) is a finite formal sum with exact
-coefficients: ``int`` where integral, ``fractions.Fraction`` otherwise,
-never ``float``. ``as_scalar`` turns an integral ``Fraction`` into an
+elements, tensor squares, normal forms, the vectors of ``rota``) is a
+finite formal sum with exact coefficients: ``int`` where integral,
+``fractions.Fraction`` otherwise, never ``float``. ``as_scalar`` turns an integral ``Fraction`` into an
 ``int`` on the way in; a ``Fraction`` is made only where something
 divides (rational input, Gauss-Jordan, series arithmetic), and sums and
 products of such coefficients may leave a ``Fraction`` with denominator
@@ -15,7 +15,8 @@ order is computed once, by the first ``terms()`` call, and kept: text and
 JSON rendering of one element share one sort. ``add_into`` is the
 one sparse accumulator the kernels share, and ``bilinear`` the one
 extension of a rule on basis pairs to whole combinations, which every
-product of tensor elements and of tensor squares goes through.
+product of tensor elements, of tensor squares and of finite-algebra
+vectors goes through.
 """
 
 from __future__ import annotations

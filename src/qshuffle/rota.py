@@ -13,13 +13,14 @@ so ``check_star_morphism`` and ``verify_rota_baxter`` test the same
 equation written two ways.
 
 Everything here is finite dimensional over exact rationals: an algebra is
-a table of structure constants, an operator is a matrix, and every law is
-a row of a law table checked by ``laws.first_failure`` over all basis
-tuples (the laws are multilinear, so that is a complete check):
-associativity and commutativity of the algebra, the weight-one identity,
-the star morphism, the seven relations and the commutative flips. Every
-product, the algebra's and the three derived operations alike, is one
-table extended bilinearly by ``_table_product``.
+a table of structure constants, an operator is a matrix, and a vector is a
+``LinearCombination`` keyed by basis index. Every law is a row of a law
+table checked by ``laws.first_failure`` over all basis tuples (the laws
+are multilinear, so that is a complete check): associativity and
+commutativity of the algebra, the weight-one identity, the star morphism,
+the seven relations and the commutative flips. The algebra product is its
+structure constants extended by ``lincomb.bilinear``, and the three
+derived operations are that product with P applied to one side or none.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from functools import lru_cache, partial
 
 from .grammar import _join_signed
 from .laws import SEVEN, first_failure
-
-Vector = tuple[Fraction, ...]
+from .lincomb import LinearCombination, Scalar, add_into, as_scalar, bilinear
 
 # The weight-one rows take the operator P after (L, R, D, S), where D is
 # the algebra product and S is star_product; they use only D, S and P.
@@ -48,26 +48,9 @@ class RotaBaxterError(ValueError):
     """The operator fails the Rota-Baxter identity; carries a witness pair."""
 
 
-def _zero_vector(dimension: int) -> Vector:
-    return (Fraction(0),) * dimension
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _table_product(table, u: Vector, v: Vector) -> Vector:
-    """The bilinear extension of a basis table: ``table[i][j]`` is e_i e_j."""
-    out = _zero_vector(len(table))
-    for i, ci in enumerate(u):
-        if not ci:
-            continue
-        for j, cj in enumerate(v):
-            if not cj:
-                continue
-            c = ci * cj
-            out = _add(out, tuple(c * e for e in table[i][j]))
-    return out
+def _sparse(entries) -> dict:
+    """A dense coefficient row as a zero-free dict keyed by index."""
+    return {k: as_scalar(c) for k, c in enumerate(entries) if c}
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +65,7 @@ class FiniteAlgebra:
 
     name: str
     basis_labels: tuple[str, ...]
-    structure: tuple[tuple[Vector, ...], ...]
+    structure: tuple[tuple[tuple[Scalar, ...], ...], ...]
     is_commutative: bool
 
     def __post_init__(self) -> None:
@@ -93,6 +76,9 @@ class FiniteAlgebra:
             len(row) != m or any(len(v) != m for v in row) for row in self.structure
         ):
             raise ValueError("structure constants must form an m x m x m table")
+        # e_i e_j as zero-free dicts, made once: the basis rule of ``multiply``
+        table = tuple(tuple(_sparse(v) for v in row) for row in self.structure)
+        object.__setattr__(self, "_product", lambda i, j: table[i][j])
         # associativity is SEVEN's last row, with the algebra product as D
         ops, basis = (None, None, self.multiply, None), self.basis()
         failure = first_failure(SEVEN[6:], ops, basis, 3)
@@ -109,41 +95,45 @@ class FiniteAlgebra:
     def dimension(self) -> int:
         return len(self.basis_labels)
 
-    def basis_vector(self, k: int) -> Vector:
-        return tuple(
-            Fraction(1) if i == k else Fraction(0) for i in range(self.dimension)
-        )
+    def basis_vector(self, k: int) -> LinearCombination:
+        if not 0 <= k < self.dimension:
+            raise ValueError(
+                f"basis index must satisfy 0 <= k < {self.dimension}, got {k}"
+            )
+        return LinearCombination.basis(k)
 
-    def basis(self) -> list[Vector]:
+    def basis(self) -> list[LinearCombination]:
         return [self.basis_vector(k) for k in range(self.dimension)]
 
-    def multiply(self, u: Vector, v: Vector) -> Vector:
-        return _table_product(self.structure, u, v)
+    def multiply(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
+        return bilinear(self._product, u, v)
 
-    def render(self, v: Vector) -> str:
-        return _join_signed([(label, c) for c, label in zip(v, self.basis_labels) if c])
+    def render(self, v: LinearCombination) -> str:
+        return _join_signed([(self.basis_labels[k], c) for k, c in v.terms()])
 
 
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
     """A square matrix of exact rationals acting on column vectors."""
 
-    matrix: tuple[Vector, ...]
+    matrix: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
         m = len(self.matrix)
         if m == 0 or any(len(row) != m for row in self.matrix):
             raise ValueError("operator matrix must be square and nonempty")
+        columns = tuple(_sparse(column) for column in zip(*self.matrix))
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def dimension(self) -> int:
         return len(self.matrix)
 
-    def apply(self, v: Vector) -> Vector:
-        return tuple(
-            sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
-            for row in self.matrix
-        )
+    def apply(self, v: LinearCombination) -> LinearCombination:
+        acc: dict = {}
+        for j, c in v.items():
+            add_into(acc, self._columns[j].items(), c)
+        return LinearCombination._raw(acc)
 
 
 def _operator_ops(algebra: FiniteAlgebra, operator: LinearOperator):
@@ -154,11 +144,11 @@ def _operator_ops(algebra: FiniteAlgebra, operator: LinearOperator):
 
 
 def rota_baxter_defect(
-    algebra: FiniteAlgebra, operator: LinearOperator, a: Vector, b: Vector
-) -> Vector:
+    algebra: FiniteAlgebra, operator: LinearOperator, a: LinearCombination, b: LinearCombination
+) -> LinearCombination:
     """P(a)P(b) - P(aP(b) + P(a)b + ab); zero exactly when the identity holds."""
     lhs, rhs = _WEIGHT_ONE[0][1](*_operator_ops(algebra, operator), a, b)
-    return tuple(x - y for x, y in zip(lhs, rhs))
+    return lhs - rhs
 
 
 def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
@@ -168,14 +158,11 @@ def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool
 
 
 def star_product(
-    algebra: FiniteAlgebra, operator: LinearOperator, a: Vector, b: Vector
-) -> Vector:
+    algebra: FiniteAlgebra, operator: LinearOperator, a: LinearCombination, b: LinearCombination
+) -> LinearCombination:
     """a * b = a P(b) + P(a) b + a b, the combined product."""
-    pa = operator.apply(a)
-    pb = operator.apply(b)
-    return _add(
-        _add(algebra.multiply(a, pb), algebra.multiply(pa, b)), algebra.multiply(a, b)
-    )
+    mul = algebra.multiply
+    return mul(a, operator.apply(b)) + mul(operator.apply(a), b) + mul(a, b)
 
 
 def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
@@ -186,60 +173,44 @@ def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> boo
 
 @dataclass(frozen=True, eq=False)
 class DerivedStructure:
-    """The three derived operations as closed basis tables."""
+    """The three derived operations of a weight-one operator, and their sum."""
 
     algebra: FiniteAlgebra
     operator: LinearOperator
-    left_table: tuple[tuple[Vector, ...], ...]
-    right_table: tuple[tuple[Vector, ...], ...]
-    dot_table: tuple[tuple[Vector, ...], ...]
 
-    def left(self, u: Vector, v: Vector) -> Vector:
-        return _table_product(self.left_table, u, v)
+    def left(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
+        return self.algebra.multiply(u, self.operator.apply(v))
 
-    def right(self, u: Vector, v: Vector) -> Vector:
-        return _table_product(self.right_table, u, v)
+    def right(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
+        return self.algebra.multiply(self.operator.apply(u), v)
 
-    def dot(self, u: Vector, v: Vector) -> Vector:
-        return _table_product(self.dot_table, u, v)
+    def dot(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
+        return self.algebra.multiply(u, v)
 
-    def star(self, u: Vector, v: Vector) -> Vector:
-        return _add(_add(self.left(u, v), self.right(u, v)), self.dot(u, v))
+    def star(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
+        return star_product(self.algebra, self.operator, u, v)
 
 
 def derived_structure(
     algebra: FiniteAlgebra, operator: LinearOperator
 ) -> DerivedStructure:
-    """Build a < b = a P(b), a > b = P(a) b, a . b = a b as closed tables.
+    """Build a < b = a P(b), a > b = P(a) b and a . b = a b.
 
     Refuses with ``RotaBaxterError`` (including a witness pair) when the
     weight-one identity fails. Validates all seven tridendriform relations
     exhaustively over basis triples, and the commuted forms x>y = y<x,
     x.y = y.x when the algebra is commutative.
     """
-    m = algebra.dimension
     basis = algebra.basis()
     failure = first_failure(_WEIGHT_ONE, _operator_ops(algebra, operator), basis, 2)
     if failure:
-        i, j = failure[0]
-        defect = rota_baxter_defect(algebra, operator, basis[i], basis[j])
+        (i, j), _, lhs, rhs = failure
         raise RotaBaxterError(
             f"weight-one identity fails on basis pair "
             f"({algebra.basis_labels[i]}, {algebra.basis_labels[j]}): "
-            f"defect {algebra.render(defect)}"
+            f"defect {algebra.render(lhs - rhs)}"
         )
-    left_table = tuple(
-        tuple(algebra.multiply(basis[i], operator.apply(basis[j])) for j in range(m))
-        for i in range(m)
-    )
-    right_table = tuple(
-        tuple(algebra.multiply(operator.apply(basis[i]), basis[j]) for j in range(m))
-        for i in range(m)
-    )
-    dot_table = tuple(
-        tuple(algebra.multiply(basis[i], basis[j]) for j in range(m)) for i in range(m)
-    )
-    structure = DerivedStructure(algebra, operator, left_table, right_table, dot_table)
+    structure = DerivedStructure(algebra, operator)
     ops = (structure.left, structure.right, structure.dot, structure.star)
     failure = first_failure(SEVEN, ops, basis, 3)
     if failure:
@@ -254,19 +225,20 @@ def derived_structure(
 # builtin examples
 
 
+def _indicator_matrix(size: int, holds) -> tuple[tuple[Fraction, ...], ...]:
+    """The dense 0/1 matrix with entry (i, j) one exactly when ``holds(i, j)``."""
+    return tuple(
+        tuple(Fraction(int(holds(i, j))) for j in range(size)) for i in range(size)
+    )
+
+
 @lru_cache(maxsize=None)
 def pointwise_function_algebra(points: int) -> FiniteAlgebra:
     """Functions on a finite set with pointwise product: e_i e_j = [i==j] e_i."""
     if not 1 <= points <= 5:
         raise ValueError("pointwise function algebra supports 1..5 points")
     structure = tuple(
-        tuple(
-            tuple(
-                Fraction(1) if i == j == k else Fraction(0) for k in range(points)
-            )
-            for j in range(points)
-        )
-        for i in range(points)
+        _indicator_matrix(points, lambda j, k, i=i: i == j == k) for i in range(points)
     )
     return FiniteAlgebra(
         name=f"functions on {points} points",
@@ -283,24 +255,15 @@ def summation_operator(points: int) -> LinearOperator:
     The discrete analogue of integration; Rota-Baxter of weight one for the
     pointwise product.
     """
-    matrix = tuple(
-        tuple(Fraction(1) if j < i else Fraction(0) for j in range(points))
-        for i in range(points)
-    )
-    return LinearOperator(matrix)
+    return LinearOperator(_indicator_matrix(points, lambda i, j: j < i))
 
 
 def zero_operator(dimension: int) -> LinearOperator:
-    return LinearOperator(tuple(_zero_vector(dimension) for _ in range(dimension)))
+    return LinearOperator(_indicator_matrix(dimension, lambda i, j: False))
 
 
 def identity_operator(dimension: int) -> LinearOperator:
-    return LinearOperator(
-        tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(dimension))
-            for i in range(dimension)
-        )
-    )
+    return LinearOperator(_indicator_matrix(dimension, lambda i, j: i == j))
 
 
 def example_by_name(name: str) -> tuple[FiniteAlgebra, LinearOperator]:

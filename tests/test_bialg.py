@@ -40,6 +40,7 @@ from qshuffle import (
     weight_letter,
 )
 from qshuffle.bialg import _square_pairs
+from qshuffle.coeff import algebra_by_name
 from qshuffle.sampling import random_ctd_term, random_element
 from qshuffle.tensorq import _word_op_dot, _word_op_left
 
@@ -472,6 +473,25 @@ class TestSplitting:
     def test_splitting_refuses_negative_length(self, sym2):
         with pytest.raises(ValueError):
             splitting_identity_holds(sym2, -1)
+
+    def test_splitting_refuses_too_many_words_before_building_any(self, monkeypatch):
+        def unreachable(x):
+            raise AssertionError("a word was checked")
+
+        monkeypatch.setattr(bialg, "generator_projection", unreachable)
+        zero = algebra_by_name("zero")
+        # 26 letters of degree <= 2: 1 + 26 + 26**2 + 26**3 + 26**4 = 475,255 words
+        with pytest.raises(ValueError, match="word length 4 over 26 letters exceeds 50000"):
+            splitting_identity_holds(zero, 4)
+        with pytest.raises(ValueError, match="exceeds"):
+            splitting_identity_holds(zero, 10**9)
+
+    def test_splitting_bound_counts_every_length(self, sym2, monkeypatch):
+        # sym2 has 5 letters of degree <= 2: 31 words up to length 2, 156 up to 3
+        monkeypatch.setattr(bialg, "MAX_SPLITTING_WORDS", 31)
+        assert splitting_identity_holds(sym2, 2)
+        with pytest.raises(ValueError, match="exceeds 31 words"):
+            splitting_identity_holds(sym2, 3)
 
     def test_projection_is_a_coalgebra_morphism(self, sym2):
         rng = random.Random(103)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from qshuffle.cli import (
     cmd_product,
     main,
 )
+from qshuffle.freectd import DIMENSION_FLAVORS
 from qshuffle.grammar import MAX_TERM_DEPTH
 
 
@@ -141,10 +143,12 @@ class TestDimsCommand:
         assert code == 2
         assert calls == []
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        limit = {"ctd": 8, "itd": 6}[flavor]
+        assert err == f"error: dims --n must satisfy 1 <= n <= {limit} for {flavor}, got {n}\n"
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr("qshuffle.cli.fubini", lambda n: 0)
+        limit, enumerate_ctd, _ = DIMENSION_FLAVORS["ctd"]
+        monkeypatch.setitem(DIMENSION_FLAVORS, "ctd", (limit, enumerate_ctd, lambda n: 0))
         code, out, _ = run_cli(capsys, ["dims", "--flavor", "ctd", "--n", "2"])
         assert code == 1
         assert "MISMATCH" in out
@@ -360,6 +364,14 @@ class TestCompatAndSplitting:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_splitting_over_the_word_bound_is_refused_quickly(self, capsys):
+        start = perf_counter()
+        code, out, err = run_cli(capsys, ["splitting", "--alg", "zero", "--degree", "4"])
+        assert perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: splitting check up to word length 4 over 26 letters exceeds 50000 words\n"
 
     def test_splitting_fails_when_the_projection_keeps_every_word(
         self, capsys, monkeypatch

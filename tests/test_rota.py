@@ -1,11 +1,13 @@
 """Finite-dimensional weight-one operators and their derived operations."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from qshuffle import (
+    DerivedStructure,
     FiniteAlgebra,
     LinearOperator,
     RotaBaxterError,
@@ -21,13 +23,20 @@ from qshuffle import (
     zero_operator,
 )
 from qshuffle.laws import SEVEN, failed_relations
+from qshuffle.lincomb import LinearCombination
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
+# e1 is a left identity only: e1 e2 = e2 but e2 e1 = 0
+NONCOMMUTATIVE = (
+    ((F1, F0), (F0, F1)),
+    ((F0, F0), (F0, F0)),
+)
+
 
 def vec(*entries):
-    return tuple(Fraction(e) for e in entries)
+    return LinearCombination(enumerate(Fraction(e) for e in entries))
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +81,9 @@ class TestFiniteAlgebra:
             FiniteAlgebra("ragged", ("e1", "e2"), structure, is_commutative=True)
 
     def test_commutativity_flag_is_checked(self):
-        # e1 is a left identity only: e1 e2 = e2 but e2 e1 = 0
-        structure = (
-            ((F1, F0), (F0, F1)),
-            ((F0, F0), (F0, F0)),
-        )
-        FiniteAlgebra("nc", ("e1", "e2"), structure, is_commutative=False)
+        FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE, is_commutative=False)
         with pytest.raises(ValueError) as refused:
-            FiniteAlgebra("nc", ("e1", "e2"), structure, is_commutative=True)
+            FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE, is_commutative=True)
         assert str(refused.value) == "algebra flagged commutative is not"
 
     def test_render(self, fun3):
@@ -89,6 +93,12 @@ class TestFiniteAlgebra:
         assert fun3.render(vec(2, 0, 0)) == "2*e1"
         assert fun3.render(vec(-1, 0, 2)) == "-e1 + 2*e3"
         assert fun3.render(vec(Fraction(-3, 2), 1, 0)) == "-3/2*e1 + e2"
+
+    def test_basis_vector_refuses_indices_outside_the_basis(self, fun3):
+        assert fun3.basis_vector(2) == vec(0, 0, 1)
+        for k in (-1, fun3.dimension):
+            with pytest.raises(ValueError, match="0 <= k < 3"):
+                fun3.basis_vector(k)
 
     def test_bounds_on_builtin_factory(self):
         with pytest.raises(ValueError):
@@ -237,3 +247,59 @@ class TestExamples:
     def test_unknown_example(self):
         with pytest.raises(ValueError, match="summation3"):
             example_by_name("integration")
+
+
+def _random_entries(rng, m):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(m)]
+
+
+class TestIndependentOracle:
+    """Every product against sums over the dense constants, written out here."""
+
+    @staticmethod
+    def dense_multiply(structure, u, v):
+        m = len(structure)
+        return [
+            sum(u[i] * v[j] * structure[i][j][k] for i in range(m) for j in range(m))
+            for k in range(m)
+        ]
+
+    @staticmethod
+    def dense_apply(matrix, v):
+        return [sum(row[j] * v[j] for j in range(len(v))) for row in matrix]
+
+    @staticmethod
+    def dense(x, m):
+        assert set(k for k, _ in x.items()) <= set(range(m))
+        assert not any(isinstance(c, float) for _, c in x.items())
+        return [x.coefficient(k) for k in range(m)]
+
+    @pytest.mark.parametrize("case", ["fun3-summation", "noncommutative-dense", "fun3-dense"])
+    def test_random_rational_vectors(self, case):
+        rng = random.Random(f"rota-oracle:{case}")
+        if case == "noncommutative-dense":
+            algebra = FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE, is_commutative=False)
+        else:
+            algebra = pointwise_function_algebra(3)
+        m = algebra.dimension
+        if case == "fun3-summation":
+            operator = summation_operator(3)
+        else:
+            operator = LinearOperator(tuple(tuple(_random_entries(rng, m)) for _ in range(m)))
+        structure, matrix = algebra.structure, operator.matrix
+        derived = DerivedStructure(algebra, operator)
+        for _ in range(25):
+            a, b = _random_entries(rng, m), _random_entries(rng, m)
+            u, v = LinearCombination(enumerate(a)), LinearCombination(enumerate(b))
+            pa, pb = self.dense_apply(matrix, a), self.dense_apply(matrix, b)
+            left = self.dense_multiply(structure, a, pb)
+            right = self.dense_multiply(structure, pa, b)
+            dot = self.dense_multiply(structure, a, b)
+            star = [x + y + z for x, y, z in zip(left, right, dot)]
+            assert self.dense(operator.apply(u), m) == pa
+            assert self.dense(algebra.multiply(u, v), m) == dot
+            assert self.dense(star_product(algebra, operator, u, v), m) == star
+            assert self.dense(derived.left(u, v), m) == left
+            assert self.dense(derived.right(u, v), m) == right
+            assert self.dense(derived.dot(u, v), m) == dot
+            assert self.dense(derived.star(u, v), m) == star
