@@ -172,9 +172,11 @@ class CoeffAlgebraSpec:
     optional; when present it must be a degree-preserving anti-automorphism
     with square one.
 
-    ``product_rule`` must be a pure function of its two letters: its
-    results are memoised. ``cache`` holds the memo tables of the tensor
-    module: ``"shuffle"`` maps a word pair to its quasi-shuffle and
+    ``product_rule`` and ``member_rule`` must be pure functions of their
+    letters: their results are memoised. ``cache`` holds the memo tables:
+    ``"member"`` is the set of letters ``member_rule`` has accepted, so it
+    runs once per distinct letter and a guard over many letters is one set
+    test; ``"shuffle"`` maps a word pair to its quasi-shuffle and
     ``"letter"`` a letter pair to its product as (letter, coefficient)
     pairs. Results stored there are never mutated, so concurrent readers at
     worst recompute an identical value.
@@ -190,7 +192,12 @@ class CoeffAlgebraSpec:
     cache: dict = field(default_factory=dict, repr=False)
 
     def __contains__(self, letter: Letter) -> bool:
-        return isinstance(letter, Letter) and self.member_rule(letter)
+        if not isinstance(letter, Letter):
+            return False
+        known = self.cache.setdefault("member", set())
+        if letter not in known and self.member_rule(letter):
+            known.add(letter)
+        return letter in known
 
     @property
     def has_involution(self) -> bool:
@@ -364,6 +371,11 @@ def builtin_algebras() -> list[CoeffAlgebraSpec]:
 
 _NAME_RE = re.compile(r"^(sym|word)([1-9]\d*)$")
 
+# Samplers and exhaustive checks build every letter of degree <= 2 first,
+# about n**2 of them, so a named symN or wordN has at most this many
+# generators (word32: 1,056 letters).
+MAX_GENERATORS = 32
+
 
 def algebra_by_name(name: str) -> CoeffAlgebraSpec:
     """Resolve a CLI-style algebra name: zero, stuffle-y, symN, wordN."""
@@ -374,6 +386,10 @@ def algebra_by_name(name: str) -> CoeffAlgebraSpec:
     m = _NAME_RE.match(name)
     if m:
         family, n = m.group(1), int(m.group(2))
+        if n > MAX_GENERATORS:
+            raise ValueError(
+                f"algebra {name!r} has {n} generators; at most {MAX_GENERATORS} are supported"
+            )
         return sym_algebra(n) if family == "sym" else word_algebra(n)
     raise ValueError(
         f"unknown algebra {name!r}; expected zero, stuffle-y, sym<n> or word<n>"

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb as binomial, factorial
 from typing import Iterator
 
@@ -167,8 +167,10 @@ class NormalForm(LinearCombination):
 
     def to_element(self) -> TensorElement:
         """The tensor-module element the combs evaluate to: one word per comb."""
+        blocks = dict.fromkeys(chain.from_iterable(self._terms))
+        letter = {block: mono_letter(block) for block in blocks}
         return TensorElement(
-            (tuple(mono_letter(block) for block in seq), c) for seq, c in self.items()
+            (tuple([letter[block] for block in seq]), c) for seq, c in self.items()
         )
 
     def to_free_terms(self) -> list[tuple[FreeTerm, Scalar]]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
+from typing import Iterable
 
 from .coeff import (
     CoeffAlgebraSpec,
@@ -262,39 +264,36 @@ def parse_free_term(text: str) -> FreeTerm:
 # rendering
 
 
+_text = attrgetter("text")
+
+
 def render_word(word: Word) -> str:
     if not word:
         return "1"
-    return ".".join([letter.text for letter in word])
+    return ".".join(map(_text, word))
 
 
-def _join_signed(parts: list[tuple[str, Scalar]]) -> str:
-    if not parts:
-        return "0"
-    rendered = []
+def _join_signed(parts: Iterable[tuple[str, Scalar]]) -> str:
+    """``a - 2*b + 1/2``: a signed sum of (body, coefficient) pairs, where
+    the body ``1`` stands for the bare coefficient."""
+    out: list[str] = []
     for body, coeff in parts:
-        mag = abs(coeff)
-        if body == "1":
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        rendered.append(("-" if coeff < 0 else "+", text))
-    sign, first = rendered[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in rendered[1:]:
-        out += f" {sign} {text}"
-    return out
+        if coeff < 0:
+            out.append(" - " if out else "-")
+            coeff = -coeff
+        elif out:
+            out.append(" + ")
+        out.append(str(coeff) if body == "1" else body if coeff == 1 else f"{coeff}*{body}")
+    return "".join(out) or "0"
 
 
 def render_element(element: TensorElement) -> str:
-    return _join_signed([(render_word(w), c) for w, c in element.terms()])
+    return _join_signed((render_word(w), c) for w, c in element.terms())
 
 
 def render_square_element(square: TensorSquareElement) -> str:
     return _join_signed(
-        [(f"{render_word(u)} (x) {render_word(v)}", c) for (u, v), c in square.terms()]
+        (f"{render_word(u)} (x) {render_word(v)}", c) for (u, v), c in square.terms()
     )
 
 
@@ -303,7 +302,7 @@ def render_partition(blocks) -> str:
 
 
 def render_normal_form(nf: NormalForm) -> str:
-    return _join_signed([(render_partition(blocks), c) for blocks, c in nf.terms()])
+    return _join_signed((render_partition(blocks), c) for blocks, c in nf.terms())
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def _coeff_string(c: Scalar) -> str:
 def element_to_json(element: TensorElement) -> dict:
     return {
         "terms": [
-            {"coeff": _coeff_string(c), "word": [letter.text for letter in w]}
+            {"coeff": _coeff_string(c), "word": list(map(_text, w))}
             for w, c in element.terms()
         ]
     }
@@ -337,8 +336,8 @@ def square_to_json(square: TensorSquareElement) -> dict:
         "terms": [
             {
                 "coeff": _coeff_string(c),
-                "left": [letter.text for letter in u],
-                "right": [letter.text for letter in v],
+                "left": list(map(_text, u)),
+                "right": list(map(_text, v)),
             }
             for (u, v), c in square.terms()
         ]

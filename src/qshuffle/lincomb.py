@@ -12,7 +12,10 @@ never stored, so two combinations are equal exactly when their backing
 dicts are equal; there is no float tolerance anywhere. A combination is
 never changed once built (arithmetic returns a new one), so its canonical
 order is computed once, by the first ``terms()`` call, and kept: text and
-JSON rendering of one element share one sort. ``add_into`` is the
+JSON rendering of one element share one sort. Tensor elements and squares
+sort by letter ranks: the distinct letters of one combination are ranked
+once by ``Letter.sort_key``, and a word compares as its length followed by
+its ranks, the same order as ``tensorq.word_sort_key``. ``add_into`` is the
 one sparse accumulator the kernels share, and ``bilinear`` the one
 extension of a rule on basis pairs to whole combinations, which every
 product of tensor elements, of tensor squares and of finite-algebra
@@ -101,6 +104,13 @@ class LinearCombination:
         return key
 
     @classmethod
+    def _ordered(cls, terms: dict) -> list:
+        """``terms.items()`` sorted by ``sort_key``; a subclass may sort
+        into the same order by a cheaper key."""
+        key = cls.sort_key
+        return sorted(terms.items(), key=lambda kv: key(kv[0]))
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -121,10 +131,7 @@ class LinearCombination:
         per call; the order is computed on the first call only."""
         ordered = self._sorted
         if ordered is None:
-            kind = type(self)
-            ordered = self._sorted = sorted(
-                self._terms.items(), key=lambda kv: kind.sort_key(kv[0])
-            )
+            ordered = self._sorted = type(self)._ordered(self._terms)
         return ordered.copy()
 
     def support(self) -> list:

@@ -48,6 +48,14 @@ class RotaBaxterError(ValueError):
     """The operator fails the Rota-Baxter identity; carries a witness pair."""
 
 
+def _index_error(indices: frozenset, *vectors: LinearCombination) -> ValueError:
+    """The refusal of the first key of ``vectors`` outside the basis
+    ``indices``: the tables are indexed by the keys, and a negative key
+    would wrap around."""
+    k = next(k for v in vectors for k in v._terms if k not in indices)
+    return ValueError(f"basis index must satisfy 0 <= k < {len(indices)}, got {k}")
+
+
 def _sparse(entries) -> dict:
     """A dense coefficient row as a zero-free dict keyed by index."""
     return {k: as_scalar(c) for k, c in enumerate(entries) if c}
@@ -79,6 +87,7 @@ class FiniteAlgebra:
         # e_i e_j as zero-free dicts, made once: the basis rule of ``multiply``
         table = tuple(tuple(_sparse(v) for v in row) for row in self.structure)
         object.__setattr__(self, "_product", lambda i, j: table[i][j])
+        object.__setattr__(self, "_indices", frozenset(range(m)))
         # associativity is SEVEN's last row, with the algebra product as D
         ops, basis = (None, None, self.multiply, None), self.basis()
         failure = first_failure(SEVEN[6:], ops, basis, 3)
@@ -96,20 +105,22 @@ class FiniteAlgebra:
         return len(self.basis_labels)
 
     def basis_vector(self, k: int) -> LinearCombination:
-        if not 0 <= k < self.dimension:
-            raise ValueError(
-                f"basis index must satisfy 0 <= k < {self.dimension}, got {k}"
-            )
-        return LinearCombination.basis(k)
+        vector = LinearCombination.basis(k)
+        if k not in self._indices:
+            raise _index_error(self._indices, vector)
+        return vector
 
     def basis(self) -> list[LinearCombination]:
         return [self.basis_vector(k) for k in range(self.dimension)]
 
     def multiply(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
-        return bilinear(self._product, u, v)
+        indices = self._indices
+        if indices.issuperset(u._terms) and indices.issuperset(v._terms):
+            return bilinear(self._product, u, v)
+        raise _index_error(indices, u, v)
 
     def render(self, v: LinearCombination) -> str:
-        return _join_signed([(self.basis_labels[k], c) for k, c in v.terms()])
+        return _join_signed((self.basis_labels[k], c) for k, c in v.terms())
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +135,15 @@ class LinearOperator:
             raise ValueError("operator matrix must be square and nonempty")
         columns = tuple(_sparse(column) for column in zip(*self.matrix))
         object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_indices", frozenset(range(m)))
 
     @property
     def dimension(self) -> int:
         return len(self.matrix)
 
     def apply(self, v: LinearCombination) -> LinearCombination:
+        if not self._indices.issuperset(v._terms):
+            raise _index_error(self._indices, v)
         acc: dict = {}
         for j, c in v.items():
             add_into(acc, self._columns[j].items(), c)

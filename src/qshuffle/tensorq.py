@@ -2,7 +2,12 @@
 
 Words over a coefficient algebra's letters are plain tuples; the empty
 tuple is the unit word. ``TensorElement`` is an exact-rational combination
-of words. The quasi-shuffle product is defined by the recursion
+of words, in ``word_sort_key`` order (length, then letter by letter): one
+sort ranks the element's distinct letters, and each word compares as its
+length followed by its ranks. Every operation first checks that the
+letters of its arguments belong to the algebra; a letter accepted once is
+kept in ``alg.cache["member"]`` and not checked again. The quasi-shuffle
+product is defined by the recursion
 
     (a x) * (b y) = (a.b)(x * y) + a(x * (b y)) + b((a x) * y),
 
@@ -35,8 +40,9 @@ empty word raises ``UnitPairingError``.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from math import prod
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .coeff import (
@@ -71,12 +77,40 @@ def word_sort_key(word: Word):
     return (len(word), tuple([letter.sort_key for letter in word]))
 
 
-class TensorElement(LinearCombination):
-    """Exact-rational combination of words over one coefficient algebra."""
+def _rank_ordered(terms: dict, pairs: bool) -> list:
+    """``terms.items()`` in ``sort_key`` order, for keys that are words or,
+    with ``pairs``, pairs of words.
 
-    @staticmethod
-    def sort_key(key: Word):
-        return word_sort_key(key)
+    The distinct letters of all keys are ranked once by ``Letter.sort_key``,
+    and a word compares as ``(len, *ranks)``, which orders words as
+    ``word_sort_key`` does.
+    """
+    ranked = sorted(
+        set().union(*(chain.from_iterable(terms) if pairs else terms)),
+        key=attrgetter("sort_key"),
+    )
+    rank = dict(zip(ranked, range(len(ranked)))).__getitem__
+    if pairs:
+        def key(kv):
+            u, v = kv[0]
+            return (len(u), *map(rank, u), len(v), *map(rank, v))
+    else:
+        def key(kv):
+            return (len(kv[0]), *map(rank, kv[0]))
+    return sorted(terms.items(), key=key)
+
+
+class TensorElement(LinearCombination):
+    """Exact-rational combination of words over one coefficient algebra.
+
+    Terms are ordered by ``word_sort_key``, computed from letter ranks.
+    """
+
+    sort_key = staticmethod(word_sort_key)
+
+    @classmethod
+    def _ordered(cls, terms: dict) -> list:
+        return _rank_ordered(terms, pairs=False)
 
     @classmethod
     def from_word(cls, word, coeff: Scalar = 1) -> "TensorElement":
@@ -95,27 +129,45 @@ class TensorElement(LinearCombination):
 
 
 class TensorSquareElement(LinearCombination):
-    """Exact-rational combination of pairs of words (a two-fold tensor)."""
+    """Exact-rational combination of pairs of words (a two-fold tensor).
+
+    Terms are ordered by ``sort_key``, computed from letter ranks.
+    """
 
     @staticmethod
     def sort_key(key: tuple[Word, Word]):
         return (word_sort_key(key[0]), word_sort_key(key[1]))
 
     @classmethod
+    def _ordered(cls, terms: dict) -> list:
+        return _rank_ordered(terms, pairs=True)
+
+    @classmethod
     def from_pair(cls, left, right, coeff: Scalar = 1) -> "TensorSquareElement":
         return cls.basis((tuple(left), tuple(right)), coeff)
 
 
-def _check_word(alg: CoeffAlgebraSpec, word: Word) -> None:
-    for letter in word:
-        _require_member(alg, letter)
+def _check_words(alg: CoeffAlgebraSpec, words) -> None:
+    """Refuse the first letter of ``words`` outside ``alg``'s basis family.
+
+    Letters already accepted are in ``alg.cache["member"]``, so the usual
+    guard is one set test; otherwise each letter is checked in order.
+    """
+    known = alg.cache.setdefault("member", set())
+    try:
+        if known.issuperset(chain.from_iterable(words)):
+            return
+    except TypeError:  # an unhashable item, refused below
+        pass
+    for word in words:
+        for letter in word:
+            _require_member(alg, letter)
 
 
 def _check_element(alg: CoeffAlgebraSpec, element: TensorElement) -> None:
     if not isinstance(element, TensorElement):
         raise TypeError(f"TensorElement expected, got {type(element).__name__}")
-    for word in element.items():
-        _check_word(alg, word[0])
+    _check_words(alg, element._terms)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +316,7 @@ def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
     """Independent quasi-shuffle of two words via lattice-path expansion."""
     u = tuple(u)
     v = tuple(v)
-    _check_word(alg, u)
-    _check_word(alg, v)
+    _check_words(alg, (u, v))
     acc: dict[Word, Scalar] = {}
     for steps in _lattice_paths(len(u), len(v)):
         for w, c in _path_word_terms(alg, steps, u, v).items():
@@ -399,7 +450,8 @@ def project_to_letters(x: TensorElement) -> CoeffCombination:
 def involute_element(alg: CoeffAlgebraSpec, x: TensorElement) -> TensorElement:
     """Letterwise involution; tensor factor order is unchanged."""
     _check_element(alg, x)
-    images = ((tuple(involute_letter(alg, letter) for letter in w), c) for w, c in x.items())
+    image = {a: involute_letter(alg, a) for a in set().union(*x._terms)}
+    images = ((tuple([image[a] for a in w]), c) for w, c in x.items())
     # summed, since a user-supplied involution_rule is not checked to be injective
     return TensorElement._raw(add_into({}, images))
 

@@ -373,6 +373,14 @@ class TestCompatAndSplitting:
         assert out == ""
         assert err == "error: splitting check up to word length 4 over 26 letters exceeds 50000 words\n"
 
+    def test_too_many_generators_are_refused_quickly(self, capsys):
+        start = perf_counter()
+        argv = ["axioms", "--suite", "splitting", "--cases", "1", "--alg", "word600"]
+        code, out, err = run_cli(capsys, argv)
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: algebra 'word600' has 600 generators; at most 32 are supported\n"
+
     def test_splitting_fails_when_the_projection_keeps_every_word(
         self, capsys, monkeypatch
     ):

@@ -264,6 +264,14 @@ class TestLookup:
         with pytest.raises(ValueError):
             algebra_by_name("mystery")
 
+    def test_generator_bound(self):
+        bound = coeff_module.MAX_GENERATORS
+        assert algebra_by_name(f"sym{bound}") is sym_algebra(bound)
+        assert algebra_by_name(f"word{bound}") is word_algebra(bound)
+        for name in (f"sym{bound + 1}", f"word{bound + 1}", "word600"):
+            with pytest.raises(ValueError, match=f"at most {bound} are supported"):
+                algebra_by_name(name)
+
     def test_builtins_cover_the_four_families(self):
         names = {alg.name for alg in builtin_algebras()}
         assert {"zero", "stuffle-y", "sym2", "word2"} <= names

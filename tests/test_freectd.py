@@ -1,6 +1,7 @@
 """Free-term calculus: rewriting, evaluation, and partition combinatorics."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -44,6 +45,7 @@ from qshuffle.freectd import (
     MAX_SERIES_ORDER,
     MAX_TERM_DEPTH,
 )
+from qshuffle import freectd
 from qshuffle.sampling import random_ctd_term, random_td_term
 
 from conftest import rational_rank
@@ -264,6 +266,25 @@ class TestNormalForm:
             term = random_ctd_term(rng, rng.randint(1, 6))
             n = max(term.generators())
             assert normal_form(term).to_element() == eval_ctd(term, n)
+
+    def test_to_element_builds_each_block_letter_once(self, monkeypatch):
+        term = G1
+        for i in range(2, 6):
+            term = prec(term, gen(i))
+        nf = normal_form(term)
+        expected = nf.to_element()
+        calls = Counter()
+        build = freectd.mono_letter
+
+        def counted(block):
+            calls[block] += 1
+            return build(block)
+
+        monkeypatch.setattr(freectd, "mono_letter", counted)
+        assert nf.to_element() == expected
+        blocks = {block for seq, _ in nf.items() for block in seq}
+        assert len(nf) > len(blocks) and set(calls) == blocks
+        assert set(calls.values()) == {1}
 
     def test_idempotence_via_resummation(self):
         rng = random.Random(71)

@@ -100,6 +100,13 @@ class TestFiniteAlgebra:
             with pytest.raises(ValueError, match="0 <= k < 3"):
                 fun3.basis_vector(k)
 
+    @pytest.mark.parametrize("key", [-1, -3, 3])
+    def test_multiply_refuses_keys_outside_the_basis(self, fun3, key):
+        outside = LinearCombination({key: 1})
+        for u, v in ((outside, outside), (vec(1, 0, 2), outside), (outside, vec(1, 0, 2))):
+            with pytest.raises(ValueError, match=f"0 <= k < 3, got {key}$"):
+                fun3.multiply(u, v)
+
     def test_bounds_on_builtin_factory(self):
         with pytest.raises(ValueError):
             pointwise_function_algebra(0)
@@ -121,6 +128,12 @@ class TestLinearOperator:
     def test_dimension_mismatch_raises(self, fun3):
         with pytest.raises(ValueError):
             verify_rota_baxter(fun3, summation_operator(4))
+
+    @pytest.mark.parametrize("key", [-2, -1, 3])
+    def test_apply_refuses_keys_outside_the_basis(self, sum3, key):
+        for v in (LinearCombination({key: 1}), LinearCombination({0: 1, key: 2})):
+            with pytest.raises(ValueError, match=f"0 <= k < 3, got {key}$"):
+                sum3.apply(v)
 
 
 class TestWeightOneIdentity:

@@ -19,6 +19,7 @@ from qshuffle import (
     UnitPairingError,
     algebra_by_name,
     atom_letter,
+    builtin_algebras,
     coradical_degree,
     deconcatenate,
     enumerate_lattice_paths,
@@ -38,7 +39,7 @@ from qshuffle import (
     word_letter,
 )
 from qshuffle import tensorq
-from qshuffle.sampling import random_element
+from qshuffle.sampling import random_element, random_word
 
 from conftest import coradical_degree_oracle, delannoy_oracle, shuffle_oracle
 from test_laws import _sum_product_algebra
@@ -389,6 +390,28 @@ def test_operations_reject_foreign_types(stuffle_alg):
         quasi_shuffle(stuffle_alg, element_of(Y1), "y1")
 
 
+class TestRankOrder:
+    """Elements and squares sort by letter ranks into ``word_sort_key`` order."""
+
+    COEFFICIENTS = (-3, -1, 1, 2, Fraction(-1, 2), Fraction(5, 3))
+
+    @pytest.mark.parametrize("alg", builtin_algebras(), ids=lambda alg: alg.name)
+    def test_rank_order_is_word_sort_key_order(self, alg):
+        rng = random.Random(f"rank-order:{alg.name}")
+        for _ in range(12):
+            words = [()] + [random_word(alg, rng, max_total_degree=4) for _ in range(6)]
+            x = TensorElement([(w, rng.choice(self.COEFFICIENTS)) for w in words])
+            y = random_element(alg, rng, max_total_degree=3)
+            for element in (x, quasi_shuffle(alg, x, y)):
+                fresh = element + TensorElement.zero()
+                by_key = sorted(element.items(), key=lambda kv: tensorq.word_sort_key(kv[0]))
+                assert fresh.terms() == by_key
+            square = deconcatenate(x)
+            by_key = sorted(square.items(), key=lambda kv: TensorSquareElement.sort_key(kv[0]))
+            assert square.terms() == by_key
+            assert x.coefficient(EMPTY_WORD) != 0
+
+
 class TestOracleIndependence:
     """The recursion and the lattice-path oracle check each other, so they
     may share only the letter product, which is input data to both."""
@@ -475,3 +498,74 @@ class TestMemos:
                     assert op_dot(fresh, x, y) == op_dot(spec, x, y)
         assert calls and set(calls.values()) == {1}
         assert set(fresh.cache["letter"]) == set(calls)
+
+    @pytest.mark.parametrize("name", ["sym2", "stuffle-y", "word2", "zero", "sum-product"])
+    def test_each_letter_is_checked_once(self, name):
+        spec = _sum_product_algebra() if name == "sum-product" else algebra_by_name(name)
+        calls = Counter()
+
+        def counted(letter):
+            calls[letter] += 1
+            return spec.member_rule(letter)
+
+        fresh = dataclasses.replace(spec, cache={}, member_rule=counted)
+        letters = fresh.letters_up_to_degree(2)[:3]
+        words = [(), letters[:1], letters[:2], letters[1:3] + letters[:1], letters[2:] * 2]
+        for u in words:
+            for v in words:
+                x, y = TensorElement.from_word(u), TensorElement.from_word(v)
+                assert quasi_shuffle(fresh, x, y) == quasi_shuffle(spec, x, y)
+                assert quasi_shuffle_paths(fresh, u, v) == quasi_shuffle_paths(spec, u, v)
+                if u or v:
+                    assert op_left(fresh, x, y) == op_left(spec, x, y)
+                if fresh.has_involution:
+                    assert involute_element(fresh, x + y) == involute_element(spec, x + y)
+        assert set(calls) == set(letters) and set(calls.values()) == {1}
+        assert fresh.cache["member"] == set(letters)
+
+    def test_known_letters_are_not_checked_one_by_one(self, sym2, monkeypatch):
+        x = TensorElement([((X1, X2, X1), 2), ((X2,), -1), ((), 1)])
+        expected = quasi_shuffle(sym2, x, x)
+
+        def refuse(alg, letter):
+            raise AssertionError(f"{letter} checked again")
+
+        monkeypatch.setattr(tensorq, "_require_member", refuse)
+        assert quasi_shuffle(sym2, x, x) == expected
+        assert quasi_shuffle_paths(sym2, (X1, X2), (X2, X1, X1)) == quasi_shuffle(
+            sym2, element_of(X1, X2), element_of(X2, X1, X1)
+        )
+
+    def test_each_letter_is_involuted_once(self, word2):
+        calls = Counter()
+
+        def counted(letter):
+            calls[letter] += 1
+            return word2.involution_rule(letter)
+
+        fresh = dataclasses.replace(word2, cache={}, involution_rule=counted)
+        a, b, c = word_letter((1, 2)), word_letter((2,)), word_letter((2, 2, 1))
+        x = TensorElement([((a, b, a), 2), ((b, b), -1), ((c, a), Fraction(1, 3)), ((), 5)])
+        assert involute_element(fresh, x) == involute_element(word2, x)
+        assert calls == {a: 1, b: 1, c: 1}
+
+    def test_first_foreign_letter_is_named(self, sym2):
+        x3, x4 = mono_letter((3,)), mono_letter((4,))
+        fresh = dataclasses.replace(sym2, cache={})
+        for warm in (False, True):
+            if warm:
+                quasi_shuffle(fresh, element_of(X1, X2), element_of(X2))
+            for first, second in ((x3, x4), (x4, x3)):
+                x = TensorElement([((X1, X2), 1), ((X1, first, X2, second), 3), ((second,), 1)])
+                message = f"letter {first} is not in the basis family of sym2"
+                with pytest.raises(LetterDomainError, match=f"^{message}$"):
+                    op_dot(fresh, x, element_of(X1))
+                with pytest.raises(LetterDomainError, match=f"^{message}$"):
+                    quasi_shuffle_paths(fresh, (X2, first), (second,))
+        assert fresh.cache["member"] == {X1, X2}
+
+    @pytest.mark.parametrize("item", ["x1", 1, [X1], None])
+    def test_non_letters_in_path_words_are_refused(self, sym2, item):
+        quasi_shuffle(sym2, element_of(X1), element_of(X2))
+        with pytest.raises(LetterDomainError, match="is not in the basis family of sym2"):
+            quasi_shuffle_paths(sym2, (X1,), (X2, item))
