@@ -202,6 +202,10 @@ def _relation_case(relations, arity, ops=_tensor_ops):
     return case
 
 
+# fewer than one case would pass vacuously; a run's time is linear in its cases,
+# and the slowest measured (``seven`` on word32, degree 6) takes about 0.1 s each
+MAX_CASES = 1000
+
 # suite name -> (case function, default per-element degree bound); triple
 # suites default to 2 so a whole triple stays at total degree <= 6
 SUITES = {
@@ -220,12 +224,12 @@ def run_suite(
     seed: int,
     max_degree: int | None = None,
 ) -> LawReport:
-    """Run `cases` seeded checks of one suite and collect violations."""
+    """Run `cases` (1 to MAX_CASES) seeded checks of one suite and collect violations."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {suite!r}; known suites: {known}")
-    if cases < 0:
-        raise ValueError("cases must be non-negative")
+    if not 1 <= cases <= MAX_CASES:
+        raise ValueError(f"cases must satisfy 1 <= cases <= {MAX_CASES}, got {cases}")
     case_fn, default_degree = SUITES[suite]
     degree = default_degree if max_degree is None else max_degree
     if degree < 1:

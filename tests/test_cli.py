@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: output text, JSON envelopes, exit codes."""
 
+import argparse
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,15 +21,7 @@ from qshuffle import (
     element_from_json,
     weight_letter,
 )
-from qshuffle.cli import (
-    cmd_axioms,
-    cmd_coproduct,
-    cmd_dims,
-    cmd_egf,
-    cmd_normalize,
-    cmd_product,
-    main,
-)
+from qshuffle.cli import build_parser, main
 from qshuffle.freectd import DIMENSION_FLAVORS
 from qshuffle.grammar import MAX_TERM_DEPTH
 
@@ -97,16 +91,6 @@ class TestProductCommand:
         assert code == 0
         assert out == "y3 + y1.y2 + y2.y1\n"
 
-    def test_programmatic_layer(self):
-        result = cmd_product("stuffle-y", "y1", "y2", "star")
-        assert result == TensorElement(
-            [
-                ((weight_letter(3),), 1),
-                ((weight_letter(1), weight_letter(2)), 1),
-                ((weight_letter(2), weight_letter(1)), 1),
-            ]
-        )
-
 
 class TestDimsCommand:
     def test_ctd_table(self, capsys):
@@ -136,8 +120,9 @@ class TestDimsCommand:
     @pytest.mark.parametrize("flavor, n", [("ctd", 9), ("itd", 7)])
     def test_too_large_is_refused_before_enumerating(self, capsys, monkeypatch, flavor, n):
         calls = []
-        monkeypatch.setattr(
-            "qshuffle.cli.enumerate_ou_partitions", lambda *args: calls.append(args) or []
+        limit, _, closed_form = DIMENSION_FLAVORS[flavor]
+        monkeypatch.setitem(
+            DIMENSION_FLAVORS, flavor, (limit, lambda n: calls.append(n) or [], closed_form)
         )
         code, out, err = run_cli(capsys, ["dims", "--flavor", flavor, "--n", str(n)])
         assert code == 2
@@ -153,11 +138,6 @@ class TestDimsCommand:
         assert code == 1
         assert "MISMATCH" in out
         assert out.splitlines()[-1] == "FAIL"
-
-    def test_programmatic_rows(self):
-        rows, ok = cmd_dims(3, "ctd")
-        assert ok
-        assert [row["enumerated"] for row in rows] == [1, 3, 13]
 
 
 class TestEgfCommand:
@@ -182,10 +162,6 @@ class TestEgfCommand:
         code, _, err = run_cli(capsys, ["egf", "--order", "13"])
         assert code == 2
         assert "error:" in err
-
-    def test_programmatic_layer(self):
-        series, ok = cmd_egf(4)
-        assert ok and len(series) == 5
 
 
 class TestNormalizeCommand:
@@ -230,10 +206,6 @@ class TestNormalizeCommand:
         assert code == 0
         assert out == "(v1)" * (MAX_TERM_DEPTH + 1) + "\n"
 
-    def test_programmatic_layer(self):
-        nf = cmd_normalize("(a<b)")
-        assert list(nf.support()) == [((1,), (2,))]
-
 
 class TestCoproductCommand:
     def test_prec_example(self, capsys):
@@ -245,10 +217,6 @@ class TestCoproductCommand:
         code, out, _ = run_cli(capsys, ["coproduct", "(a.a)"])
         assert code == 0
         assert out == "1 (x) [x1 x1] + [x1 x1] (x) 1\n"
-
-    def test_programmatic_layer(self):
-        square = cmd_coproduct("a")
-        assert len(square) == 2
 
 
 class TestAxiomsCommand:
@@ -272,14 +240,14 @@ class TestAxiomsCommand:
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
 
-    def test_zero_cases_warns_and_passes(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            ["axioms", "--suite", "seven", "--cases", "0", "--seed", "1"],
-        )
-        assert code == 0
-        assert "vacuously" in err
-        assert out.splitlines()[-1] == "PASS"
+    @pytest.mark.parametrize("cases", ["0", "1001"])
+    @pytest.mark.parametrize("command", [["axioms", "--suite", "seven"], ["compat"]], ids=" ".join)
+    def test_cases_outside_one_to_a_thousand_are_refused(self, capsys, command, cases):
+        start = perf_counter()
+        code, out, err = run_cli(capsys, [*command, "--cases", cases, "--seed", "1"])
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: cases must satisfy 1 <= cases <= 1000, got {cases}\n"
 
     def test_violations_exit_one(self, capsys, monkeypatch):
         report = LawReport(
@@ -318,10 +286,6 @@ class TestAxiomsCommand:
         assert payload["seed"] == 3
         assert payload["result"]["ok"] is True
         assert payload["result"]["cases"] == 10
-
-    def test_programmatic_config(self):
-        report = cmd_axioms("splitting", "sym2", cases=6, seed=5)
-        assert report.ok and report.seed == 5
 
 
 class TestDeterminism:
@@ -457,6 +421,103 @@ class TestExitCodes:
         assert main(["definitely-not-a-command"]) == 2
         assert main(["axioms"]) == 2  # --suite is required
         capsys.readouterr()
+
+
+def runnable_commands(parser, path=()):
+    """Every command path of ``parser`` that runs a handler."""
+    if parser.get_default("handler"):
+        yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from runnable_commands(subparser, (*path, name))
+
+
+# one small run per runnable command path; the law commands get seed 5
+RUNS = {
+    ("product",): ["product", "y1", "y2"],
+    ("axioms",): ["axioms", "--suite", "seven", "--cases", "2", "--seed", "5"],
+    ("compat",): ["compat", "--alg", "sym2", "--cases", "2", "--seed", "5"],
+    ("dims",): ["dims", "--n", "3"],
+    ("egf",): ["egf", "--order", "3"],
+    ("normalize",): ["normalize", "(a<b)"],
+    ("coproduct",): ["coproduct", "(a<b)"],
+    ("splitting",): ["splitting", "--alg", "sym2", "--degree", "2"],
+    ("rota", "verify"): ["rota", "verify"],
+    ("rota", "table"): ["rota", "table"],
+}
+
+# (argv, its text renderer, its JSON renderer), as looked up in qshuffle.cli
+RENDERED = [
+    pytest.param(["product", "y1", "y2"], "render_element", "element_to_json", id="product"),
+    pytest.param(
+        ["normalize", "(a<b)"], "render_normal_form", "normal_form_to_json", id="normalize"
+    ),
+    pytest.param(["coproduct", "(a<b)"], "render_square_element", "square_to_json", id="coproduct"),
+]
+
+
+class TestSingleOutput:
+    def test_every_runnable_command_has_a_run(self):
+        assert set(runnable_commands(build_parser())) == set(RUNS)
+
+    @pytest.mark.parametrize("path", list(RUNS), ids=" ".join)
+    def test_json_envelope(self, capsys, path):
+        code, out, err = run_cli(capsys, [*RUNS[path], "--json"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert set(payload) == {"command", "seed", "result"}
+        assert payload["command"] == path[0]
+        assert payload["seed"] == (5 if path[0] in ("axioms", "compat") else None)
+
+    @pytest.mark.parametrize("argv, text_name, json_name", RENDERED)
+    def test_a_renderer_error_exits_two(self, capsys, monkeypatch, argv, text_name, json_name):
+        def refuse(*args):
+            raise ValueError("cannot render")
+
+        for name, flag in ((text_name, []), (json_name, ["--json"])):
+            monkeypatch.setattr(f"qshuffle.cli.{name}", refuse)
+            assert run_cli(capsys, [*argv, *flag]) == (2, "", "error: cannot render\n")
+
+    # product's two forms are checked in TestProductCommand
+    @pytest.mark.parametrize("argv, text_name, json_name", RENDERED[1:])
+    def test_only_the_requested_form_is_built(
+        self, capsys, monkeypatch, argv, text_name, json_name
+    ):
+        def refuse(*args):
+            raise AssertionError("the form not requested was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(f"qshuffle.cli.{text_name}", refuse)
+            code, out, _ = run_cli(capsys, [*argv, "--json"])
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+        monkeypatch.setattr(f"qshuffle.cli.{json_name}", refuse)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out.count("\n") == 1
+
+
+def readme_cli_lines():
+    """The ``qshuffle ...`` lines of README's ``## CLI`` block, split into
+    (argv, comment)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] == ["qshuffle"]:
+            yield argv[1:], comment.strip()
+
+
+def test_readme_cli_examples(capsys):
+    """Every README CLI line exits 0; where the comment is the output, it is."""
+    lines = list(readme_cli_lines())
+    assert lines
+    for argv, comment in lines:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] in ("product", "normalize", "coproduct"):
+            assert out == comment + "\n", argv
 
 
 def test_console_script_is_installed(tmp_path):

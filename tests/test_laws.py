@@ -22,7 +22,7 @@ from qshuffle import (
     word_degree,
     word_letter,
 )
-from qshuffle.laws import SEVEN, failed_relations
+from qshuffle.laws import MAX_CASES, SEVEN, failed_relations
 from qshuffle.sampling import random_element, random_word
 
 
@@ -95,10 +95,6 @@ class TestSuitesPass:
             parse_element(stuffle_alg, "2*y1.y1.y1 + y1.y2"),
             parse_element(stuffle_alg, "y1.y1.y1"),
         )
-
-    def test_zero_cases_is_a_vacuous_pass(self, sym2):
-        report = run_suite("seven", sym2, cases=0, seed=1)
-        assert report.ok and report.cases == 0
 
 
 class TestDeterminism:
@@ -207,6 +203,11 @@ class TestArgumentValidation:
     def test_negative_cases(self, sym2):
         with pytest.raises(ValueError):
             run_suite("seven", sym2, cases=-1, seed=0)
+
+    @pytest.mark.parametrize("cases", [0, MAX_CASES + 1])
+    def test_case_count_outside_the_bound_is_refused(self, sym2, cases):
+        with pytest.raises(ValueError, match=f"got {cases}$"):
+            run_suite("seven", sym2, cases=cases, seed=1)
 
     def test_degree_must_be_positive(self, sym2):
         with pytest.raises(ValueError):
