@@ -55,7 +55,6 @@ from .freectd import (
     SignatureError,
     comb_term,
     dot,
-    enumerate_ou_partitions,
     eval_ctd,
     eval_itd,
     fubini,
@@ -70,16 +69,13 @@ from .freectd import (
     ordered_unordered_partitions,
     prec,
     succ,
-    uctd_identifies_letter_products,
 )
 from .bialg import (
     free_ctd_coproduct,
     generator_inclusion,
     generator_projection,
     graded_basis_words,
-    primitives_closed_under_dot,
     reduced_coproduct_kernel,
-    splitting_identity_holds,
     square_dot,
     square_left,
     square_star,
@@ -116,7 +112,7 @@ from .grammar import (
     render_word,
     square_to_json,
 )
-from .laws import LawReport, LawViolation, check_compatibility, run_suite
+from .laws import LawReport, LawViolation, check_compatibility, run_suite, splitting_identity_holds
 from .sampling import (
     random_ctd_term,
     random_element,

@@ -23,18 +23,19 @@ the deconcatenation coproduct is compatible with the partial operations:
 stated once, as the two rows of the law table ``laws.COMPAT``. The
 length-one words are exactly the primitives in each graded piece;
 ``reduced_coproduct_kernel`` recomputes that kernel by exact Gaussian
-elimination as an independent route.
+elimination as an independent route. The dot of primitives and the
+splitting of ``generator_projection`` are checked by ``laws.PRIMITIVE_DOT``
+and ``laws.PROJECTION``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Iterable
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
 from .freectd import FreeTerm, SignatureError, fold_term
-from .lincomb import Scalar, add_into, bilinear
+from .lincomb import Scalar, bilinear
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -43,9 +44,6 @@ from .tensorq import (
     _shuffle_words,
     _word_op_dot,
     _word_op_left,
-    deconcatenate,
-    is_primitive,
-    op_dot,
     reduced_coproduct,
 )
 
@@ -108,16 +106,6 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
 def _primitive_square(letter) -> TensorSquareElement:
     word = (letter,)
     return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
-
-
-def primitives_closed_under_dot(alg: CoeffAlgebraSpec, pairs) -> bool:
-    """Dot of primitives is primitive on every supplied pair."""
-    for x, y in pairs:
-        if not (is_primitive(x) and is_primitive(y)):
-            raise DomainError("primitives_closed_under_dot expects primitive inputs")
-        if not is_primitive(op_dot(alg, x, y)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +196,7 @@ def reduced_coproduct_kernel(alg: CoeffAlgebraSpec, degree: int) -> list[TensorE
 
 
 # ---------------------------------------------------------------------------
-# projection onto generator words and its splitting
+# projection onto generator words and its section
 
 
 def generator_projection(x: TensorElement) -> TensorElement:
@@ -235,70 +223,3 @@ def generator_inclusion(x: TensorElement) -> TensorElement:
                 "generator_inclusion expects words of degree-one letters only"
             )
     return TensorElement._raw(dict(x.items()))
-
-
-def _project_square(images, square: TensorSquareElement) -> TensorSquareElement:
-    """(projection (x) projection)(square); ``images`` maps each word to
-    the items of its projection."""
-    pairs = (
-        ((u, v), c * cu * cv)
-        for (a, b), c in square.items()
-        for u, cu in images[a]
-        for v, cv in images[b]
-    )
-    return TensorSquareElement._raw(add_into({}, pairs))
-
-
-# the most words ``splitting_identity_holds`` checks: 18,279 is zero's
-# count up to length 3, and the next length would be 475,255
-MAX_SPLITTING_WORDS = 50_000
-
-
-def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> bool:
-    """The projection onto generator words, checked on every word in range.
-
-    On each word w up to the given length over the letters of degree <= 2:
-    projection(inclusion(w)) == w when every letter has degree one,
-    projection(w) == 0 exactly when a letter has degree >= 2, and
-    deconcatenate(projection(w)) == (projection (x) projection)(deconcatenate(w)).
-    Refuses with ``ValueError``, before building any word, when there are
-    more than ``MAX_SPLITTING_WORDS`` such words.
-    """
-    if max_word_length < 0:
-        raise ValueError(f"max word length must be nonnegative, got {max_word_length}")
-    letters = alg.letters_up_to_degree(2)
-    words = total = 1
-    for _ in range(max_word_length):
-        words *= len(letters)
-        total += words
-        if total > MAX_SPLITTING_WORDS:
-            raise ValueError(
-                f"splitting check up to word length {max_word_length} over "
-                f"{len(letters)} letters exceeds {MAX_SPLITTING_WORDS} words"
-            )
-    # a word's prefixes and suffixes are no longer than it, so their
-    # projections are in ``images`` by the time it is checked
-    images: dict = {}
-    layer: Iterable[tuple[Word, bool]] = [(EMPTY_WORD, True)]
-    for length in range(max_word_length + 1):
-        for w, generator in layer:
-            x = TensorElement.from_word(w)
-            image = generator_projection(x)
-            images[w] = image.items()
-            if image.is_zero == generator:
-                return False
-            if generator and generator_projection(generator_inclusion(x)) != x:
-                return False
-            if deconcatenate(image) != _project_square(images, deconcatenate(x)):
-                return False
-            if length == max_word_length:
-                del images[w]  # no longer word has it as a prefix or suffix
-        if length < max_word_length:
-            longer = (
-                (w + (letter,), generator and letter.degree == 1)
-                for w, generator in layer
-                for letter in letters
-            )
-            # the longest words are checked as they are made, never stored
-            layer = longer if length + 1 == max_word_length else list(longer)
-    return True

@@ -17,7 +17,7 @@ import json
 import sys
 from functools import partial
 
-from .bialg import free_ctd_coproduct, splitting_identity_holds
+from .bialg import free_ctd_coproduct
 from .coeff import algebra_by_name
 from .freectd import (
     DIMENSION_FLAVORS,
@@ -37,9 +37,10 @@ from .grammar import (
     render_element,
     render_normal_form,
     render_square_element,
+    render_word,
     square_to_json,
 )
-from .laws import SUITES, run_suite
+from .laws import SUITES, run_suite, splitting_failure
 from .rota import (
     RotaBaxterError,
     check_star_morphism,
@@ -122,11 +123,15 @@ def _coproduct(args):
 
 def _splitting(args):
     alg = algebra_by_name(args.alg)
-    ok = splitting_identity_holds(alg, args.degree)
-    result = {"algebra": alg.name, "max_word_length": args.degree, "ok": ok}
-    verdict = "PASS" if ok else "FAIL"
+    failure = splitting_failure(alg, args.degree)
+    result = {"algebra": alg.name, "max_word_length": args.degree, "ok": not failure}
+    verdict = "PASS"
+    if failure:
+        word, law = render_word(failure[0]), failure[1]
+        result["failure"] = {"word": word, "law": law}
+        verdict = f"FAIL at word {word}: {law}"
     text = f"splitting identity on {alg.name} up to word length {args.degree}: {verdict}"
-    return lambda: result, lambda: text, ok
+    return lambda: result, lambda: text, not failure
 
 
 def _rota_verify(args):

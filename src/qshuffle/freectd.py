@@ -25,7 +25,9 @@ independent cross-check against ``eval_ctd``.
 Multilinear block sequences are the ordered set partitions counted by the
 Fubini numbers 1, 3, 13, 75, 541, 4683, ...; the module also verifies
 their exponential generating function (exp(x) - 1)/(2 - exp(x)) by exact
-truncated series arithmetic.
+truncated series arithmetic. ``dimension_flavor`` gives a flavour's
+partition enumerator and counts. That ``eval_ctd`` of a dot of generators
+is their letter product is the row ``laws.LETTER_PRODUCT``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .coeff import (
     DomainError,
     Letter,
     mono_letter,
-    multiply_letters,
     sym_algebra,
     word_algebra,
 )
@@ -505,20 +506,6 @@ def multilinear_terms(n: int, include_succ: bool = False) -> Iterator[FreeTerm]:
         yield from build(perm)
 
 
-def uctd_identifies_letter_products(alg: CoeffAlgebraSpec, max_degree: int = 2) -> bool:
-    """Dot of two embedded letters equals the embedded letter product."""
-    letters = alg.letters_up_to_degree(max_degree)
-    for a in letters:
-        for b in letters:
-            lhs = op_dot(alg, TensorElement.from_letter(a), TensorElement.from_letter(b))
-            rhs = TensorElement(
-                ((letter,), c) for letter, c in multiply_letters(alg, a, b).items()
-            )
-            if lhs != rhs:
-                return False
-    return True
-
-
 # each flavour's enumeration limit, partition enumerator and closed-form count
 DIMENSION_FLAVORS = {
     "ctd": (MAX_CTD_ENUMERATION, ordered_unordered_partitions, fubini),
@@ -532,8 +519,3 @@ def dimension_flavor(flavor: str):
     if row is None:
         raise ValueError(f"unknown flavor {flavor!r}; known: {', '.join(DIMENSION_FLAVORS)}")
     return row
-
-
-def enumerate_ou_partitions(n: int, flavor: str = "ctd"):
-    """Multilinear partition bases by flavor: unordered or ordered blocks."""
-    return dimension_flavor(flavor)[1](n)

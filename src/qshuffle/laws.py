@@ -9,7 +9,9 @@ deconcatenation and the tensor-square ``<`` and ``.``; the involution table
 takes the anti-involution, and the weight-one tables of ``rota`` the
 operator. ``failed_relations`` checks a table on given elements and
 ``first_failure`` checks it on every tuple of basis vectors, which is
-complete for multilinear laws.
+complete for multilinear laws. It is the package's one exhaustive search:
+it also searches ``PRIMITIVE_DOT``, ``LETTER_PRODUCT`` and ``PROJECTION``,
+and ``splitting_failure`` runs it on ``PROJECTION`` over all short words.
 
 Each suite draws seeded samples from the augmentation ideal (no empty-word
 part, so the partial operations are total on them) and compares both sides
@@ -25,11 +27,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
-from .bialg import square_dot, square_left
+from .bialg import generator_inclusion, generator_projection, square_dot, square_left
 from .coeff import CoeffAlgebraSpec
 from .grammar import render_element, render_square_element
+from .lincomb import add_into
 from .sampling import random_element
 from .tensorq import (
+    TensorElement,
     TensorSquareElement,
     deconcatenate,
     involute_element,
@@ -37,6 +41,7 @@ from .tensorq import (
     op_left,
     op_right,
     quasi_shuffle,
+    reduced_coproduct,
 )
 
 
@@ -132,6 +137,57 @@ COMPAT = (
 )
 
 
+def _has_fat_letter(x: TensorElement) -> bool:
+    return any(letter.degree != 1 for word, _ in x.items() for letter in word)
+
+
+# Loday's exhaustive facts. PRIMITIVE_DOT takes the reduced coproduct Cbar
+# and holds on pairs of length-one words. LETTER_PRODUCT takes the letter
+# product M (``multiply_letters``: the rule afresh, not the dot's memo) and
+# holds on pairs of letters. PROJECTION takes p onto generator words, its
+# section i, deconcatenation C and p (x) p, PP, and holds on basis words;
+# its first row, not linear, pins p on each word and applies i only in its domain.
+PRIMITIVE_DOT = (
+    ("Cbar(x.y) = 0", lambda L, R, D, S, Cbar, x, y: (Cbar(D(x, y)), TensorSquareElement())),
+)
+
+LETTER_PRODUCT = (
+    (
+        "a.b = ab",
+        lambda L, R, D, S, M, a, b: (
+            D(TensorElement.from_letter(a), TensorElement.from_letter(b)),
+            TensorElement(((c,), k) for c, k in M(a, b).items()),
+        ),
+    ),
+)
+
+PROJECTION = (
+    (
+        "p(x) = 0 if a letter has degree >= 2, else p(i(x)) = x",
+        lambda L, R, D, S, p, i, C, PP, x: (p(x), 0 * x) if _has_fat_letter(x) else (p(i(x)), x),
+    ),
+    ("C(p(x)) = (p (x) p)(C(x))", lambda L, R, D, S, p, i, C, PP, x: (C(p(x)), PP(C(x)))),
+)
+
+
+class _WordElements(list):
+    """A list of words indexed as basis elements, each made then and not kept."""
+
+    def __getitem__(self, index: int) -> TensorElement:
+        return TensorElement.from_word(super().__getitem__(index))
+
+
+def _square_map(images, square: TensorSquareElement) -> TensorSquareElement:
+    """``(f (x) f)(square)``, where ``images`` maps each word to the items of its f-image."""
+    pairs = (
+        ((u, v), c * cu * cv)
+        for (a, b), c in square.items()
+        for u, cu in images[a]
+        for v, cv in images[b]
+    )
+    return TensorSquareElement._raw(add_into({}, pairs))
+
+
 def failed_relations(relations, ops, *elements):
     """Yield ``(name, lhs, rhs)`` for each relation whose sides differ on
     ``elements``, with the table's operations taken from ``ops``."""
@@ -143,7 +199,7 @@ def failed_relations(relations, ops, *elements):
 
 def first_failure(relations, ops, basis, arity):
     """``(indices, name, lhs, rhs)`` for the first ``arity``-tuple of
-    ``basis`` vectors, in lexicographic index order, on which a relation
+    ``basis`` elements, in lexicographic index order, on which a relation
     fails, or None when every relation holds on every tuple."""
     for indices in product(range(len(basis)), repeat=arity):
         elements = [basis[i] for i in indices]
@@ -152,18 +208,19 @@ def first_failure(relations, ops, basis, arity):
     return None
 
 
-def _tensor_ops(alg):
+def tensor_ops(alg, *extra):
+    """The operations ``(L, R, D, S)`` of ``alg``, followed by ``extra``."""
     # looked up when a case runs, not captured at import, so that rebinding
     # the module's op_left etc. (as a tracer does) reaches the suites
-    return tuple(partial(op, alg) for op in (op_left, op_right, op_dot, quasi_shuffle))
+    return tuple(partial(op, alg) for op in (op_left, op_right, op_dot, quasi_shuffle)) + extra
 
 
 def _involution_ops(alg):
-    return _tensor_ops(alg) + (partial(involute_element, alg),)
+    return tensor_ops(alg, partial(involute_element, alg))
 
 
 def _compat_ops(alg):
-    return _tensor_ops(alg) + (deconcatenate, partial(square_left, alg), partial(square_dot, alg))
+    return tensor_ops(alg, deconcatenate, partial(square_left, alg), partial(square_dot, alg))
 
 
 def check_compatibility(alg: CoeffAlgebraSpec, x, y) -> list:
@@ -176,6 +233,44 @@ def check_compatibility(alg: CoeffAlgebraSpec, x, y) -> list:
     return list(failed_relations(COMPAT, _compat_ops(alg), x, y))
 
 
+# the most words ``splitting_failure`` checks: 18,279 is zero's count up to
+# length 3, and the next length would be 475,255
+MAX_SPLITTING_WORDS = 50_000
+
+
+def splitting_failure(alg: CoeffAlgebraSpec, max_word_length: int):
+    """``(word, name)`` for the first word on which a ``PROJECTION`` row
+    fails, or None when every row holds on every word: the words up to the
+    given length over the letters of degree <= 2, by length and then in the
+    order of ``letters_up_to_degree(2)``. Refuses with ``ValueError``, before
+    building any word, when there are more than ``MAX_SPLITTING_WORDS``.
+    """
+    if max_word_length < 0:
+        raise ValueError(f"max word length must be nonnegative, got {max_word_length}")
+    letters = alg.letters_up_to_degree(2)
+    words = total = 1
+    for _ in range(max_word_length):
+        words *= len(letters)
+        total += words
+        if total > MAX_SPLITTING_WORDS:
+            raise ValueError(
+                f"splitting check up to word length {max_word_length} over "
+                f"{len(letters)} letters exceeds {MAX_SPLITTING_WORDS} words"
+            )
+    words = [w for n in range(max_word_length + 1) for w in product(letters, repeat=n)]
+    # each word's projection, made once for p (x) p on every coproduct with it
+    images = {w: tuple(generator_projection(TensorElement.from_word(w)).items()) for w in words}
+    pp = partial(_square_map, images)
+    ops = tensor_ops(alg, generator_projection, generator_inclusion, deconcatenate, pp)
+    failure = first_failure(PROJECTION, ops, _WordElements(words), 1)
+    return failure and (words[failure[0][0]], failure[1])
+
+
+def splitting_identity_holds(alg: CoeffAlgebraSpec, max_word_length: int) -> bool:
+    """Every ``PROJECTION`` row holds on every word ``splitting_failure`` checks."""
+    return splitting_failure(alg, max_word_length) is None
+
+
 def _render(element) -> str:
     # the renderers are looked up per call, so a tracer's rebinding reaches them
     if isinstance(element, TensorSquareElement):
@@ -183,7 +278,7 @@ def _render(element) -> str:
     return render_element(element)
 
 
-def _relation_case(relations, arity, ops=_tensor_ops):
+def _relation_case(relations, arity, ops=tensor_ops):
     """A suite case: sample ``arity`` elements and check ``relations`` on them."""
 
     def case(alg, rng, index, max_degree):

@@ -281,12 +281,8 @@ def identity_operator(dimension: int) -> LinearOperator:
 
 
 def example_by_name(name: str) -> tuple[FiniteAlgebra, LinearOperator]:
-    """CLI registry: summation3 and summation4."""
-    examples = {
-        "summation3": (pointwise_function_algebra(3), summation_operator(3)),
-        "summation4": (pointwise_function_algebra(4), summation_operator(4)),
-    }
-    if name not in examples:
-        known = ", ".join(sorted(examples))
-        raise ValueError(f"unknown example {name!r}; known examples: {known}")
-    return examples[name]
+    """CLI registry: summation3 and summation4; builds only the one named."""
+    points = {"summation3": 3, "summation4": 4}.get(name)
+    if points is None:
+        raise ValueError(f"unknown example {name!r}; known examples: summation3, summation4")
+    return pointwise_function_algebra(points), summation_operator(points)

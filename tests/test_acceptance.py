@@ -38,11 +38,11 @@ from qshuffle import (
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     pointwise_function_algebra,
-    primitives_closed_under_dot,
     quasi_shuffle,
     quasi_shuffle_paths,
     random_ctd_term,
     random_element,
+    reduced_coproduct,
     reduced_coproduct_kernel,
     run_suite,
     splitting_identity_holds,
@@ -56,6 +56,7 @@ from qshuffle import (
     zero_algebra,
 )
 from qshuffle.cli import main as cli_main
+from qshuffle.laws import PRIMITIVE_DOT, first_failure, tensor_ops
 
 from conftest import coproduct_then_left, coproduct_then_right, rational_rank
 
@@ -219,7 +220,8 @@ def test_criterion_09_primitive_closure_and_kernel():
         ]
         singles = [TensorElement.from_word((letter,)) for letter in pool]
         pairs = [(x, y) for x in singles for y in singles]
-        assert primitives_closed_under_dot(alg, pairs)
+        ops = tensor_ops(alg, reduced_coproduct)
+        assert first_failure(PRIMITIVE_DOT, ops, singles, 2) is None
         for x, y in pairs:
             assert is_primitive(op_dot(alg, x, y))
     # Kernel of the reduced coproduct on low graded pieces: length-one span.

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import bialg
+from qshuffle import laws
 from qshuffle import (
     EMPTY_WORD,
     DomainError,
@@ -27,8 +27,8 @@ from qshuffle import (
     op_dot,
     op_left,
     prec,
-    primitives_closed_under_dot,
     quasi_shuffle,
+    reduced_coproduct,
     reduced_coproduct_kernel,
     splitting_identity_holds,
     square_dot,
@@ -41,6 +41,7 @@ from qshuffle import (
 )
 from qshuffle.bialg import _square_pairs
 from qshuffle.coeff import algebra_by_name
+from qshuffle.laws import PRIMITIVE_DOT, PROJECTION, first_failure, splitting_failure, tensor_ops
 from qshuffle.sampling import random_ctd_term, random_element
 from qshuffle.tensorq import _word_op_dot, _word_op_left
 
@@ -377,13 +378,15 @@ class TestPrimitives:
     def test_letter_pairs_stay_primitive(self, sym2):
         a = TensorElement.from_word(w(X1))
         b = TensorElement.from_word(w(X2))
-        assert primitives_closed_under_dot(sym2, [(a, b), (b, b)])
+        ops = tensor_ops(sym2, reduced_coproduct)
+        assert first_failure(PRIMITIVE_DOT, ops, [a, b], 2) is None
 
     def test_stuffle_weights_merge(self, stuffle_alg):
         y1 = TensorElement.from_letter(weight_letter(1))
         product = op_dot(stuffle_alg, y1, y1)
         assert product == TensorElement.from_letter(weight_letter(2))
-        assert primitives_closed_under_dot(stuffle_alg, [(y1, y1)])
+        ops = tensor_ops(stuffle_alg, reduced_coproduct)
+        assert first_failure(PRIMITIVE_DOT, ops, [y1], 2) is None
 
     def test_dot_with_unit_is_zero_hence_primitive(self, sym2):
         from qshuffle import is_primitive
@@ -393,11 +396,16 @@ class TestPrimitives:
         assert result.is_zero
         assert is_primitive(result)
 
-    def test_non_primitive_input_rejected(self, sym2):
+    def test_dot_row_names_the_first_pair_off_the_primitives(self, sym2):
         good = TensorElement.from_word(w(X1))
         bad = TensorElement.from_word(w(X1, X2))
-        with pytest.raises(DomainError):
-            primitives_closed_under_dot(sym2, [(good, bad)])
+        ops = tensor_ops(sym2, reduced_coproduct)
+        # x1 . x1 = [x1 x1] is primitive; x1 . x1x2 = [x1 x1]x2 is not
+        indices, name, lhs, rhs = first_failure(PRIMITIVE_DOT, ops, [good, bad], 2)
+        assert (indices, name) == ((0, 1), "Cbar(x.y) = 0")
+        x11 = mono_letter((1, 1))
+        assert lhs == TensorSquareElement([(((x11,), (X2,)), 1)])
+        assert rhs.is_zero
 
 
 class TestGradedKernel:
@@ -435,6 +443,35 @@ class TestGradedKernel:
         assert not any(isinstance(c, float) for vec in basis for c in vec)
 
 
+def _merge_x2_into_x1(x):
+    """The letter map x2 -> x1 on generator words, 0 on the others."""
+    return TensorElement(
+        (tuple(X1 for _ in word), c) for word, c in generator_projection(x).items()
+    )
+
+
+# wrong projections -> the first word of sym2 they fail on, and the index of
+# the first PROJECTION row failing there
+WRONG_PROJECTIONS = {
+    # keeps the words with a letter of degree 2, the first being [x1 x1]
+    "keeps-every-word": (lambda x: x, w(mono_letter((1, 1))), 0),
+    # not a section of the inclusion, already on the empty word
+    "twice-the-projection": (lambda x: 2 * generator_projection(x), EMPTY_WORD, 0),
+    # kills the generator words too, the empty word first
+    "kills-every-word": (lambda x: TensorElement.zero(), EMPTY_WORD, 0),
+    # puts a word outside the domain of the inclusion into every image: a
+    # failed row, not a DomainError
+    "adds-a-fat-word": (
+        lambda x: generator_projection(x) + TensorElement.from_word(w(mono_letter((1, 1)))),
+        EMPTY_WORD,
+        0,
+    ),
+    # idempotent, nonzero exactly on the generator words and a coalgebra map,
+    # so only pinning p on each word sees it, first on x2
+    "merges-x2-into-x1": (_merge_x2_into_x1, w(X2), 0),
+}
+
+
 class TestSplitting:
     def test_projection_keeps_pure_generator_words(self, sym2):
         el = TensorElement.from_word(w(X1, X2))
@@ -458,17 +495,36 @@ class TestSplitting:
         assert splitting_identity_holds(sym2, 4)
         assert splitting_identity_holds(stuffle_alg, 4)
 
-    @pytest.mark.parametrize(
-        "projection",
-        [
-            lambda x: x,  # keeps the words with a letter of degree 2
-            lambda x: 2 * generator_projection(x),  # not a section of the inclusion
-            lambda x: TensorElement.zero(),  # kills the generator words too
-        ],
-    )
+    @pytest.mark.parametrize("projection", [p for p, _, _ in WRONG_PROJECTIONS.values()])
     def test_splitting_scan_catches_a_wrong_projection(self, sym2, monkeypatch, projection):
-        monkeypatch.setattr(bialg, "generator_projection", projection)
+        monkeypatch.setattr(laws, "generator_projection", projection)
         assert not splitting_identity_holds(sym2, 2)
+
+    @pytest.mark.parametrize("case", WRONG_PROJECTIONS)
+    def test_a_wrong_projection_fails_at_a_named_first_word_and_row(
+        self, sym2, monkeypatch, case
+    ):
+        projection, word, row = WRONG_PROJECTIONS[case]
+        monkeypatch.setattr(laws, "generator_projection", projection)
+        assert splitting_failure(sym2, 2) == (word, PROJECTION[row][0])
+
+    def test_a_coproduct_splitting_a_fat_letter_fails_the_coproduct_row(
+        self, sym2, monkeypatch
+    ):
+        # p kills [x1 x1] but not x1 (x) x1, so p is no coalgebra map for a
+        # coproduct that also splits the letter x1 x1 as x1 (x) x1
+        x11 = w(mono_letter((1, 1)))
+
+        def splits_x11(x):
+            extra = TensorSquareElement([((w(X1), w(X1)), c) for u, c in x.items() if u == x11])
+            return deconcatenate(x) + extra
+
+        monkeypatch.setattr(laws, "deconcatenate", splits_x11)
+        assert splitting_failure(sym2, 2) == (x11, PROJECTION[1][0])
+
+    def test_splitting_failure_is_none_when_every_row_holds(self, sym2, stuffle_alg):
+        assert splitting_failure(sym2, 3) is None
+        assert splitting_failure(stuffle_alg, 0) is None
 
     def test_splitting_refuses_negative_length(self, sym2):
         with pytest.raises(ValueError):
@@ -478,7 +534,7 @@ class TestSplitting:
         def unreachable(x):
             raise AssertionError("a word was checked")
 
-        monkeypatch.setattr(bialg, "generator_projection", unreachable)
+        monkeypatch.setattr(laws, "generator_projection", unreachable)
         zero = algebra_by_name("zero")
         # 26 letters of degree <= 2: 1 + 26 + 26**2 + 26**3 + 26**4 = 475,255 words
         with pytest.raises(ValueError, match="word length 4 over 26 letters exceeds 50000"):
@@ -488,7 +544,7 @@ class TestSplitting:
 
     def test_splitting_bound_counts_every_length(self, sym2, monkeypatch):
         # sym2 has 5 letters of degree <= 2: 31 words up to length 2, 156 up to 3
-        monkeypatch.setattr(bialg, "MAX_SPLITTING_WORDS", 31)
+        monkeypatch.setattr(laws, "MAX_SPLITTING_WORDS", 31)
         assert splitting_identity_holds(sym2, 2)
         with pytest.raises(ValueError, match="exceeds 31 words"):
             splitting_identity_holds(sym2, 3)

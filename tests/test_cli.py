@@ -348,10 +348,26 @@ class TestCompatAndSplitting:
     def test_splitting_fails_when_the_projection_keeps_every_word(
         self, capsys, monkeypatch
     ):
-        monkeypatch.setattr(qshuffle.bialg, "generator_projection", lambda x: x)
+        monkeypatch.setattr(qshuffle.laws, "generator_projection", lambda x: x)
         code, out, _ = run_cli(capsys, ["splitting", "--alg", "sym2", "--degree", "2"])
         assert code == 1
-        assert out == "splitting identity on sym2 up to word length 2: FAIL\n"
+        assert out == (
+            "splitting identity on sym2 up to word length 2: FAIL at word [x1 x1]: "
+            "p(x) = 0 if a letter has degree >= 2, else p(i(x)) = x\n"
+        )
+        code, out, _ = run_cli(
+            capsys, ["splitting", "--alg", "sym2", "--degree", "2", "--json"]
+        )
+        assert code == 1
+        assert json.loads(out)["result"] == {
+            "algebra": "sym2",
+            "max_word_length": 2,
+            "ok": False,
+            "failure": {
+                "word": "[x1 x1]",
+                "law": "p(x) = 0 if a letter has degree >= 2, else p(i(x)) = x",
+            },
+        }
 
     def test_splitting_json(self, capsys):
         code, out, _ = run_cli(

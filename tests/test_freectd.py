@@ -1,8 +1,10 @@
 """Free-term calculus: rewriting, evaluation, and partition combinatorics."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -16,7 +18,6 @@ from qshuffle import (
     TensorElement,
     comb_term,
     dot,
-    enumerate_ou_partitions,
     eval_ctd,
     eval_itd,
     fubini,
@@ -28,13 +29,13 @@ from qshuffle import (
     itd_dimension,
     mono_letter,
     multilinear_terms,
+    multiply_letters,
     normal_form,
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     prec,
     succ,
     sym_algebra,
-    uctd_identifies_letter_products,
     weight_letter,
     word_algebra,
     word_letter,
@@ -44,7 +45,9 @@ from qshuffle.freectd import (
     MAX_ITD_ENUMERATION,
     MAX_SERIES_ORDER,
     MAX_TERM_DEPTH,
+    dimension_flavor,
 )
+from qshuffle.laws import LETTER_PRODUCT, first_failure, tensor_ops
 from qshuffle import freectd
 from qshuffle.sampling import random_ctd_term, random_td_term
 
@@ -361,11 +364,11 @@ class TestEnumeration:
             assert len(ordered_ordered_partitions(n)) == itd_dimension(n)
 
     def test_ctd_two_element_census(self):
-        got = set(enumerate_ou_partitions(2, "ctd"))
+        got = set(dimension_flavor("ctd")[1](2))
         assert got == {((1, 2),), ((1,), (2,)), ((2,), (1,))}
 
     def test_itd_two_element_census(self):
-        got = set(enumerate_ou_partitions(2, "itd"))
+        got = set(dimension_flavor("itd")[1](2))
         assert got == {((1, 2),), ((2, 1),), ((1,), (2,)), ((2,), (1,))}
 
     def test_no_duplicates(self):
@@ -383,10 +386,10 @@ class TestEnumeration:
                 assert list(block) == sorted(block)
 
     def test_flavor_dispatch(self):
-        assert enumerate_ou_partitions(3, "CTD") == ordered_unordered_partitions(3)
-        assert enumerate_ou_partitions(3, "ITD") == ordered_ordered_partitions(3)
+        assert dimension_flavor("CTD")[1](3) == ordered_unordered_partitions(3)
+        assert dimension_flavor("ITD")[1](3) == ordered_ordered_partitions(3)
         with pytest.raises(ValueError):
-            enumerate_ou_partitions(3, "dendriform")
+            dimension_flavor("dendriform")[1](3)
 
     def test_bounds_are_enforced(self):
         with pytest.raises(ValueError):
@@ -440,8 +443,21 @@ class TestCounting:
 
 class TestUnifiedProduct:
     def test_dot_identifies_letter_products(self):
-        assert uctd_identifies_letter_products(sym_algebra(2))
-        assert uctd_identifies_letter_products(word_algebra(2))
+        for alg in (sym_algebra(2), word_algebra(2)):
+            ops = tensor_ops(alg, partial(multiply_letters, alg))
+            assert first_failure(LETTER_PRODUCT, ops, alg.letters_up_to_degree(2), 2) is None
+
+    def test_letter_row_checks_the_memo_against_the_rule(self):
+        alg = dataclasses.replace(sym_algebra(2), cache={})
+        x1, x2 = mono_letter((1,)), mono_letter((2,))
+        # a wrong memo entry for x2 . x1, which the dot reads
+        alg.cache["letter"] = {(x2, x1): ((mono_letter((1, 1)), 1),)}
+        letters = alg.letters_up_to_degree(2)
+        ops = tensor_ops(alg, partial(multiply_letters, alg))
+        indices, name, lhs, rhs = first_failure(LETTER_PRODUCT, ops, letters, 2)
+        assert ([letters[i] for i in indices], name) == ([x2, x1], "a.b = ab")
+        assert lhs == TensorElement.from_letter(mono_letter((1, 1)))
+        assert rhs == TensorElement.from_letter(mono_letter((1, 2)))
 
     def test_sym2_dot_example(self):
         alg = sym_algebra(2)

@@ -22,7 +22,7 @@ from qshuffle import (
     word_degree,
     word_letter,
 )
-from qshuffle.laws import MAX_CASES, SEVEN, failed_relations
+from qshuffle.laws import MAX_CASES, SEVEN, failed_relations, first_failure, tensor_ops
 from qshuffle.sampling import random_element, random_word
 
 
@@ -92,6 +92,52 @@ class TestSuitesPass:
         broken = (ops[0], ops[1], ops[0], ops[3])
         failed = {name: (lhs, rhs) for name, lhs, rhs in failed_relations(SEVEN, broken, y1, y1, y1)}
         assert failed["(x.y).z = x.(y.z)"] == (
+            parse_element(stuffle_alg, "2*y1.y1.y1 + y1.y2"),
+            parse_element(stuffle_alg, "y1.y1.y1"),
+        )
+
+
+# rows over plain ints, for the search order alone; the op slots go unused
+_SUM_BELOW_4 = ("x+y+z < 4", lambda L, R, D, S, x, y, z: (x + y + z < 4, True))
+_Z_BELOW_2 = ("z < 2", lambda L, R, D, S, x, y, z: (z < 2, True))
+_NO_OPS = (None,) * 4
+
+
+class TestFirstFailure:
+    def test_arity_one_returns_the_first_failing_index(self):
+        below_2 = (("x < 2", lambda L, R, D, S, x: (x < 2, True)),)
+        assert first_failure(below_2, _NO_OPS, [0, 1, 5, 2], 1) == ((2,), "x < 2", False, True)
+        assert first_failure(below_2, _NO_OPS, [0, 1], 1) is None
+
+    def test_arity_two_searches_in_lexicographic_index_order(self):
+        below_3 = (("x+y < 3", lambda L, R, D, S, x, y: (x + y < 3, True)),)
+        # (1, 2) is the first failing pair; (2, 1) and (2, 2) come after it
+        assert first_failure(below_3, _NO_OPS, [0, 1, 2], 2) == ((1, 2), "x+y < 3", False, True)
+        assert first_failure(below_3, _NO_OPS, [0, 1], 2) is None
+
+    def test_arity_three_takes_the_first_tuple_then_the_first_row(self):
+        basis = [0, 1, 2]
+        assert first_failure((_SUM_BELOW_4,), _NO_OPS, basis, 3)[:2] == ((0, 2, 2), "x+y+z < 4")
+        # the first failing triple decides: with both rows it is (0, 0, 2),
+        # where only the later row fails
+        assert first_failure((_SUM_BELOW_4, _Z_BELOW_2), _NO_OPS, basis, 3)[:2] == (
+            (0, 0, 2),
+            "z < 2",
+        )
+        # on a triple where both rows fail, the earlier row is named
+        assert first_failure((_SUM_BELOW_4, _Z_BELOW_2), _NO_OPS, [2], 3)[1] == "x+y+z < 4"
+        assert first_failure((_Z_BELOW_2, _SUM_BELOW_4), _NO_OPS, [2], 3)[1] == "z < 2"
+        assert first_failure((_SUM_BELOW_4, _Z_BELOW_2), _NO_OPS, [0, 1], 3) is None
+
+    def test_seven_names_the_first_broken_row(self, stuffle_alg):
+        ops = tensor_ops(stuffle_alg)
+        basis = [TensorElement.from_letter(weight_letter(k)) for k in (1, 2)]
+        assert first_failure(SEVEN, ops, basis, 3) is None
+        # < in place of .: the first row using the dot fails on (y1, y1, y1)
+        broken = (ops[0], ops[1], ops[0], ops[3])
+        assert first_failure(SEVEN, broken, basis, 3) == (
+            (0, 0, 0),
+            "(x.y)<z = x.(y<z)",
             parse_element(stuffle_alg, "2*y1.y1.y1 + y1.y2"),
             parse_element(stuffle_alg, "y1.y1.y1"),
         )

@@ -22,6 +22,7 @@ from qshuffle import (
     verify_rota_baxter,
     zero_operator,
 )
+from qshuffle import rota
 from qshuffle.laws import SEVEN, failed_relations
 from qshuffle.lincomb import LinearCombination
 
@@ -256,6 +257,18 @@ class TestExamples:
         alg4, op4 = example_by_name("summation4")
         assert alg4.dimension == 4
         assert verify_rota_baxter(alg4, op4)
+
+    def test_registry_builds_only_the_named_example(self, monkeypatch):
+        built = []
+        original = rota.pointwise_function_algebra
+        monkeypatch.setattr(
+            rota, "pointwise_function_algebra", lambda n: built.append(n) or original(n)
+        )
+        example_by_name("summation4")
+        assert built == [4]
+        with pytest.raises(ValueError):
+            example_by_name("integration")
+        assert built == [4]
 
     def test_unknown_example(self):
         with pytest.raises(ValueError, match="summation3"):
