@@ -170,9 +170,12 @@ class NormalForm(LinearCombination):
         """The tensor-module element the combs evaluate to: one word per comb."""
         blocks = dict.fromkeys(chain.from_iterable(self._terms))
         letter = {block: mono_letter(block) for block in blocks}
-        return TensorElement(
-            (tuple([letter[block] for block in seq]), c) for seq, c in self.items()
-        )
+        words = ((tuple([letter[block] for block in seq]), c) for seq, c in self.items())
+        if len(set(letter.values())) < len(letter):
+            # two orders of one block are one letter, so words may collide
+            return TensorElement(words)
+        # distinct block sequences give distinct words
+        return TensorElement._raw(dict(words))
 
     def to_free_terms(self) -> list[tuple[FreeTerm, Scalar]]:
         """Reconstruct each comb as a term tree, canonically ordered."""
@@ -279,7 +282,8 @@ def normal_form(term: FreeTerm) -> NormalForm:
     """Rewrite a CTD term to its combination of right combs."""
     if not term.is_ctd:
         raise SignatureError("normal-form rewriting is defined for CTD terms only")
-    return NormalForm(_norm(_encode(term)))
+    # a copy: the cached dict is shared
+    return NormalForm._raw(dict(_norm(_encode(term))))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .coeff import (
@@ -265,6 +265,8 @@ def parse_free_term(text: str) -> FreeTerm:
 
 
 _text = attrgetter("text")
+_key = itemgetter(0)
+_coeff = itemgetter(1)
 
 
 def render_word(word: Word) -> str:
@@ -273,28 +275,39 @@ def render_word(word: Word) -> str:
     return ".".join(map(_text, word))
 
 
-def _join_signed(parts: Iterable[tuple[str, Scalar]]) -> str:
-    """``a - 2*b + 1/2``: a signed sum of (body, coefficient) pairs, where
-    the body ``1`` stands for the bare coefficient."""
+def _join_signed(bodies: Iterable[str], coeffs: Iterable[Scalar]) -> str:
+    """``a - 2*b + 1/2``: the signed sum of ``coeff*body`` over the pairs of
+    ``bodies`` and ``coeffs``, where the body ``1`` stands for the bare
+    coefficient. Each distinct coefficient is formatted once."""
+    forms: dict = {}
     out: list[str] = []
-    for body, coeff in parts:
-        if coeff < 0:
-            out.append(" - " if out else "-")
-            coeff = -coeff
-        elif out:
-            out.append(" + ")
-        out.append(str(coeff) if body == "1" else body if coeff == 1 else f"{coeff}*{body}")
-    return "".join(out) or "0"
+    for body, c in zip(bodies, coeffs):
+        form = forms.get(c)
+        if form is None:
+            sign, size = (" - ", -c) if c < 0 else (" + ", c)
+            form = forms[c] = (sign if size == 1 else f"{sign}{size}*", f"{sign}{size}")
+        if body == "1":
+            out.append(form[1])
+        else:
+            out.append(form[0])
+            out.append(body)
+    if not out:
+        return "0"
+    # the first term drops its " + " and keeps a minus sign as "-"
+    first = out[0]
+    out[0] = "-" + first[3:] if first[1] == "-" else first[3:]
+    return "".join(out)
 
 
 def render_element(element: TensorElement) -> str:
-    return _join_signed((render_word(w), c) for w, c in element.terms())
+    terms = element.terms()
+    return _join_signed(map(render_word, map(_key, terms)), map(_coeff, terms))
 
 
 def render_square_element(square: TensorSquareElement) -> str:
-    return _join_signed(
-        (f"{render_word(u)} (x) {render_word(v)}", c) for (u, v), c in square.terms()
-    )
+    terms = square.terms()
+    bodies = (f"{render_word(u)} (x) {render_word(v)}" for (u, v), _ in terms)
+    return _join_signed(bodies, map(_coeff, terms))
 
 
 def render_partition(blocks) -> str:
@@ -302,24 +315,23 @@ def render_partition(blocks) -> str:
 
 
 def render_normal_form(nf: NormalForm) -> str:
-    return _join_signed((render_partition(blocks), c) for blocks, c in nf.terms())
+    terms = nf.terms()
+    return _join_signed(map(render_partition, map(_key, terms)), map(_coeff, terms))
 
 
 # ---------------------------------------------------------------------------
 # JSON forms (letters as grammar strings, coefficients as "p/q")
 
 
-def _coeff_string(c: Scalar) -> str:
-    return f"{c.numerator}/{c.denominator}"
+def _coeff_strings(terms: list) -> dict:
+    """``"p/q"`` of each distinct coefficient of ``terms``, formatted once."""
+    return {c: f"{c.numerator}/{c.denominator}" for c in set(map(_coeff, terms))}
 
 
 def element_to_json(element: TensorElement) -> dict:
-    return {
-        "terms": [
-            {"coeff": _coeff_string(c), "word": list(map(_text, w))}
-            for w, c in element.terms()
-        ]
-    }
+    terms = element.terms()
+    coeff = _coeff_strings(terms)
+    return {"terms": [{"coeff": coeff[c], "word": list(map(_text, w))} for w, c in terms]}
 
 
 def element_from_json(alg: CoeffAlgebraSpec, data: dict) -> TensorElement:
@@ -332,22 +344,22 @@ def element_from_json(alg: CoeffAlgebraSpec, data: dict) -> TensorElement:
 
 
 def square_to_json(square: TensorSquareElement) -> dict:
+    terms = square.terms()
+    coeff = _coeff_strings(terms)
     return {
         "terms": [
-            {
-                "coeff": _coeff_string(c),
-                "left": list(map(_text, u)),
-                "right": list(map(_text, v)),
-            }
-            for (u, v), c in square.terms()
+            {"coeff": coeff[c], "left": list(map(_text, u)), "right": list(map(_text, v))}
+            for (u, v), c in terms
         ]
     }
 
 
 def normal_form_to_json(nf: NormalForm) -> dict:
+    terms = nf.terms()
+    coeff = _coeff_strings(terms)
     return {
         "terms": [
-            {"coeff": _coeff_string(c), "blocks": [list(block) for block in blocks]}
-            for blocks, c in nf.terms()
+            {"coeff": coeff[c], "blocks": [list(block) for block in blocks]}
+            for blocks, c in terms
         ]
     }

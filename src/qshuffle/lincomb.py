@@ -14,12 +14,15 @@ never changed once built (arithmetic returns a new one), so its canonical
 order is computed once, by the first ``terms()`` call, and kept: text and
 JSON rendering of one element share one sort. Tensor elements and squares
 sort by letter ranks: the distinct letters of one combination are ranked
-once by ``Letter.sort_key``, and a word compares as its length followed by
-its ranks, the same order as ``tensorq.word_sort_key``. ``add_into`` is the
-one sparse accumulator the kernels share, and ``bilinear`` the one
-extension of a rule on basis pairs to whole combinations, which every
-product of tensor elements, of tensor squares and of finite-algebra
-vectors goes through.
+once by ``Letter.sort_key``, and a word's sort key is one ``str``, its
+length and then its ranks as code points, which C compares in the order of
+``tensorq.word_sort_key``. ``add_into`` is the one sparse accumulator the
+kernels share, and ``bilinear`` the one extension of a rule on basis pairs
+to whole combinations, which every product of tensor elements, of tensor
+squares and of finite-algebra vectors goes through. Sums are taken only
+where keys can collide: ``bilinear`` copies its first nonzero image (a
+copy, since images may be memoised and shared) and adds the rest through
+``add_into``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,12 @@ def bilinear(rule, x: LinearCombination, y: LinearCombination) -> LinearCombinat
     pairs = y._terms.items()
     for u, cu in x._terms.items():
         for v, cv in pairs:
-            add_into(acc, rule(u, v).items(), cu * cv)
+            image, c = rule(u, v), cu * cv
+            if acc:
+                add_into(acc, image.items(), c)
+            else:
+                # nothing to collide with yet; the image may be a shared memo, so copy it
+                acc = dict(image) if c == 1 else {k: c * val for k, val in image.items()}
     return type(x)._raw(acc)
 
 

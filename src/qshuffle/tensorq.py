@@ -3,17 +3,21 @@
 Words over a coefficient algebra's letters are plain tuples; the empty
 tuple is the unit word. ``TensorElement`` is an exact-rational combination
 of words, in ``word_sort_key`` order (length, then letter by letter): one
-sort ranks the element's distinct letters, and each word compares as its
-length followed by its ranks. Every operation first checks that the
-letters of its arguments belong to the algebra; a letter accepted once is
-kept in ``alg.cache["member"]`` and not checked again. The quasi-shuffle
-product is defined by the recursion
+sort ranks the element's distinct letters, and each word is sorted on one
+``str``, its length and then its ranks as code points. Every operation
+first checks that the letters of its arguments belong to the algebra; a
+letter accepted once is kept in ``alg.cache["member"]`` and not checked
+again. The quasi-shuffle product is defined by the recursion
 
     (a x) * (b y) = (a.b)(x * y) + a(x * (b y)) + b((a x) * y),
 
 with the empty word as unit, where a.b is the letter product in the
-coefficient algebra. An independent evaluator expands the same product as
-a sum over lattice paths with unit steps right, up, and diagonal, where a
+coefficient algebra. Sums are taken only where keys can collide: each
+branch puts its own head letter in front of distinct tails, so a branch
+is inserted as it is unless its head is already there (b is a, or a
+letter of a.b is a or b), and only such a branch goes through
+``add_into``. An independent evaluator expands the same product as a sum
+over lattice paths with unit steps right, up, and diagonal, where a
 diagonal step multiplies the two letters it consumes; the two routes are
 cross-checked in the test suite. The oracle takes the Delannoy paths of a
 (p, q) pair from a cache (pairs with p + q <= 12; longer ones stream from
@@ -77,27 +81,33 @@ def word_sort_key(word: Word):
     return (len(word), tuple([letter.sort_key for letter in word]))
 
 
-def _rank_ordered(terms: dict, pairs: bool) -> list:
+def _rank_ordered(terms: dict, pairs: bool, fallback) -> list:
     """``terms.items()`` in ``sort_key`` order, for keys that are words or,
     with ``pairs``, pairs of words.
 
-    The distinct letters of all keys are ranked once by ``Letter.sort_key``,
-    and a word compares as ``(len, *ranks)``, which orders words as
-    ``word_sort_key`` does.
+    The distinct letters of all keys are ranked once by ``Letter.sort_key``.
+    A word's sort key is one ``str``, its length and then its ranks, one
+    code point each, so C compares the keys, and ``str`` order is
+    ``(len, *ranks)`` order, which is ``word_sort_key`` order; a pair's key
+    joins its two words' keys. A rank or a length above 1,114,111 has no
+    code point (``chr`` raises): then ``fallback`` sorts by ``sort_key``.
     """
     ranked = sorted(
         set().union(*(chain.from_iterable(terms) if pairs else terms)),
         key=attrgetter("sort_key"),
     )
-    rank = dict(zip(ranked, range(len(ranked)))).__getitem__
-    if pairs:
-        def key(kv):
-            u, v = kv[0]
-            return (len(u), *map(rank, u), len(v), *map(rank, v))
-    else:
-        def key(kv):
-            return (len(kv[0]), *map(rank, kv[0]))
-    return sorted(terms.items(), key=key)
+    try:
+        code = dict(zip(ranked, map(chr, range(len(ranked))))).__getitem__
+        if pairs:
+            def key(kv):
+                u, v = kv[0]
+                return chr(len(u)) + "".join(map(code, u)) + chr(len(v)) + "".join(map(code, v))
+        else:
+            def key(kv):
+                return chr(len(kv[0])) + "".join(map(code, kv[0]))
+        return sorted(terms.items(), key=key)
+    except ValueError:
+        return fallback(terms)
 
 
 class TensorElement(LinearCombination):
@@ -110,7 +120,7 @@ class TensorElement(LinearCombination):
 
     @classmethod
     def _ordered(cls, terms: dict) -> list:
-        return _rank_ordered(terms, pairs=False)
+        return _rank_ordered(terms, False, super()._ordered)
 
     @classmethod
     def from_word(cls, word, coeff: Scalar = 1) -> "TensorElement":
@@ -140,7 +150,7 @@ class TensorSquareElement(LinearCombination):
 
     @classmethod
     def _ordered(cls, terms: dict) -> list:
-        return _rank_ordered(terms, pairs=True)
+        return _rank_ordered(terms, True, super()._ordered)
 
     @classmethod
     def from_pair(cls, left, right, coeff: Scalar = 1) -> "TensorSquareElement":
@@ -193,10 +203,12 @@ def _letter_product(
 # quasi-shuffle product: memoized recursion
 
 
-def _prefixed(head, terms: Mapping[tuple, Scalar]) -> Iterable[tuple[tuple, Scalar]]:
-    """``terms`` with ``head`` put in front of every key, as pairs for
-    ``add_into`` (a small dict is built faster by a comprehension)."""
-    return zip(map((head,).__add__, terms), terms.values())
+def _prefixed(head, terms: Mapping[Word, Scalar], scale: Scalar = 1) -> dict[Word, Scalar]:
+    """``scale * terms`` with ``head`` put in front of every word, as a new
+    dict; distinct words stay distinct."""
+    if scale == 1:
+        return {(head,) + w: c for w, c in terms.items()}
+    return {(head,) + w: scale * c for w, c in terms.items()}
 
 
 def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Scalar]:
@@ -215,14 +227,24 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
         return hit
     a, x = u[0], u[1:]
     b, y = v[0], v[1:]
-    # distinct tails give distinct words, so the a-branch needs no sums
-    acc = {(a,) + w: c for w, c in _shuffle_words(alg, x, v).items()}
-    add_into(acc, _prefixed(b, _shuffle_words(alg, u, y)))
+    # Each branch puts its own head letter in front of distinct tails, so
+    # words can collide only between branches with the same head: b is a,
+    # or a letter of a.b is a or b. Only those are summed; the rest insert.
+    acc = _prefixed(a, _shuffle_words(alg, x, v))
+    branch = _prefixed(b, _shuffle_words(alg, u, y))
+    if b is a:
+        add_into(acc, branch.items())
+    else:
+        acc.update(branch)
     merged = _letter_product(alg, a, b)
     if merged:
         tails = _shuffle_words(alg, x, y)
         for letter, cl in merged:
-            add_into(acc, _prefixed(letter, tails), cl)
+            branch = _prefixed(letter, tails, cl)
+            if letter is a or letter is b:
+                add_into(acc, branch.items())
+            else:
+                acc.update(branch)
     cache[key] = acc
     return acc
 
@@ -339,8 +361,7 @@ def _word_op_left(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]
         return {}
     if not v:
         return {u: 1}
-    head, tail = u[0], u[1:]
-    return {(head,) + w: c for w, c in _shuffle_words(alg, tail, v).items()}
+    return _prefixed(u[0], _shuffle_words(alg, u[1:], v))
 
 
 def _word_op_right(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
@@ -350,8 +371,7 @@ def _word_op_right(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar
         return {}
     if not u:
         return {v: 1}
-    head, tail = v[0], v[1:]
-    return {(head,) + w: c for w, c in _shuffle_words(alg, u, tail).items()}
+    return _prefixed(v[0], _shuffle_words(alg, u, v[1:]))
 
 
 def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:

@@ -289,6 +289,23 @@ class TestNormalForm:
         assert len(nf) > len(blocks) and set(calls) == blocks
         assert set(calls.values()) == {1}
 
+    def test_a_normal_form_never_owns_a_cached_dict(self):
+        term = prec(prec(dot(G1, G2), G3), gen(4))
+        nf = normal_form(term)
+        stored = {key: dict(terms) for key, terms in freectd._NF_CACHE.items()}
+        assert all(nf._terms is not terms for terms in freectd._NF_CACHE.values())
+        nf + nf, nf - nf, -nf, 3 * nf, nf.to_element()
+        assert stored == freectd._NF_CACHE
+        assert normal_form(term) == nf
+
+    def test_to_element_sums_two_orders_of_one_block(self):
+        # unsorted blocks are not canonical, but name the same letter
+        nf = NormalForm([(((2, 1), (3,)), 1), (((1, 2), (3,)), Fraction(1, 2)), (((3,),), 4)])
+        x12, x3 = mono_letter((1, 2)), mono_letter((3,))
+        assert nf.to_element() == TensorElement(
+            [((x12, x3), Fraction(3, 2)), ((x3,), 4)]
+        )
+
     def test_idempotence_via_resummation(self):
         rng = random.Random(71)
         for _ in range(60):

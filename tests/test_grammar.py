@@ -1,5 +1,6 @@
 """Text and JSON forms: parsing, rendering, and their round trips."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from qshuffle import (
     parse_free_term,
     parse_letter,
     parse_word,
+    pointwise_function_algebra,
     prec,
     quasi_shuffle,
     render_element,
@@ -38,6 +40,7 @@ from qshuffle import (
     weight_letter,
     word_letter,
 )
+from qshuffle.cli import main
 from qshuffle.grammar import MAX_TERM_DEPTH
 from qshuffle.sampling import random_element, random_td_term
 
@@ -292,3 +295,80 @@ class TestRoundTrips:
         assert normal_form_to_json(nf) == {
             "terms": [{"coeff": "1/1", "blocks": [[1, 2], [3]]}]
         }
+
+
+class TestGoldenForms:
+    """Byte-for-byte text and JSON of the one signed-sum joiner and the
+    ``"p/q"`` coefficient strings, each made once per distinct coefficient."""
+
+    def test_element(self):
+        y1, y2, y3 = (weight_letter(k) for k in (1, 2, 3))
+        half = Fraction(1, 2)
+        word = TensorElement.from_word
+        element = (
+            word((), Fraction(-3, 7))
+            + word((y1,), half) + word((y1,), half)  # an integral Fraction, 1
+            - word((y2,))
+            + word((y3,), half)
+            + word((y1, y2), Fraction(3, 2)) + word((y1, y2), half)
+            + word((y2, y1), Fraction(-3, 7))
+            + word((y1, y1, y1))  # the int 1
+        )
+        assert type(element.coefficient((y1,))) is Fraction
+        assert render_element(element) == (
+            "-3/7 + y1 - y2 + 1/2*y3 + 2*y1.y2 - 3/7*y2.y1 + y1.y1.y1"
+        )
+        assert json.dumps(element_to_json(element)) == (
+            '{"terms": [{"coeff": "-3/7", "word": []}, {"coeff": "1/1", "word": ["y1"]}, '
+            '{"coeff": "-1/1", "word": ["y2"]}, {"coeff": "1/2", "word": ["y3"]}, '
+            '{"coeff": "2/1", "word": ["y1", "y2"]}, {"coeff": "-3/7", "word": ["y2", "y1"]}, '
+            '{"coeff": "1/1", "word": ["y1", "y1", "y1"]}]}'
+        )
+        assert render_element(-TensorElement.unit()) == "-1"
+        assert render_element(TensorElement.unit() - word((y1,))) == "1 - y1"
+
+    def test_square(self):
+        y1, y2, y3 = (weight_letter(k) for k in (1, 2, 3))
+        half = Fraction(1, 2)
+        word = TensorElement.from_word
+        element = word((), -1) + word((y1, y2), -half) + word((y3,), half) + word((y3,), half)
+        square = deconcatenate(element)
+        assert render_square_element(square) == (
+            "-1 (x) 1 + 1 (x) y3 - 1/2*1 (x) y1.y2 - 1/2*y1 (x) y2 + y3 (x) 1 - 1/2*y1.y2 (x) 1"
+        )
+        assert json.dumps(square_to_json(square)) == (
+            '{"terms": [{"coeff": "-1/1", "left": [], "right": []}, '
+            '{"coeff": "1/1", "left": [], "right": ["y3"]}, '
+            '{"coeff": "-1/2", "left": [], "right": ["y1", "y2"]}, '
+            '{"coeff": "-1/2", "left": ["y1"], "right": ["y2"]}, '
+            '{"coeff": "1/1", "left": ["y3"], "right": []}, '
+            '{"coeff": "-1/2", "left": ["y1", "y2"], "right": []}]}'
+        )
+
+    def test_normal_form(self):
+        nf = (
+            normal_form(parse_free_term("((a < b) < c)")) * Fraction(-1, 2)
+            + normal_form(parse_free_term("(a . (b < c))")) * Fraction(3, 7)
+            + normal_form(parse_free_term("((a < b) . c)"))
+        )
+        assert render_normal_form(nf) == (
+            "-1/2*(v1)(v2)(v3) - 1/2*(v1)(v2 v3) - 1/2*(v1)(v3)(v2)"
+            " + 3/7*(v1 v2)(v3) + (v1 v3)(v2)"
+        )
+        assert json.dumps(normal_form_to_json(nf)) == (
+            '{"terms": [{"coeff": "-1/2", "blocks": [[1], [2], [3]]}, '
+            '{"coeff": "-1/2", "blocks": [[1], [2, 3]]}, '
+            '{"coeff": "-1/2", "blocks": [[1], [3], [2]]}, '
+            '{"coeff": "3/7", "blocks": [[1, 2], [3]]}, '
+            '{"coeff": "1/1", "blocks": [[1, 3], [2]]}]}'
+        )
+
+    def test_rota_table_line(self, capsys):
+        assert main(["rota", "table"]) == 0
+        assert "\ne3 < e2 = e3\n" in capsys.readouterr().out
+        assert main(["rota", "table", "--json"]) == 0
+        assert '{"i": "e3", "j": "e2", "value": "e3"}' in capsys.readouterr().out
+        fun3 = pointwise_function_algebra(3)
+        e1, e2, e3 = fun3.basis()
+        vector = e1 * Fraction(-1, 2) + e3 - e2 * Fraction(3, 7) + e1 * 0
+        assert fun3.render(vector) == "-1/2*e1 - 3/7*e2 + e3"

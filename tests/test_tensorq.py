@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import random
 import types
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 
 from qshuffle import (
     EMPTY_WORD,
+    CoeffCombination,
     DomainError,
     LetterDomainError,
     TensorElement,
@@ -390,6 +392,67 @@ def test_operations_reject_foreign_types(stuffle_alg):
         quasi_shuffle(stuffle_alg, element_of(Y1), "y1")
 
 
+def _rational_product_algebra():
+    """Letter product p.q = 2p - 1/2*c: its first letter repeats the left head."""
+    return dataclasses.replace(
+        _sum_product_algebra(),
+        name="rational-product",
+        cache={},
+        product_rule=lambda p, q: CoeffCombination([(p, 2), (C, Fraction(-1, 2))]),
+    )
+
+
+REPEATED_HEADS = {
+    "sum-product": _sum_product_algebra,
+    "rational-product": _rational_product_algebra,
+}
+
+
+class TestRepeatedHeads:
+    """No builtin letter product has the letter a or b in a.b, so only these
+    algebras reach the branches of the recursion that are summed."""
+
+    @pytest.mark.parametrize("name", sorted(REPEATED_HEADS))
+    def test_recursion_matches_paths_and_the_three_operations(self, name):
+        alg = REPEATED_HEADS[name]()
+        words = [w for n in range(6) for w in itertools.product((A, B, C), repeat=n)]
+        pairs = 0
+        for u, v in itertools.product(words, repeat=2):
+            if len(u) + len(v) > 5:
+                continue
+            x, y = TensorElement.from_word(u), TensorElement.from_word(v)
+            product = quasi_shuffle(alg, x, y)
+            assert product == quasi_shuffle_paths(alg, u, v), (u, v)
+            if u or v:
+                split = op_left(alg, x, y) + op_right(alg, x, y) + op_dot(alg, x, y)
+                assert split == product, (u, v)
+            pairs += 1
+        assert pairs == sum((n + 1) * 3**n for n in range(6))
+
+
+class TestMemoOwnership:
+    @pytest.mark.parametrize(
+        "alg",
+        [*builtin_algebras(), *(make() for make in REPEATED_HEADS.values())],
+        ids=lambda alg: alg.name,
+    )
+    def test_a_product_never_owns_a_memo_dict(self, alg):
+        fresh = dataclasses.replace(alg, cache={})
+        letters = fresh.letters_up_to_degree(2)[:3]
+        words = [letters[:1], letters[:2], letters[1:3] + letters[:1], letters[-1:] * 2]
+        for u, v in itertools.product(words, repeat=2):
+            x, y = TensorElement.from_word(u), TensorElement.from_word(v)
+            results = [op(fresh, x, y) for op in (quasi_shuffle, op_left, op_right, op_dot)]
+            memo = fresh.cache["shuffle"]
+            stored = {key: dict(image) for key, image in memo.items()}
+            for result in results:
+                assert all(result._terms is not image for image in memo.values())
+                # arithmetic on a result must leave every memo entry as it was
+                result + result, result - x, -result, 2 * result, Fraction(1, 3) * result
+                result + TensorElement.zero()
+            assert stored == memo
+
+
 class TestRankOrder:
     """Elements and squares sort by letter ranks into ``word_sort_key`` order."""
 
@@ -410,6 +473,34 @@ class TestRankOrder:
             by_key = sorted(square.items(), key=lambda kv: TensorSquareElement.sort_key(kv[0]))
             assert square.terms() == by_key
             assert x.coefficient(EMPTY_WORD) != 0
+
+    def test_more_letters_than_one_byte_ranks(self):
+        # 1,056 letters: ranks above 255 need code points wider than a byte
+        letters = list(algebra_by_name("word32").letters_up_to_degree(2))
+        assert len(letters) == 1056
+        rng = random.Random("rank-order:word32")
+        rng.shuffle(letters)
+        words, start = [()], 0
+        while start < len(letters):
+            length = rng.randint(1, 4)
+            words.append(tuple(letters[start : start + length]))
+            words.append(tuple(rng.choice(letters) for _ in range(length)))
+            start += length
+        x = TensorElement({w: rng.choice(self.COEFFICIENTS) for w in words})
+        assert set().union(*(w for w, _ in x.items())) == set(letters)
+        by_key = sorted(x.items(), key=lambda kv: tensorq.word_sort_key(kv[0]))
+        assert x.terms() == by_key
+        square = deconcatenate(x)
+        by_key = sorted(square.items(), key=lambda kv: TensorSquareElement.sort_key(kv[0]))
+        assert square.terms() == by_key
+
+    def test_a_length_beyond_the_code_points_sorts_by_sort_key(self):
+        # chr codes lengths and ranks up to 1,114,111 only
+        long = (Y1,) * 1_114_112
+        x = TensorElement([(long, 1), ((Y2,), 2), ((), 3), ((Y1, Y1), -1)])
+        assert x.terms() == [((), 3), ((Y2,), 2), ((Y1, Y1), -1), (long, 1)]
+        square = TensorSquareElement([((long, ()), 1), (((), (Y2,)), 2), (((Y1,), ()), 3)])
+        assert square.support() == [((), (Y2,)), ((Y1,), ()), (long, ())]
 
 
 class TestOracleIndependence:
