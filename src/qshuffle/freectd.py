@@ -170,12 +170,9 @@ class NormalForm(LinearCombination):
         """The tensor-module element the combs evaluate to: one word per comb."""
         blocks = dict.fromkeys(chain.from_iterable(self._terms))
         letter = {block: mono_letter(block) for block in blocks}
-        words = ((tuple([letter[block] for block in seq]), c) for seq, c in self.items())
-        if len(set(letter.values())) < len(letter):
-            # two orders of one block are one letter, so words may collide
-            return TensorElement(words)
-        # distinct block sequences give distinct words
-        return TensorElement._raw(dict(words))
+        return TensorElement(
+            (tuple([letter[block] for block in seq]), c) for seq, c in self.items()
+        )
 
     def to_free_terms(self) -> list[tuple[FreeTerm, Scalar]]:
         """Reconstruct each comb as a term tree, canonically ordered."""

@@ -265,7 +265,6 @@ def parse_free_term(text: str) -> FreeTerm:
 
 
 _text = attrgetter("text")
-_key = itemgetter(0)
 _coeff = itemgetter(1)
 
 
@@ -275,39 +274,28 @@ def render_word(word: Word) -> str:
     return ".".join(map(_text, word))
 
 
-def _join_signed(bodies: Iterable[str], coeffs: Iterable[Scalar]) -> str:
-    """``a - 2*b + 1/2``: the signed sum of ``coeff*body`` over the pairs of
-    ``bodies`` and ``coeffs``, where the body ``1`` stands for the bare
-    coefficient. Each distinct coefficient is formatted once."""
-    forms: dict = {}
+def _join_signed(parts: Iterable[tuple[str, Scalar]]) -> str:
+    """``a - 2*b + 1/2``: a signed sum of (body, coefficient) pairs, where
+    the body ``1`` stands for the bare coefficient."""
     out: list[str] = []
-    for body, c in zip(bodies, coeffs):
-        form = forms.get(c)
-        if form is None:
-            sign, size = (" - ", -c) if c < 0 else (" + ", c)
-            form = forms[c] = (sign if size == 1 else f"{sign}{size}*", f"{sign}{size}")
-        if body == "1":
-            out.append(form[1])
-        else:
-            out.append(form[0])
-            out.append(body)
-    if not out:
-        return "0"
-    # the first term drops its " + " and keeps a minus sign as "-"
-    first = out[0]
-    out[0] = "-" + first[3:] if first[1] == "-" else first[3:]
-    return "".join(out)
+    for body, coeff in parts:
+        if coeff < 0:
+            out.append(" - " if out else "-")
+            coeff = -coeff
+        elif out:
+            out.append(" + ")
+        out.append(str(coeff) if body == "1" else body if coeff == 1 else f"{coeff}*{body}")
+    return "".join(out) or "0"
 
 
 def render_element(element: TensorElement) -> str:
-    terms = element.terms()
-    return _join_signed(map(render_word, map(_key, terms)), map(_coeff, terms))
+    return _join_signed((render_word(w), c) for w, c in element.terms())
 
 
 def render_square_element(square: TensorSquareElement) -> str:
-    terms = square.terms()
-    bodies = (f"{render_word(u)} (x) {render_word(v)}" for (u, v), _ in terms)
-    return _join_signed(bodies, map(_coeff, terms))
+    return _join_signed(
+        (f"{render_word(u)} (x) {render_word(v)}", c) for (u, v), c in square.terms()
+    )
 
 
 def render_partition(blocks) -> str:
@@ -315,8 +303,7 @@ def render_partition(blocks) -> str:
 
 
 def render_normal_form(nf: NormalForm) -> str:
-    terms = nf.terms()
-    return _join_signed(map(render_partition, map(_key, terms)), map(_coeff, terms))
+    return _join_signed((render_partition(blocks), c) for blocks, c in nf.terms())
 
 
 # ---------------------------------------------------------------------------

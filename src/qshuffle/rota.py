@@ -120,8 +120,7 @@ class FiniteAlgebra:
         raise _index_error(indices, u, v)
 
     def render(self, v: LinearCombination) -> str:
-        terms = v.terms()
-        return _join_signed((self.basis_labels[k] for k, _ in terms), (c for _, c in terms))
+        return _join_signed((self.basis_labels[k], c) for k, c in v.terms())
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,7 +81,7 @@ def word_sort_key(word: Word):
     return (len(word), tuple([letter.sort_key for letter in word]))
 
 
-def _rank_ordered(terms: dict, pairs: bool, fallback) -> list:
+def _rank_ordered(terms: dict, pairs: bool) -> list:
     """``terms.items()`` in ``sort_key`` order, for keys that are words or,
     with ``pairs``, pairs of words.
 
@@ -90,24 +90,22 @@ def _rank_ordered(terms: dict, pairs: bool, fallback) -> list:
     code point each, so C compares the keys, and ``str`` order is
     ``(len, *ranks)`` order, which is ``word_sort_key`` order; a pair's key
     joins its two words' keys. A rank or a length above 1,114,111 has no
-    code point (``chr`` raises): then ``fallback`` sorts by ``sort_key``.
+    code point, and ``chr`` raises ``ValueError``; the callers then sort
+    by ``sort_key``.
     """
     ranked = sorted(
         set().union(*(chain.from_iterable(terms) if pairs else terms)),
         key=attrgetter("sort_key"),
     )
-    try:
-        code = dict(zip(ranked, map(chr, range(len(ranked))))).__getitem__
-        if pairs:
-            def key(kv):
-                u, v = kv[0]
-                return chr(len(u)) + "".join(map(code, u)) + chr(len(v)) + "".join(map(code, v))
-        else:
-            def key(kv):
-                return chr(len(kv[0])) + "".join(map(code, kv[0]))
-        return sorted(terms.items(), key=key)
-    except ValueError:
-        return fallback(terms)
+    code = dict(zip(ranked, map(chr, range(len(ranked))))).__getitem__
+    if pairs:
+        def key(kv):
+            u, v = kv[0]
+            return chr(len(u)) + "".join(map(code, u)) + chr(len(v)) + "".join(map(code, v))
+    else:
+        def key(kv):
+            return chr(len(kv[0])) + "".join(map(code, kv[0]))
+    return sorted(terms.items(), key=key)
 
 
 class TensorElement(LinearCombination):
@@ -120,7 +118,10 @@ class TensorElement(LinearCombination):
 
     @classmethod
     def _ordered(cls, terms: dict) -> list:
-        return _rank_ordered(terms, False, super()._ordered)
+        try:
+            return _rank_ordered(terms, pairs=False)
+        except ValueError:  # a rank or a word length past the last code point
+            return super()._ordered(terms)
 
     @classmethod
     def from_word(cls, word, coeff: Scalar = 1) -> "TensorElement":
@@ -150,7 +151,10 @@ class TensorSquareElement(LinearCombination):
 
     @classmethod
     def _ordered(cls, terms: dict) -> list:
-        return _rank_ordered(terms, True, super()._ordered)
+        try:
+            return _rank_ordered(terms, pairs=True)
+        except ValueError:  # a rank or a word length past the last code point
+            return super()._ordered(terms)
 
     @classmethod
     def from_pair(cls, left, right, coeff: Scalar = 1) -> "TensorSquareElement":

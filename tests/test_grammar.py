@@ -298,8 +298,8 @@ class TestRoundTrips:
 
 
 class TestGoldenForms:
-    """Byte-for-byte text and JSON of the one signed-sum joiner and the
-    ``"p/q"`` coefficient strings, each made once per distinct coefficient."""
+    """Byte-for-byte text of the one signed-sum joiner, and JSON whose
+    ``"p/q"`` strings are made once per distinct coefficient."""
 
     def test_element(self):
         y1, y2, y3 = (weight_letter(k) for k in (1, 2, 3))
