@@ -22,20 +22,20 @@ the deconcatenation coproduct is compatible with the partial operations:
 
 stated once, as the two rows of the law table ``laws.COMPAT``. The
 length-one words are exactly the primitives in each graded piece;
-``reduced_coproduct_kernel`` recomputes that kernel by exact Gaussian
-elimination as an independent route. The dot of primitives and the
-splitting of ``generator_projection`` are checked by ``laws.PRIMITIVE_DOT``
-and ``laws.PROJECTION``.
+``reduced_coproduct_kernel`` recomputes that kernel as an independent
+route, by exact sparse elimination of the words' reduced coproducts
+(``lincomb.kernel``). The dot of primitives and the splitting of
+``generator_projection`` are checked by ``laws.PRIMITIVE_DOT`` and
+``laws.PROJECTION``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
 from .freectd import FreeTerm, SignatureError, fold_term
-from .lincomb import Scalar, bilinear
+from .lincomb import Scalar, bilinear, kernel
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -132,67 +132,17 @@ def graded_basis_words(alg: CoeffAlgebraSpec, degree: int) -> list[Word]:
     return words
 
 
-def _rational_nullspace(rows: list[list[Scalar]], width: int) -> list[list[Scalar]]:
-    """Basis of the right nullspace by fraction-exact Gauss-Jordan.
-
-    Entries may be ints; each pivot row is divided exactly, as a Fraction.
-    """
-    matrix = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][col]), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = Fraction(1) / matrix[r][col]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][col]:
-                factor = matrix[i][col]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(matrix):
-            break
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [0] * width
-        vec[free] = 1
-        for row_idx, col in enumerate(pivot_cols):
-            vec[col] = -matrix[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
 def reduced_coproduct_kernel(alg: CoeffAlgebraSpec, degree: int) -> list[TensorElement]:
     """Kernel of the reduced coproduct on one graded piece, by linear solve.
 
-    Independent of ``is_primitive``: builds the matrix of the reduced
-    coproduct over the degree-graded word basis and solves exactly.
+    Independent of ``is_primitive``: eliminates the reduced coproducts of
+    the degree-graded basis words exactly, with ``lincomb.kernel``.
     """
     if degree < 1:
         raise ValueError("graded primitive computation needs degree >= 1")
     words = graded_basis_words(alg, degree)
-    pair_index: dict[tuple[Word, Word], int] = {}
-    columns = []
-    for w in words:
-        image = reduced_coproduct(TensorElement.from_word(w))
-        col = {}
-        for pair, c in image.items():
-            idx = pair_index.setdefault(pair, len(pair_index))
-            col[idx] = c
-        columns.append(col)
-    height = len(pair_index)
-    rows = [[0] * len(words) for _ in range(height)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows[i][j] = c
-    kernel = _rational_nullspace(rows, len(words))
-    return [
-        TensorElement((words[j], c) for j, c in enumerate(vec) if c) for vec in kernel
-    ]
+    images = [reduced_coproduct(TensorElement.from_word(w))._terms for w in words]
+    return [TensorElement((words[j], c) for j, c in rel.items()) for rel in kernel(images)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations
 from math import comb as binomial, factorial
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .coeff import (
     CoeffAlgebraSpec,
@@ -160,7 +160,21 @@ BlockSequence = tuple[Block, ...]
 
 
 class NormalForm(LinearCombination):
-    """Combination of ordered block sequences (right combs of dot-monomials)."""
+    """Combination of ordered block sequences (right combs of dot-monomials).
+
+    The constructor and ``basis`` sort each block, as ``mono_letter`` sorts
+    its payload, and sum the sequences that then coincide.
+    """
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        super().__init__(
+            (tuple([tuple(sorted(block)) for block in seq]), c) for seq, c in items
+        )
+
+    @classmethod
+    def basis(cls, key: BlockSequence, coeff: Scalar = 1) -> "NormalForm":
+        return cls([(key, coeff)])
 
     @staticmethod
     def sort_key(key: BlockSequence):

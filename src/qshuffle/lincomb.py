@@ -5,7 +5,7 @@ elements, tensor squares, normal forms, the vectors of ``rota``) is a
 finite formal sum with exact coefficients: ``int`` where integral,
 ``fractions.Fraction`` otherwise, never ``float``. ``as_scalar`` turns an integral ``Fraction`` into an
 ``int`` on the way in; a ``Fraction`` is made only where something
-divides (rational input, Gauss-Jordan, series arithmetic), and sums and
+divides (rational input, elimination, series arithmetic), and sums and
 products of such coefficients may leave a ``Fraction`` with denominator
 one, which compares and hashes equal to its ``int``. Zero coefficients are
 never stored, so two combinations are equal exactly when their backing
@@ -17,10 +17,12 @@ sort by letter ranks: the distinct letters of one combination are ranked
 once by ``Letter.sort_key``, and a word's sort key is one ``str``, its
 length and then its ranks as code points, which C compares in the order of
 ``tensorq.word_sort_key``. ``add_into`` is the one sparse accumulator the
-kernels share, and ``bilinear`` the one extension of a rule on basis pairs
+kernels share; ``bilinear`` is the one extension of a rule on basis pairs
 to whole combinations, which every product of tensor elements, of tensor
-squares and of finite-algebra vectors goes through. Sums are taken only
-where keys can collide: ``bilinear`` copies its first nonzero image (a
+squares and of finite-algebra vectors goes through; ``kernel`` is the one
+exact solver, finding the linear relations among sparse vectors by an
+elimination whose row operations are ``add_into`` calls. Sums are taken
+only where keys can collide: ``bilinear`` copies its first nonzero image (a
 copy, since images may be memoised and shared) and adds the rest through
 ``add_into``.
 """
@@ -68,6 +70,33 @@ def bilinear(rule, x: LinearCombination, y: LinearCombination) -> LinearCombinat
                 # nothing to collide with yet; the image may be a shared memo, so copy it
                 acc = dict(image) if c == 1 else {k: c * val for k, val in image.items()}
     return type(x)._raw(acc)
+
+
+def kernel(vectors: list[dict]) -> list[dict[int, Scalar]]:
+    """The relations among zero-free sparse ``vectors``, by exact elimination.
+
+    For each vector in the span of those before it, in input order, one
+    relation ``{index: coefficient}`` whose combination of the vectors is
+    zero: coefficient 1 at that vector's index, the others at earlier
+    independent vectors. Together the relations are a basis of the kernel,
+    the one reduced row echelon form gives.
+    """
+    pivots: list[tuple] = []
+    relations = []
+    for index, vector in enumerate(vectors):
+        rest, combination = dict(vector), {index: 1}
+        for key, row, row_combination in pivots:
+            c = rest.get(key)
+            if c:
+                # Fraction raises TypeError on a float, so no float gets in
+                factor = Fraction(-c, row[key])
+                add_into(rest, row.items(), factor)
+                add_into(combination, row_combination.items(), factor)
+        if rest:
+            pivots.append((next(iter(rest)), rest, combination))
+        else:
+            relations.append(combination)
+    return relations
 
 
 def as_scalar(value: object) -> Scalar:

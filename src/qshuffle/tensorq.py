@@ -135,9 +135,6 @@ class TensorElement(LinearCombination):
     def unit(cls) -> "TensorElement":
         return cls.basis(EMPTY_WORD)
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
 
 class TensorSquareElement(LinearCombination):
     """Exact-rational combination of pairs of words (a two-fold tensor).
@@ -461,7 +458,7 @@ def coradical_degree(x: TensorElement) -> int:
     reduced coproduct lands in stage r-1 tensor stage r-1. For the word
     basis this is exactly the maximal length in the support.
     """
-    return x.max_word_length()
+    return max(map(len, x._terms), default=0)
 
 
 def project_to_letters(x: TensorElement) -> CoeffCombination:

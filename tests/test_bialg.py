@@ -1,7 +1,10 @@
 """Tensor-square structure, the free coproduct, and the splitting maps."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -41,9 +44,13 @@ from qshuffle import (
 )
 from qshuffle.bialg import _square_pairs
 from qshuffle.coeff import algebra_by_name
+from qshuffle.lincomb import kernel
 from qshuffle.laws import PRIMITIVE_DOT, PROJECTION, first_failure, splitting_failure, tensor_ops
 from qshuffle.sampling import random_ctd_term, random_element
 from qshuffle.tensorq import _word_op_dot, _word_op_left
+
+import conftest
+from conftest import rational_rank
 
 G1, G2, G3 = gen(1), gen(2), gen(3)
 X1 = mono_letter((1,))
@@ -420,14 +427,23 @@ class TestGradedKernel:
         kernel = reduced_coproduct_kernel(sym2, 1)
         assert len(kernel) == 2
 
-    @pytest.mark.parametrize("degree", [2, 3, 4])
-    def test_kernel_is_the_letter_span(self, sym2, degree):
+    # ids of the sym2 cases are their degrees; word2 at degree 5 (512 words)
+    # and sym3 at degree 4 (354 words) are the largest pieces, and each case
+    # has half of a 1 s budget for the two
+    @pytest.mark.parametrize(
+        "name, degree",
+        [pytest.param("sym2", d, id=str(d)) for d in (2, 3, 4)] + [("word2", 5), ("sym3", 4)],
+    )
+    def test_kernel_is_the_letter_span(self, name, degree):
         from qshuffle import is_primitive
 
-        kernel = reduced_coproduct_kernel(sym2, degree)
-        n_letters = len(sym2.letters_of_degree(degree))
-        assert len(kernel) == n_letters
-        for element in kernel:
+        alg = algebra_by_name(name)
+        start = perf_counter()
+        primitives = reduced_coproduct_kernel(alg, degree)
+        assert perf_counter() - start < 0.5
+        n_letters = len(alg.letters_of_degree(degree))
+        assert len(primitives) == n_letters
+        for element in primitives:
             assert is_primitive(element)
             assert all(len(word) == 1 for word in element.support())
 
@@ -436,11 +452,52 @@ class TestGradedKernel:
             reduced_coproduct_kernel(sym2, 0)
 
     def test_nullspace_divides_int_entries_exactly(self):
-        from qshuffle.bialg import _rational_nullspace
+        # the columns of [[1, 2, 3], [2, 1, 1]]
+        relations = kernel([{0: 1, 1: 2}, {0: 2, 1: 1}, {0: 3, 1: 1}])
+        assert relations == [{0: Fraction(1, 3), 1: Fraction(-5, 3), 2: 1}]
+        assert not any(isinstance(c, float) for rel in relations for c in rel.values())
+        with pytest.raises(TypeError):
+            kernel([{0: 1.0}, {0: 2.0}])
 
-        basis = _rational_nullspace([[1, 2, 3], [2, 1, 1]], 3)
-        assert basis == [[Fraction(1, 3), Fraction(-5, 3), 1]]
-        assert not any(isinstance(c, float) for vec in basis for c in vec)
+    def test_kernel_of_random_sparse_integer_matrices(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            width = rng.randint(1, 6)
+            vectors = []
+            for _ in range(rng.randint(1, 10)):
+                keys = rng.sample(range(width), rng.randint(0, width))
+                vectors.append({k: rng.choice([-3, -2, -1, 1, 2, 3]) for k in keys})
+            relations = kernel(vectors)
+            assert len(vectors) - len(relations) == rational_rank(vectors)
+            own = {max(rel) for rel in relations}
+            for rel in relations:
+                index = max(rel)
+                assert rel[index] == 1
+                # the other indices are independent vectors
+                assert not (set(rel) - {index}) & own
+                total = {}
+                for i, c in rel.items():
+                    for k, v in vectors[i].items():
+                        total[k] = total.get(k, 0) + c * v
+                assert not any(total.values())
+
+    def test_the_rank_oracle_shares_no_code_with_the_kernel(self):
+        tree = ast.parse(Path(conftest.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qshuffle"):
+                assert node.module != "qshuffle.lincomb"
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("qshuffle") for alias in node.names)
+        oracle = next(
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "rational_rank"
+        )
+        assert any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(oracle))
+        names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+        assert not names & (imported | {"kernel", "add_into"})
 
 
 def _merge_x2_into_x1(x):

@@ -34,6 +34,7 @@ from qshuffle import (
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     prec,
+    render_normal_form,
     succ,
     sym_algebra,
     weight_letter,
@@ -298,8 +299,16 @@ class TestNormalForm:
         assert stored == freectd._NF_CACHE
         assert normal_form(term) == nf
 
+    def test_constructor_sorts_each_block(self):
+        unsorted = NormalForm({((2, 1), (3,)): 1})
+        assert unsorted == NormalForm({((1, 2), (3,)): 1})
+        assert render_normal_form(unsorted) == "(v1 v2)(v3)"
+        assert NormalForm.basis(((2, 1), (3,))) == unsorted
+        both = NormalForm([(((2, 1), (3,)), 1), (((1, 2), (3,)), -1)])
+        assert both.is_zero
+
     def test_to_element_sums_two_orders_of_one_block(self):
-        # unsorted blocks are not canonical, but name the same letter
+        # the constructor sorts both orders into one block sequence
         nf = NormalForm([(((2, 1), (3,)), 1), (((1, 2), (3,)), Fraction(1, 2)), (((3,),), 4)])
         x12, x3 = mono_letter((1, 2)), mono_letter((3,))
         assert nf.to_element() == TensorElement(
