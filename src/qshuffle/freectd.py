@@ -57,10 +57,13 @@ class SignatureError(ValueError):
 
 _OP_SYMBOL = {"prec": "<", "succ": ">", "dot": "."}
 
-# Deepest nesting a free term may have. Rewriting, evaluation and the
-# coproduct recurse once per level, so a deeper term is refused when it is
-# built, leaving room below the interpreter's recursion limit for the
-# caller's own frames.
+# Deepest nesting a free term may have; a deeper term is refused when it is
+# built. Evaluation and the coproduct recurse once per level, which leaves
+# room below the interpreter's recursion limit for the caller's own frames.
+# Rewriting does not fit: ``_norm`` recurses about twice per level on
+# left-nested ``<`` chains, so ``normalize`` on a 499-level chain
+# ``((a < b) < b) ...`` still ends in a ``RecursionError`` traceback. That
+# input is still to be refused by a size bound (ROADMAP item 1).
 MAX_TERM_DEPTH = 500
 
 
@@ -178,7 +181,7 @@ class NormalForm(LinearCombination):
 
     @staticmethod
     def sort_key(key: BlockSequence):
-        return (sum(len(block) for block in key), key)
+        return (sum(map(len, key)), key)
 
     def to_element(self) -> TensorElement:
         """The tensor-module element the combs evaluate to: one word per comb."""

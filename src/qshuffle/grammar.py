@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
@@ -44,6 +45,7 @@ _WEIGHT_RE = re.compile(r"y([1-9]\d*)")
 _SINGLETON_RE = re.compile(r"x([1-9]\d*)")
 _ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_GENERATOR_RE = re.compile(r"g([1-9]\d*)")
 
 
 def _generator_indices(body: str, position: int) -> tuple[int, ...]:
@@ -236,7 +238,7 @@ def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
         sc.pos += 1
         return _TERM_BUILDERS[op_ch](left, right)
     if ch == "g" and sc.pos + 1 < len(sc.text) and sc.text[sc.pos + 1].isdigit():
-        m = re.compile(r"g([1-9]\d*)").match(sc.text, sc.pos)
+        m = _GENERATOR_RE.match(sc.text, sc.pos)
         if not m:
             raise ParseError("malformed generator", sc.pos)
         sc.pos = m.end()
@@ -298,12 +300,21 @@ def render_square_element(square: TensorSquareElement) -> str:
     )
 
 
+def _render_block(block) -> str:
+    """``(v1 v2)``: one block of a comb."""
+    return "(v" + " v".join(map(str, block)) + ")" if block else "()"
+
+
 def render_partition(blocks) -> str:
-    return "".join("(" + " ".join(f"v{i}" for i in block) + ")" for block in blocks)
+    return "".join(map(_render_block, blocks))
 
 
 def render_normal_form(nf: NormalForm) -> str:
-    return _join_signed((render_partition(blocks), c) for blocks, c in nf.terms())
+    # the combs of one form share their blocks, so each distinct block is
+    # rendered once
+    text = {block: _render_block(block) for block in set(chain.from_iterable(nf._terms))}
+    lookup = text.__getitem__
+    return _join_signed(("".join(map(lookup, seq)), c) for seq, c in nf.terms())
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +357,7 @@ def normal_form_to_json(nf: NormalForm) -> dict:
     coeff = _coeff_strings(terms)
     return {
         "terms": [
-            {"coeff": coeff[c], "blocks": [list(block) for block in blocks]}
+            {"coeff": coeff[c], "blocks": list(map(list, blocks))}
             for blocks, c in terms
         ]
     }

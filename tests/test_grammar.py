@@ -42,7 +42,7 @@ from qshuffle import (
 )
 from qshuffle.cli import main
 from qshuffle.grammar import MAX_TERM_DEPTH
-from qshuffle.sampling import random_element, random_td_term
+from qshuffle.sampling import random_ctd_term, random_element, random_td_term
 
 ALGEBRAS = {alg.name: alg for alg in builtin_algebras()}
 
@@ -207,11 +207,61 @@ class TestRendering:
     def test_partitions(self):
         assert render_partition(((1, 2), (3,))) == "(v1 v2)(v3)"
         assert render_partition(((2,),)) == "(v2)"
+        assert render_partition(((), (10, 27))) == "()(v10 v27)"
 
     def test_normal_forms(self):
         nf = normal_form(prec(prec(gen(1), gen(2)), gen(3)))
         assert render_normal_form(nf) == "(v1)(v2)(v3) + (v1)(v2 v3) + (v1)(v3)(v2)"
         assert render_normal_form(NormalForm.zero()) == "0"
+
+    @staticmethod
+    def _sampled_normal_forms():
+        """Left chains of 5 and 6 of 8 generators, random terms over 27
+        generators (indices 10 and up, and g27), and signed rational mixes."""
+        rng = random.Random(2024)
+        forms = []
+        for n in (5, 5, 6, 6):
+            chain = [gen(i) for i in rng.sample(range(1, 9), n)]
+            term = chain[0]
+            for right in chain[1:]:
+                term = prec(term, right)
+            forms.append(normal_form(term))
+        forms += [normal_form(random_ctd_term(rng, rng.randint(1, 6), 27)) for _ in range(40)]
+        forms.append(normal_form(prec(dot(gen(27), gen(10)), prec(gen(12), gen(3)))))
+        forms.append(forms[0] * Fraction(-3, 2) + forms[-1] * 2 - forms[5])
+        assert any(27 in block for nf in forms for seq in nf._terms for block in seq)
+        return forms
+
+    def test_sampled_normal_forms_text_json_and_order(self):
+        def signed_join(parts):
+            out = ""
+            for body, c in parts:
+                sign, c = ("-", -c) if c < 0 else ("+", c)
+                text = body if c == 1 else f"{c}*{body}"
+                if out:
+                    out += f" {sign} {text}"
+                else:
+                    out = text if sign == "+" else "-" + text
+            return out or "0"
+
+        for nf in self._sampled_normal_forms():
+            terms = nf.terms()
+            for seq, _ in terms:
+                assert render_partition(seq) == "".join(
+                    "(" + " ".join(f"v{i}" for i in block) + ")" for block in seq
+                )
+            assert render_normal_form(nf) == signed_join(
+                (render_partition(seq), c) for seq, c in terms
+            )
+            data = normal_form_to_json(nf)["terms"]
+            assert [entry["blocks"] for entry in data] == [
+                [list(block) for block in seq] for seq, _ in terms
+            ]
+            lists = [entry["blocks"] for entry in data]
+            lists += [block for entry in data for block in entry["blocks"]]
+            assert len({id(obj) for obj in lists}) == len(lists)
+            keys = [(sum(len(block) for block in seq), seq) for seq, _ in terms]
+            assert keys == sorted(keys)
 
 
     def test_text_and_json_share_one_sort(self, stuffle_alg, monkeypatch):
