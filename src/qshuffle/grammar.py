@@ -310,11 +310,12 @@ def render_partition(blocks) -> str:
 
 
 def render_normal_form(nf: NormalForm) -> str:
+    terms = nf.terms()
     # the combs of one form share their blocks, so each distinct block is
     # rendered once
-    text = {block: _render_block(block) for block in set(chain.from_iterable(nf._terms))}
-    lookup = text.__getitem__
-    return _join_signed(("".join(map(lookup, seq)), c) for seq, c in nf.terms())
+    blocks = set(chain.from_iterable(map(itemgetter(0), terms)))
+    lookup = {block: _render_block(block) for block in blocks}.__getitem__
+    return _join_signed(("".join(map(lookup, seq)), c) for seq, c in terms)
 
 
 # ---------------------------------------------------------------------------

@@ -81,35 +81,19 @@ def kernel(vectors: list[dict]) -> list[dict[int, Scalar]]:
     independent vectors. Together the relations are a basis of the kernel,
     the one reduced row echelon form gives.
     """
-    # imported here, so that importing the package does not load heapq
-    from heapq import heapify, heappop, heappush
-
     pivots: list[tuple] = []
-    pivot_of: dict = {}  # pivot key -> index in pivots
     relations = []
     for index, vector in enumerate(vectors):
         rest, combination = dict(vector), {index: 1}
-        # A pivot acts only if the vector holds its key, and keys enter only
-        # with added rows: visit the pivots of those keys, from a heap, in
-        # the ascending order of a full scan (no row holds an earlier
-        # pivot's key; a pivot pushed twice finds its key gone).
-        todo = [pivot_of[key] for key in rest if key in pivot_of]
-        heapify(todo)
-        while todo:
-            key, row, row_combination = pivots[heappop(todo)]
+        for key, row, row_combination in pivots:
             c = rest.get(key)
             if c:
                 # Fraction raises TypeError on a float, so no float gets in
                 factor = Fraction(-c, row[key])
                 add_into(rest, row.items(), factor)
                 add_into(combination, row_combination.items(), factor)
-                for k in row:
-                    if k in pivot_of:
-                        heappush(todo, pivot_of[k])
         if rest:
-            key = next(iter(rest))
-            pivot_of[key] = len(pivots)
-            pivots.append((key, rest, combination))
+            pivots.append((next(iter(rest)), rest, combination))
         else:
             relations.append(combination)
     return relations
