@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import partial
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
-from .freectd import FreeTerm, SignatureError, fold_term
+from .freectd import FreeTerm, SignatureError, _fold_in
 from .lincomb import Scalar, bilinear, kernel
 from .tensorq import (
     EMPTY_WORD,
@@ -100,7 +100,7 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
     if not term.is_ctd:
         raise SignatureError("the free coproduct is defined for CTD terms only")
     alg = sym_algebra(n_generators)
-    return fold_term(term, alg, _primitive_square, {"prec": square_left, "dot": square_dot})
+    return _fold_in(term, alg, _primitive_square, {"prec": square_left, "dot": square_dot})
 
 
 def _primitive_square(letter) -> TensorSquareElement:

@@ -1,9 +1,12 @@
 """Free tridendriform terms, normal-form rewriting, and dimension counts.
 
 Terms are binary trees over generators with node operations left (<),
-right (>) and dot (.). The commutative signature (CTD) uses < and . only;
-a term containing > is rejected by the CTD entry points with
-``SignatureError``.
+right (>) and dot (.); a node's depth, degree, signature and text are
+built once, when it is built. The term algebra is free, so ``fold_term``,
+fixed by where the generators go, is the one map out of it: evaluation,
+the free coproduct, the involution and the generator list are folds.
+The commutative signature (CTD) uses < and . only; a term containing > is
+rejected by the CTD entry points with ``SignatureError``.
 
 Rewriting orients the three commutative-tridendriform relations
 
@@ -19,8 +22,9 @@ output is an exact-rational combination of right combs
 in which every m_j is a dot-monomial with ascending generator indices.
 Such a comb is recorded as its block sequence (m1, ..., mk), so a normal
 form is a combination of ordered block sequences. The engine is purely
-syntactic: it never evaluates into the tensor module, which keeps it an
-independent cross-check against ``eval_ctd``.
+syntactic: it walks a term with its own encoder, not ``fold_term``, and
+never evaluates into the tensor module, which keeps it an independent
+cross-check against ``eval_ctd``.
 
 Multilinear block sequences are the ordered set partitions counted by the
 Fubini numbers 1, 3, 13, 75, 541, 4683, ...; the module also verifies
@@ -34,9 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import chain, combinations, permutations
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations, permutations, product
 from math import comb as binomial, factorial
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .coeff import (
@@ -56,12 +61,13 @@ class SignatureError(ValueError):
 
 
 _OP_SYMBOL = {"prec": "<", "succ": ">", "dot": "."}
+_CONCATENATE = dict.fromkeys(_OP_SYMBOL, add)  # a node's generators are its children's
 
 # Deepest nesting a free term may have; a deeper term is refused when it is
-# built. Evaluation and the coproduct recurse once per level, which leaves
-# room below the interpreter's recursion limit for the caller's own frames.
-# Rewriting does not fit: ``_norm`` recurses about twice per level on
-# left-nested ``<`` chains, so ``normalize`` on a 499-level chain
+# built. ``fold_term`` (so every map out of a term) and ``_encode`` recurse
+# once per level, which leaves room below the recursion limit for the
+# caller's frames. ``_norm`` does not fit: it recurses about twice per level
+# on left-nested ``<`` chains, so ``normalize`` on a 499-level chain
 # ``((a < b) < b) ...`` still ends in a ``RecursionError`` traceback. That
 # input is still to be refused by a size bound (ROADMAP item 1).
 MAX_TERM_DEPTH = 500
@@ -71,11 +77,12 @@ MAX_TERM_DEPTH = 500
 class FreeTerm:
     """A generator leaf or a binary operation node.
 
-    ``depth`` is 0 for a generator and one more than the deeper child for
-    a node; a term deeper than ``MAX_TERM_DEPTH`` cannot be built. ``text``
-    is the term in the parser's grammar, built once from the children's
-    text. The grammar is unambiguous, so equal text means equal trees, and
-    equality, hashing and printing all use it without recursing.
+    Its facts are built once, from the children's, when the node is built:
+    ``depth`` (0 for a generator, else one more than the deeper child; at
+    most ``MAX_TERM_DEPTH``), ``degree`` (the number of leaves), ``is_ctd``
+    (no > anywhere) and ``text`` in the parser's grammar. The grammar is
+    unambiguous, so equal text means equal trees, and equality, hashing and
+    printing all use it without recursing.
     """
 
     op: str
@@ -83,24 +90,31 @@ class FreeTerm:
     left: "FreeTerm | None" = None
     right: "FreeTerm | None" = None
     depth: int = field(init=False)
+    degree: int = field(init=False)
+    is_ctd: bool = field(init=False)
     text: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.op == "gen":
             if self.index < 1 or self.left is not None or self.right is not None:
                 raise ValueError("generator leaf needs a positive index and no children")
-            depth = 0
+            depth, degree, is_ctd = 0, 1, True
             text = chr(ord("a") + self.index - 1) if self.index <= 26 else f"g{self.index}"
         elif self.op in _OP_SYMBOL:
-            if self.left is None or self.right is None:
+            left, right = self.left, self.right
+            if left is None or right is None:
                 raise ValueError(f"{self.op} node needs two children")
-            depth = 1 + max(self.left.depth, self.right.depth)
+            depth = 1 + max(left.depth, right.depth)
             if depth > MAX_TERM_DEPTH:
                 raise ValueError(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
-            text = f"({self.left.text} {_OP_SYMBOL[self.op]} {self.right.text})"
+            degree = left.degree + right.degree
+            is_ctd = self.op != "succ" and left.is_ctd and right.is_ctd
+            text = f"({left.text} {_OP_SYMBOL[self.op]} {right.text})"
         else:
             raise ValueError(f"unknown term operation {self.op!r}")
         object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "is_ctd", is_ctd)
         object.__setattr__(self, "text", text)
 
     def __eq__(self, other):
@@ -117,26 +131,9 @@ class FreeTerm:
     def __repr__(self) -> str:
         return f"FreeTerm({self.text!r})"
 
-    @property
-    def degree(self) -> int:
-        if self.op == "gen":
-            return 1
-        return self.left.degree + self.right.degree
-
-    @property
-    def is_ctd(self) -> bool:
-        """True when no right (>) node occurs anywhere in the tree."""
-        if self.op == "gen":
-            return True
-        if self.op == "succ":
-            return False
-        return self.left.is_ctd and self.right.is_ctd
-
     def generators(self) -> tuple[int, ...]:
         """Generator indices in left-to-right leaf order."""
-        if self.op == "gen":
-            return (self.index,)
-        return self.left.generators() + self.right.generators()
+        return fold_term(self, lambda i: (i,), _CONCATENATE)
 
 
 def gen(index: int) -> FreeTerm:
@@ -155,6 +152,17 @@ def dot(left: FreeTerm, right: FreeTerm) -> FreeTerm:
     return FreeTerm("dot", left=left, right=right)
 
 
+def fold_term(term: FreeTerm, leaf, ops):
+    """The map out of the free algebra fixed by where the generators go.
+
+    Generator ``i`` goes to ``leaf(i)``; a node applies ``ops[op]`` to its
+    children's images, left child first.
+    """
+    if term.op == "gen":
+        return leaf(term.index)
+    return ops[term.op](fold_term(term.left, leaf, ops), fold_term(term.right, leaf, ops))
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 
@@ -166,14 +174,13 @@ class NormalForm(LinearCombination):
     """Combination of ordered block sequences (right combs of dot-monomials).
 
     The constructor and ``basis`` sort each block, as ``mono_letter`` sorts
-    its payload, and sum the sequences that then coincide.
+    its payload, and sum the sequences that then coincide. They refuse what
+    no rewriting produces: no block, an empty block, an index not a positive int.
     """
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        super().__init__(
-            (tuple([tuple(sorted(block)) for block in seq]), c) for seq, c in items
-        )
+        super().__init__((_sorted_comb(seq), c) for seq, c in items)
 
     @classmethod
     def basis(cls, key: BlockSequence, coeff: Scalar = 1) -> "NormalForm":
@@ -194,6 +201,12 @@ class NormalForm(LinearCombination):
     def to_free_terms(self) -> list[tuple[FreeTerm, Scalar]]:
         """Reconstruct each comb as a term tree, canonically ordered."""
         return [(comb_term(seq), c) for seq, c in self.terms()]
+
+
+def _sorted_comb(seq) -> BlockSequence:
+    if seq and all(block and all(type(i) is int and i > 0 for i in block) for block in seq):
+        return tuple([tuple(sorted(block)) for block in seq])
+    raise ValueError(f"a comb needs nonempty blocks of positive ints, got {seq!r}")
 
 
 def _dot_monomial(block: Block) -> FreeTerm:
@@ -221,16 +234,12 @@ def _rdot(parts) -> tuple:
     block: tuple[int, ...] = ()
     rest: list[tuple] = []
     for part in parts:
-        if part[0] == "b":
-            block = tuple(sorted(block + part[1]))
-        elif part[0] == "d":
-            for sub in part[1]:
-                if sub[0] == "b":
-                    block = tuple(sorted(block + sub[1]))
-                else:
-                    rest.append(sub)
-        else:
-            rest.append(part)
+        # a dot part contributes its factors, any other part itself
+        for sub in part[1] if part[0] == "d" else (part,):
+            if sub[0] == "b":
+                block = tuple(sorted(block + sub[1]))
+            else:
+                rest.append(sub)
     if not rest:
         return ("b", block)
     if block:
@@ -241,6 +250,8 @@ def _rdot(parts) -> tuple:
     return ("d", tuple(rest))
 
 
+# Its own walk, not ``fold_term``: rewriting is the independent check on
+# evaluation, so the two must not share the code that visits a term.
 def _encode(term: FreeTerm) -> tuple:
     if term.op == "gen":
         return ("b", (term.index,))
@@ -315,16 +326,12 @@ def _generator_letter(alg: CoeffAlgebraSpec, index: int) -> Letter:
     return letter
 
 
-def fold_term(term: FreeTerm, alg: CoeffAlgebraSpec, leaf, ops):
-    """The map out of the free algebra fixed by where the generators go.
-
-    A generator goes to ``leaf(letter)``; a node applies
-    ``ops[op](alg, left, right)`` to its children's images.
-    """
-    if term.op == "gen":
-        return leaf(_generator_letter(alg, term.index))
-    left = fold_term(term.left, alg, leaf, ops)
-    return ops[term.op](alg, left, fold_term(term.right, alg, leaf, ops))
+def _fold_in(term: FreeTerm, alg: CoeffAlgebraSpec, leaf, ops):
+    """``fold_term`` into ``alg``: a generator goes to ``leaf`` of its letter
+    and a node to ``ops[op](alg, left, right)``. ``ops`` is read when the map
+    is called, so a later rebinding of its operations takes effect."""
+    ops = {op: partial(f, alg) for op, f in ops.items()}
+    return fold_term(term, lambda i: leaf(_generator_letter(alg, i)), ops)
 
 
 def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
@@ -336,27 +343,24 @@ def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
     """
     if not term.is_ctd:
         raise SignatureError("eval_ctd is defined for CTD terms only")
-    alg = sym_algebra(n_generators)
-    return fold_term(term, alg, TensorElement.from_letter, _CTD_OPS)
+    return _fold_in(term, sym_algebra(n_generators), TensorElement.from_letter, _CTD_OPS)
 
 
 def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
     """Evaluate a tridendriform term in the quasi-shuffle algebra over word(n)."""
-    alg = word_algebra(n_generators)
-    return fold_term(term, alg, TensorElement.from_letter, _ITD_OPS)
+    return _fold_in(term, word_algebra(n_generators), TensorElement.from_letter, _ITD_OPS)
+
+
+_INVOLUTE = {
+    "prec": lambda x, y: succ(y, x),
+    "succ": lambda x, y: prec(y, x),
+    "dot": lambda x, y: dot(y, x),
+}
 
 
 def involute_term(term: FreeTerm) -> FreeTerm:
     """The anti-involution: fixes generators, swaps < with >, flips arguments."""
-    if term.op == "gen":
-        return term
-    left = involute_term(term.left)
-    right = involute_term(term.right)
-    if term.op == "prec":
-        return succ(right, left)
-    if term.op == "succ":
-        return prec(right, left)
-    return dot(right, left)
+    return fold_term(term, gen, _INVOLUTE)
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +393,19 @@ def ordered_unordered_partitions(n: int) -> list[BlockSequence]:
 def ordered_ordered_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Ordered sequences of disjoint ordered blocks partitioning {1..n}.
 
-    Every (permutation, cut set) pair gives exactly one such sequence, so
-    there are 2**(n-1) * n! of them.
+    Every sequence of ``ordered_unordered_partitions(n)``, in its order,
+    with each of its blocks put in every order: a sum of products of
+    block-size factorials, which the closed form 2**(n-1) * n! checks.
     """
     if not 1 <= n <= MAX_ITD_ENUMERATION:
         raise ValueError(
             f"ordered-block enumeration supports 1 <= n <= {MAX_ITD_ENUMERATION}, got {n}"
         )
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for mask in range(1 << (n - 1)):
-            blocks = []
-            start = 0
-            for gap in range(n - 1):
-                if mask >> gap & 1:
-                    blocks.append(perm[start : gap + 1])
-                    start = gap + 1
-            blocks.append(perm[start:])
-            out.append(tuple(blocks))
-    return out
+    return [
+        ordered
+        for blocks in ordered_unordered_partitions(n)
+        for ordered in product(*map(permutations, blocks))
+    ]
 
 
 @lru_cache(maxsize=None)

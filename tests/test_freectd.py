@@ -1,11 +1,15 @@
 """Free-term calculus: rewriting, evaluation, and partition combinatorics."""
 
+import ast
+import copy
 import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -82,12 +86,22 @@ class TestFreeTerm:
         term = prec(dot(G2, G1), G3)
         assert term.generators() == (2, 1, 3)
 
+    def test_facts_are_fields_built_once(self):
+        fields = {f.name: f for f in dataclasses.fields(FreeTerm)}
+        assert not any(fields[name].init for name in ("depth", "degree", "is_ctd", "text"))
+        assert not [name for name, value in vars(FreeTerm).items() if isinstance(value, property)]
+        term = succ(prec(G1, G1), G2)
+        for twin in (copy.copy(term), pickle.loads(pickle.dumps(term))):
+            assert twin == term and (twin.degree, twin.is_ctd, twin.depth) == (3, False, 2)
+
     def test_depth_is_capped_when_built(self):
         assert G1.depth == 0 and prec(G1, dot(G2, G3)).depth == 2
         comb = G1
         for _ in range(MAX_TERM_DEPTH):
             comb = prec(G2, comb)
-        assert comb.depth == MAX_TERM_DEPTH
+        assert comb.depth == MAX_TERM_DEPTH and comb.degree == MAX_TERM_DEPTH + 1
+        assert comb.generators() == (2,) * MAX_TERM_DEPTH + (1,)
+        assert involute_term(involute_term(comb)) == comb
         assert normal_form(comb) == NormalForm({((2,),) * MAX_TERM_DEPTH + ((1,),): 1})
         with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH} levels"):
             prec(G1, comb)
@@ -307,6 +321,17 @@ class TestNormalForm:
         both = NormalForm([(((2, 1), (3,)), 1), (((1, 2), (3,)), -1)])
         assert both.is_zero
 
+    @pytest.mark.parametrize(
+        "seq",
+        [(), ((),), ((1,), ()), ((0,),), ((2, -1),), ((1.0,),), (("1",),), ((True,),)],
+        ids=repr,
+    )
+    def test_constructor_refuses_combs_no_rewriting_produces(self, seq):
+        with pytest.raises(ValueError, match="nonempty blocks of positive ints"):
+            NormalForm({seq: 1})
+        with pytest.raises(ValueError, match="nonempty blocks of positive ints"):
+            NormalForm.basis(seq)
+
     def test_to_element_sums_two_orders_of_one_block(self):
         # the constructor sorts both orders into one block sequence
         nf = NormalForm([(((2, 1), (3,)), 1), (((1, 2), (3,)), Fraction(1, 2)), (((3,),), 4)])
@@ -348,6 +373,55 @@ class TestNormalForm:
     def test_comb_term_rejects_empty(self):
         with pytest.raises(ValueError):
             comb_term(())
+
+
+class TestRewritingIndependence:
+    """Rewriting is the independent check on evaluation, so it must not
+    share the walk that maps a term into an algebra, nor anything after it."""
+
+    EVALUATION = {
+        "fold_term", "_fold_in", "_generator_letter", "eval_ctd", "eval_itd",
+        "op_left", "op_right", "op_dot",
+    }
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return ast.parse(Path(freectd.__file__).read_text())
+
+    def test_normal_form_reaches_nothing_of_evaluation(self, tree):
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert self.EVALUATION - {"op_left", "op_right", "op_dot"} <= set(functions)
+        seen, todo = set(), ["normal_form"]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                if name in functions:
+                    todo.extend(
+                        node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
+                    )
+        assert {"_encode", "_rdot", "_norm", "_pull_prec"} <= seen
+        assert not seen & self.EVALUATION
+
+    @staticmethod
+    def _child_reads(node, where="<module>"):
+        """(enclosing function, object) for every ``.left`` or ``.right`` read."""
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("left", "right"):
+            yield where, node.value
+        for child in ast.iter_child_nodes(node):
+            yield from TestRewritingIndependence._child_reads(child, where)
+
+    def test_only_the_fold_and_the_encoder_walk_children(self, tree):
+        reads = list(self._child_reads(tree))
+        assert {where for where, _ in reads} == {"__post_init__", "fold_term", "_encode"}
+        # building a node reads its own children's facts, one level down
+        assert all(
+            isinstance(obj, ast.Name) and obj.id == "self"
+            for where, obj in reads
+            if where == "__post_init__"
+        )
 
 
 class TestMultilinearSpan:
@@ -401,8 +475,9 @@ class TestEnumeration:
         for n in range(1, 6):
             ctd = ordered_unordered_partitions(n)
             assert len(ctd) == len(set(ctd))
-        itd = ordered_ordered_partitions(4)
-        assert len(itd) == len(set(itd))
+        for n in range(1, MAX_ITD_ENUMERATION + 1):
+            itd = ordered_ordered_partitions(n)
+            assert len(itd) == len(set(itd))
 
     def test_blocks_partition_the_index_set(self):
         for seq in ordered_unordered_partitions(4):
@@ -410,6 +485,8 @@ class TestEnumeration:
             assert sorted(flat) == [1, 2, 3, 4]
             for block in seq:
                 assert list(block) == sorted(block)
+        for seq in ordered_ordered_partitions(4):
+            assert all(seq) and sorted(i for block in seq for i in block) == [1, 2, 3, 4]
 
     def test_flavor_dispatch(self):
         assert dimension_flavor("CTD")[1](3) == ordered_unordered_partitions(3)
