@@ -38,19 +38,21 @@ class MissingInvolutionError(ValueError):
     """The algebra does not declare an involution."""
 
 
+def _positive_int(value) -> bool:
+    """An ``int`` of at least 1. ``bool`` is refused: ``True == 1``, so an
+    interned letter or cached algebra keyed on it would print ``True``."""
+    return type(value) is int and value >= 1
+
+
 def _validate(kind: str, payload) -> None:
     if kind == "atom":
         if not isinstance(payload, str) or not payload:
             raise ValueError("atom letter needs a nonempty name")
     elif kind == "weight":
-        if not isinstance(payload, int) or payload < 1:
+        if not _positive_int(payload):
             raise ValueError("weight letter needs a positive integer")
     elif kind in ("mono", "word"):
-        ok = (
-            isinstance(payload, tuple)
-            and payload
-            and all(isinstance(i, int) and i >= 1 for i in payload)
-        )
+        ok = isinstance(payload, tuple) and payload and all(map(_positive_int, payload))
         if not ok:
             raise ValueError(f"{kind} letter needs a nonempty tuple of positive ints")
         if kind == "mono" and tuple(sorted(payload)) != payload:
@@ -300,7 +302,7 @@ def stuffle_y_algebra() -> CoeffAlgebraSpec:
 @lru_cache(maxsize=None)
 def sym_algebra(n: int) -> CoeffAlgebraSpec:
     """Nonempty monomials in n generators; product is multiset union."""
-    if n < 1:
+    if not _positive_int(n):
         raise ValueError("sym algebra needs at least one generator")
 
     def product(a: Letter, b: Letter) -> CoeffCombination:
@@ -332,7 +334,7 @@ def word_algebra(n: int) -> CoeffAlgebraSpec:
     Commutative only in the single-generator case. The involution reverses
     each word letter.
     """
-    if n < 1:
+    if not _positive_int(n):
         raise ValueError("word algebra needs at least one generator")
 
     def product(a: Letter, b: Letter) -> CoeffCombination:

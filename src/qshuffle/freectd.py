@@ -48,6 +48,7 @@ from .coeff import (
     CoeffAlgebraSpec,
     DomainError,
     Letter,
+    _positive_int,
     mono_letter,
     sym_algebra,
     word_algebra,
@@ -96,7 +97,7 @@ class FreeTerm:
 
     def __post_init__(self) -> None:
         if self.op == "gen":
-            if self.index < 1 or self.left is not None or self.right is not None:
+            if not _positive_int(self.index) or self.left is not None or self.right is not None:
                 raise ValueError("generator leaf needs a positive index and no children")
             depth, degree, is_ctd = 0, 1, True
             text = chr(ord("a") + self.index - 1) if self.index <= 26 else f"g{self.index}"
@@ -204,7 +205,7 @@ class NormalForm(LinearCombination):
 
 
 def _sorted_comb(seq) -> BlockSequence:
-    if seq and all(block and all(type(i) is int and i > 0 for i in block) for block in seq):
+    if seq and all(block and all(map(_positive_int, block)) for block in seq):
         return tuple([tuple(sorted(block)) for block in seq])
     raise ValueError(f"a comb needs nonempty blocks of positive ints, got {seq!r}")
 

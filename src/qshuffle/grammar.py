@@ -7,6 +7,9 @@ abbreviates the singleton monomial or word letter. Words join letters with
 optionally weighted words, e.g. ``2*y1.y1 + y2 - 1/2*y3``. Free terms are
 fully parenthesized binary expressions over generators ``a``..``z`` or
 ``g<i>``: ``((a < b) . c)``.
+
+A ``ParseError`` gives the exact position of the fault: the first character
+of the offending letter, coefficient or term, or the end of a blank one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .coeff import (
     weight_letter,
     word_letter,
 )
-from .freectd import MAX_TERM_DEPTH, FreeTerm, NormalForm, dot, gen, prec, succ
+from .freectd import _OP_SYMBOL, MAX_TERM_DEPTH, FreeTerm, NormalForm, gen
 from .lincomb import Scalar
 from .tensorq import EMPTY_WORD, TensorElement, TensorSquareElement, Word
 
@@ -44,7 +47,7 @@ class ParseError(ValueError):
 _WEIGHT_RE = re.compile(r"y([1-9]\d*)")
 _SINGLETON_RE = re.compile(r"x([1-9]\d*)")
 _ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"\d+(?:/[1-9]\d*)?")
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)")
 
 
@@ -94,24 +97,31 @@ def parse_letter(alg: CoeffAlgebraSpec, text: str, position: int = 0) -> Letter:
     return letter
 
 
-def _split_top_level(text: str, separator: str, position: int) -> list[tuple[str, int]]:
-    """Split on a separator outside [] and (); returns chunks with offsets."""
-    chunks: list[tuple[str, int]] = []
+def _split_top_level(text: str, separators: str, position: int) -> list[tuple[str, int, str]]:
+    """Split at any separator outside [] and (): each chunk stripped, with
+    the position of its first character (its end, if blank) and the
+    separator before it ('' for the first)."""
+    cuts = [-1]
     depth = 0
-    start = 0
+    marks = separators + "()[]"
     for idx, ch in enumerate(text):
+        if ch not in marks:
+            continue
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced bracket", position + idx)
-        elif ch == separator and depth == 0:
-            chunks.append((text[start:idx], position + start))
-            start = idx + 1
+        elif depth == 0:
+            cuts.append(idx)
     if depth != 0:
         raise ParseError("unbalanced bracket", position + len(text))
-    chunks.append((text[start:], position + start))
+    chunks = []
+    for start, end in zip(cuts, [*cuts[1:], len(text)]):
+        rest = text[start + 1 : end].lstrip()
+        before = text[start] if start >= 0 else ""
+        chunks.append((rest.rstrip(), position + end - len(rest), before))
     return chunks
 
 
@@ -119,12 +129,12 @@ def parse_word(alg: CoeffAlgebraSpec, text: str, position: int = 0) -> Word:
     """Parse a dot-joined word; ``1`` is the empty word."""
     stripped = text.strip()
     if not stripped:
-        raise ParseError("empty word", position)
+        raise ParseError("empty word", position + len(text))
     if stripped == "1":
         return EMPTY_WORD
     letters = []
-    for chunk, offset in _split_top_level(stripped, ".", position):
-        if not chunk.strip():
+    for chunk, offset, _ in _split_top_level(text, ".", position):
+        if not chunk:
             raise ParseError("empty letter between dots", offset)
         letters.append(parse_letter(alg, chunk, offset))
     return tuple(letters)
@@ -136,66 +146,33 @@ def _parse_rational(text: str, position: int) -> Scalar:
     return Fraction(text) if "/" in text else int(text)
 
 
-def _signed_chunks(text: str) -> list[tuple[int, str, int]]:
-    """Split an element into (sign, chunk, offset) at top-level + and -."""
-    out: list[tuple[int, str, int]] = []
-    depth = 0
-    sign = 1
-    cur: list[str] = []
-    cur_start = 0
-    for idx, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced bracket", idx)
-        if depth == 0 and ch in "+-":
-            if not "".join(cur).strip():
-                # unary sign before the term starts
-                if ch == "-":
-                    sign = -sign
-                cur = []
-                continue
-            out.append((sign, "".join(cur), cur_start))
-            sign = 1 if ch == "+" else -1
-            cur = []
-            cur_start = idx + 1
-            continue
-        if not cur and not ch.isspace():
-            cur_start = idx
-        cur.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced bracket", len(text))
-    if not "".join(cur).strip():
-        raise ParseError("element ends with a dangling sign or is empty", len(text))
-    out.append((sign, "".join(cur), cur_start))
-    return out
-
-
 def parse_element(alg: CoeffAlgebraSpec, text: str) -> TensorElement:
     """Parse a signed sum of optionally weighted words."""
     if not text.strip():
-        raise ParseError("empty element", 0)
+        raise ParseError("empty element", len(text))
+    chunks = _split_top_level(text, "+-", 0)
+    if not chunks[-1][0]:
+        raise ParseError("element ends with a dangling sign or is empty", len(text))
     terms: list[tuple[Word, Scalar]] = []
-    for sign, chunk, offset in _signed_chunks(text):
-        body = chunk.strip()
+    sign = 1
+    for body, offset, before in chunks:
+        if before == "-":
+            sign = -sign
+        if not body:
+            continue  # a unary sign, folded into the next term
         star_chunks = _split_top_level(body, "*", offset)
         if len(star_chunks) == 2:
-            coeff_text, coeff_pos = star_chunks[0]
-            word_text, word_pos = star_chunks[1]
-            coeff = _parse_rational(coeff_text.strip(), coeff_pos)
+            (coeff_text, coeff_pos, _), (word_text, word_pos, _) = star_chunks
+            coeff = _parse_rational(coeff_text, coeff_pos)
             word = parse_word(alg, word_text, word_pos)
-        elif len(star_chunks) == 1:
-            if _RATIONAL_RE.fullmatch(body):
-                coeff = _parse_rational(body, offset)
-                word = EMPTY_WORD
-            else:
-                coeff = 1
-                word = parse_word(alg, body, offset)
-        else:
+        elif len(star_chunks) > 2:
             raise ParseError("at most one * per term", offset)
+        elif _RATIONAL_RE.fullmatch(body):
+            coeff, word = _parse_rational(body, offset), EMPTY_WORD
+        else:
+            coeff, word = 1, parse_word(alg, body, offset)
         terms.append((word, sign * coeff))
+        sign = 1
     return TensorElement(terms)
 
 
@@ -214,7 +191,7 @@ class _TermScanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
 
-_TERM_BUILDERS = {"<": prec, ">": succ, ".": dot}
+_OP_NAME = {symbol: op for op, symbol in _OP_SYMBOL.items()}
 
 
 def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
@@ -228,7 +205,7 @@ def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
         left = _parse_term_node(sc, depth + 1)
         sc.skip_ws()
         op_ch = sc.peek()
-        if op_ch not in _TERM_BUILDERS:
+        if op_ch not in _OP_NAME:
             raise ParseError("expected an operation: < > or .", sc.pos)
         sc.pos += 1
         right = _parse_term_node(sc, depth + 1)
@@ -236,7 +213,7 @@ def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
         if sc.peek() != ")":
             raise ParseError("expected )", sc.pos)
         sc.pos += 1
-        return _TERM_BUILDERS[op_ch](left, right)
+        return FreeTerm(_OP_NAME[op_ch], left=left, right=right)
     if ch == "g" and sc.pos + 1 < len(sc.text) and sc.text[sc.pos + 1].isdigit():
         m = _GENERATOR_RE.match(sc.text, sc.pos)
         if not m:

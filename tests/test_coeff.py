@@ -1,9 +1,13 @@
 """Letter pools, letter products, involutions, and algebra lookups."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +110,45 @@ class TestLetter:
             word_letter(())
         with pytest.raises(ValueError):
             weight_letter(0)
+
+    def test_bools_are_refused_where_a_positive_int_is_required(self):
+        """``True == 1``, so an accepted ``True`` would intern the letter x1
+        or y1 with the text ``xTrue`` or ``yTrue``. The calls run in a fresh
+        interpreter, so that a failure cannot rename x1 for later tests."""
+        script = """
+from qshuffle import (
+    eval_ctd, gen, mono_letter, prec, render_element, sym_algebra, weight_letter,
+    word_algebra, word_letter,
+)
+refused = [
+    (mono_letter, (True,), "mono letter needs a nonempty tuple of positive ints"),
+    (word_letter, (1, True), "word letter needs a nonempty tuple of positive ints"),
+    (weight_letter, True, "weight letter needs a positive integer"),
+    (gen, True, "generator leaf needs a positive index and no children"),
+    (sym_algebra, True, "sym algebra needs at least one generator"),
+    (word_algebra, True, "word algebra needs at least one generator"),
+]
+for build, arg, message in refused:
+    try:
+        build(arg)
+    except ValueError as exc:
+        assert str(exc) == message, (build, exc)
+    else:
+        raise AssertionError(f"{build.__name__}({arg!r}) was accepted")
+assert mono_letter((1,)).text == "x1"
+assert weight_letter(1).text == "y1"
+assert word_letter((1,)).text == "x1"
+assert render_element(eval_ctd(prec(gen(1), gen(2)), 2)) == "x1.x2"
+assert sym_algebra(1).name == "sym1" and word_algebra(1).name == "word1"
+"""
+        src = str(Path(coeff_module.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert mono_letter((1,)).text == "x1" and weight_letter(1).text == "y1"
 
     def test_order_is_degree_first(self):
         low = weight_letter(1)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,42 @@ class TestParseElement:
         assert exc.value.position == 4
         with pytest.raises(ParseError):
             parse_element(sym2, "")
+
+    def test_dangling_sign_is_refused_before_any_term_is_read(self, stuffle_alg):
+        """x1 is no stuffle-y letter, but the sign is refused before it is read."""
+        with pytest.raises(ParseError, match="dangling sign") as exc:
+            parse_element(stuffle_alg, "x1+")
+        assert exc.value.position == 3
+
+    @pytest.mark.parametrize("alg_name", ["stuffle-y", "sym2", "word2", "zero"])
+    def test_spacing_and_error_positions_sampled(self, alg_name):
+        """Whitespace around separators changes nothing. A bad letter is
+        reported at its first character; a deleted one, if the rest does
+        not parse, at an end of its blank chunk."""
+        alg = ALGEBRAS[alg_name]
+        rng = random.Random(f"spacing:{alg_name}")
+        for _ in range(40):
+            x = random_element(alg, rng)
+            pieces = re.split(r"\s*([-+*.])\s*", render_element(x))
+            chunks, seps = pieces[::2], [*pieces[1::2], ""]
+            text, starts, after_sep, sep_at = "", [], [], []
+            for chunk, sep in zip(chunks, seps):
+                after_sep.append(len(text))
+                text += " " * rng.randint(0, 2)
+                starts.append(len(text))
+                text += chunk + " " * rng.randint(0, 2)
+                sep_at.append(len(text))
+                text += sep
+            assert parse_element(alg, text) == x
+            k = rng.choice([i for i, c in enumerate(chunks) if c and not c[0].isdigit()])
+            end = starts[k] + len(chunks[k])
+            with pytest.raises(ParseError, match="cannot read 'Q'") as exc:
+                parse_element(alg, text[: starts[k]] + "Q" + text[end:])
+            assert exc.value.position == starts[k]
+            try:
+                parse_element(alg, text[: starts[k]] + text[end:])
+            except ParseError as exc:
+                assert exc.position in (after_sep[k], sep_at[k] - len(chunks[k]))
 
     def test_duplicate_words_accumulate(self, stuffle_alg):
         got = parse_element(stuffle_alg, "y1 + 2*y1")
