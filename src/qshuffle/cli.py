@@ -195,8 +195,24 @@ def _add_run_options(parser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error in one line, exit 2; subparsers share the class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        # an operand such as -y2 reads as an unknown option and leaves its slot empty
+        known = ("--", *self._option_string_actions)
+        stray = [arg for arg in self._argv if arg[:1] == "-" and arg not in known]
+        if "arguments are required" in message and stray:
+            message += f"; put -- before {stray[0]} if it is an operand"
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qshuffle",
         description="Exact calculator and law checker for stuffle operations.",
     )

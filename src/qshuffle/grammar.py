@@ -9,7 +9,8 @@ fully parenthesized binary expressions over generators ``a``..``z`` or
 ``g<i>``: ``((a < b) . c)``.
 
 A ``ParseError`` gives the exact position of the fault: the first character
-of the offending letter, coefficient or term, or the end of a blank one.
+of the offending letter, generator, coefficient or term, or the end of a
+blank one.
 """
 
 from __future__ import annotations
@@ -49,18 +50,20 @@ _SINGLETON_RE = re.compile(r"x([1-9]\d*)")
 _ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 _RATIONAL_RE = re.compile(r"\d+(?:/[1-9]\d*)?")
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 def _generator_indices(body: str, position: int) -> tuple[int, ...]:
-    tokens = body.split()
-    if not tokens:
-        raise ParseError("a bracketed letter needs at least one generator", position)
+    """The generators of a bracketed letter whose bracket is at ``position``."""
     indices = []
-    for token in tokens:
-        m = _SINGLETON_RE.fullmatch(token)
+    for token in _TOKEN_RE.finditer(body):
+        m = _SINGLETON_RE.fullmatch(token.group())
         if not m:
-            raise ParseError(f"expected a generator like x1, got {token!r}", position)
+            message = f"expected a generator like x1, got {token.group()!r}"
+            raise ParseError(message, position + 1 + token.start())
         indices.append(int(m.group(1)))
+    if not indices:
+        raise ParseError("a bracketed letter needs at least one generator", position)
     return tuple(indices)
 
 

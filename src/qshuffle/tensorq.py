@@ -19,15 +19,18 @@ letter of a.b is a or b), and only such a branch goes through
 ``add_into``. An independent evaluator expands the same product as a sum
 over lattice paths with unit steps right, up, and diagonal, where a
 diagonal step multiplies the two letters it consumes; the two routes are
-cross-checked in the test suite. The oracle takes the Delannoy paths of a
-(p, q) pair from a cache (pairs with p + q <= 12; longer ones stream from
-``enumerate_lattice_paths``), turns each step of a path into one column of
-(letter, coefficient) choices, and expands the columns once into the
-path's words. The two routes share only the letter product, which both
-read from the per-algebra memo ``_letter_product``: it is input data, not
-the rule under test. Neither route calls the other's code, and the oracle
-calls neither ``add_into`` nor ``bilinear`` (a test reads this module's
-source to keep it so).
+cross-checked in the test suite. The oracle compiles each Delannoy path
+of a (p, q) shape into a tuple of column indices, one per step: i for
+u[i], p + j for v[j] and p + q + i*q + j for the letter product u[i].v[j]
+(``enumerate_lattice_paths`` reads them as steps). The paths of shapes
+with p + q <= 12 are cached; longer ones stream. A call reads each letter
+and letter product of its pair once, as a column of (letter, coefficient)
+choices; a path's words take one entry of each column it names, so an
+empty column (a zero product) kills the path. The two routes share only
+the letter product, which both read from the per-algebra memo
+``_letter_product``: it is input data, not the rule under test. Neither
+route calls the other's code, and the oracle calls neither ``add_into``
+nor ``bilinear`` (a test reads this module's source to keep it so).
 
 The product splits into three partial operations
 
@@ -260,12 +263,24 @@ def quasi_shuffle(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> 
 # ---------------------------------------------------------------------------
 # lattice-path oracle
 
-_STEP_FIRST = (1, 0)
-_STEP_SECOND = (0, 1)
-_STEP_BOTH = (1, 1)
+
+def _compile_paths(p: int, q: int, i: int = 0, j: int = 0) -> Iterator[tuple[int, ...]]:
+    """The paths from (i, j) to (p, q) as column indices: right, up, diagonal."""
+    if i == p and j == q:
+        yield ()
+        return
+    if i < p:
+        for rest in _compile_paths(p, q, i + 1, j):
+            yield (i,) + rest
+    if j < q:
+        for rest in _compile_paths(p, q, i, j + 1):
+            yield (p + j,) + rest
+    if i < p and j < q:
+        for rest in _compile_paths(p, q, i + 1, j + 1):
+            yield (p + q + i * q + j,) + rest
 
 
-def enumerate_lattice_paths(p: int, q: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def enumerate_lattice_paths(p: int, q: int) -> Iterator[LatticePath]:
     """All step sequences from (0,0) to (p,q) over right, up and diagonal.
 
     A (1,0) step consumes a letter of the first word, (0,1) one of the
@@ -273,66 +288,26 @@ def enumerate_lattice_paths(p: int, q: int) -> Iterator[tuple[tuple[int, int], .
     """
     if p < 0 or q < 0:
         raise ValueError("path endpoints need nonnegative coordinates")
-    if p == 0 and q == 0:
-        yield ()
-        return
-    if p > 0:
-        for rest in enumerate_lattice_paths(p - 1, q):
-            yield (_STEP_FIRST,) + rest
-    if q > 0:
-        for rest in enumerate_lattice_paths(p, q - 1):
-            yield (_STEP_SECOND,) + rest
-    if p > 0 and q > 0:
-        for rest in enumerate_lattice_paths(p - 1, q - 1):
-            yield (_STEP_BOTH,) + rest
+    steps = ((1, 0),) * p + ((0, 1),) * q + ((1, 1),) * (p * q)
+    for path in _compile_paths(p, q):
+        yield tuple(map(steps.__getitem__, path))
 
 
-# Paths of a pair with p + q <= _PATH_CACHE_LETTERS are kept as tuples: at
+# Compiled paths of a pair with p + q <= _PATH_CACHE_LETTERS are kept: at
 # most D(6, 6) = 8,989 paths for one pair, and 91 pairs. Longer pairs (up to
-# D(9, 9) = 1,462,563 paths) stream from the generator instead.
+# D(9, 9) = 1,462,563 paths) stream instead.
 _PATH_CACHE_LETTERS = 12
 
 
 @lru_cache(maxsize=None)
-def _cached_paths(p: int, q: int) -> tuple[LatticePath, ...]:
-    return tuple(enumerate_lattice_paths(p, q))
+def _stored_paths(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_compile_paths(p, q))
 
 
-def _lattice_paths(p: int, q: int) -> Iterable[LatticePath]:
+def _compiled_paths(p: int, q: int) -> Iterable[tuple[int, ...]]:
     if p + q > _PATH_CACHE_LETTERS:
-        return enumerate_lattice_paths(p, q)
-    return _cached_paths(p, q)
-
-
-def _path_word_terms(
-    alg: CoeffAlgebraSpec, steps, u: Word, v: Word
-) -> dict[Word, Scalar]:
-    """Words contributed by one path; a zero letter product kills the path.
-
-    Each step gives one column of (letter, coefficient) choices, and the
-    path's words are the choices of one entry per column.
-    """
-    columns = []
-    i = j = 0
-    for step in steps:
-        if step == _STEP_FIRST:
-            columns.append(((u[i], 1),))
-            i += 1
-        elif step == _STEP_SECOND:
-            columns.append(((v[j], 1),))
-            j += 1
-        else:
-            merged = _letter_product(alg, u[i], v[j])
-            if not merged:
-                return {}
-            columns.append(merged)
-            i += 1
-            j += 1
-    # distinct choices give distinct words
-    return {
-        tuple([letter for letter, _ in choice]): prod([c for _, c in choice])
-        for choice in product(*columns)
-    }
+        return _compile_paths(p, q)
+    return _stored_paths(p, q)
 
 
 def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
@@ -340,14 +315,19 @@ def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
     u = tuple(u)
     v = tuple(v)
     _check_words(alg, (u, v))
+    if not u and not v:
+        return TensorElement.unit()
+    columns = [((letter, 1),) for letter in u + v]
+    columns += [_letter_product(alg, a, b) for a in u for b in v]
     acc: dict[Word, Scalar] = {}
-    for steps in _lattice_paths(len(u), len(v)):
-        for w, c in _path_word_terms(alg, steps, u, v).items():
-            val = acc.get(w, 0) + c
+    for path in _compiled_paths(len(u), len(v)):
+        for choice in product(*map(columns.__getitem__, path)):
+            word, cs = zip(*choice)
+            val = acc.get(word, 0) + prod(cs)
             if val:
-                acc[w] = val
+                acc[word] = val
             else:
-                del acc[w]
+                del acc[word]
     return TensorElement._raw(acc)
 
 

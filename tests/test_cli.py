@@ -438,6 +438,39 @@ class TestExitCodes:
         assert main(["axioms"]) == 2  # --suite is required
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["definitely-not-a-command"],
+            ["axioms"],
+            ["rota"],
+            ["rota", "verify", "--bogus"],
+            ["product", "--op", "bad", "y1", "y2"],
+            ["dims", "--n", "x"],
+        ],
+    )
+    def test_usage_errors_are_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("qshuffle") and ": error: " in err
+        assert "put --" not in err
+
+    def test_a_signed_operand_is_told_to_follow_double_dash(self, capsys):
+        code, out, err = run_cli(capsys, ["product", "y1", "-y2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "qshuffle product: error: the following arguments are required: y;"
+            " put -- before -y2 if it is an operand\n"
+        )
+        code, out, _ = run_cli(capsys, ["product", "y1", "--", "-y2"])
+        assert (code, out) == (0, "-y3 - y1.y2 - y2.y1\n")
+
+    def test_a_bad_generator_is_reported_at_itself(self, capsys):
+        code, out, err = run_cli(capsys, ["product", "--alg", "sym2", "[x1 x0] . x1", "x1"])
+        assert (code, out) == (2, "")
+        assert err == "parse error at position 4: expected a generator like x1, got 'x0'\n"
+
 
 def runnable_commands(parser, path=()):
     """Every command path of ``parser`` that runs a handler."""

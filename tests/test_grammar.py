@@ -14,6 +14,7 @@ from qshuffle import (
     NormalForm,
     ParseError,
     TensorElement,
+    algebra_by_name,
     atom_letter,
     builtin_algebras,
     deconcatenate,
@@ -127,6 +128,20 @@ class TestParseElement:
             parse_element(stuffle_alg, "y1*2")
         with pytest.raises(ParseError):
             parse_element(stuffle_alg, "2*3*y1")
+
+    @pytest.mark.parametrize(
+        ("alg_name", "text", "position", "token"),
+        [
+            ("sym2", "[x1 x0] . x1", 4, "x0"),
+            ("sym2", "x2 + 3*[ x1   x2  y1 ]", 18, "y1"),
+            ("word2", "(x1 x2).(x2  x1x2)", 13, "x1x2"),
+        ],
+    )
+    def test_a_bad_generator_is_reported_at_itself(self, alg_name, text, position, token):
+        with pytest.raises(ParseError, match=f"got '{token}'$") as exc:
+            parse_element(algebra_by_name(alg_name), text)
+        assert exc.value.position == position
+        assert text[position:].startswith(token)
 
     def test_error_positions(self, sym2):
         with pytest.raises(ParseError) as exc:

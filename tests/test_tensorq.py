@@ -155,6 +155,8 @@ class TestLatticePaths:
     def test_empty_side(self, stuffle_alg):
         result = quasi_shuffle_paths(stuffle_alg, word_of(Y1), EMPTY_WORD)
         assert result == element_of(Y1)
+        assert quasi_shuffle_paths(stuffle_alg, EMPTY_WORD, word_of(Y1)) == element_of(Y1)
+        assert quasi_shuffle_paths(stuffle_alg, EMPTY_WORD, EMPTY_WORD).terms() == [((), 1)]
 
     def test_full_diagonal_gives_length_one_word(self, stuffle_alg):
         result = quasi_shuffle_paths(stuffle_alg, word_of(Y1, Y1), word_of(Y1, Y2))
@@ -507,8 +509,8 @@ class TestOracleIndependence:
     """The recursion and the lattice-path oracle check each other, so they
     may share only the letter product, which is input data to both."""
 
-    PATH_ROUTE = ("quasi_shuffle_paths", "_path_word_terms", "_lattice_paths", "_cached_paths")
-    PATH_CACHE = ("_lattice_paths", "_cached_paths")
+    PATH_ROUTE = ("quasi_shuffle_paths", "_compiled_paths", "_stored_paths", "_compile_paths")
+    PATH_CACHE = ("_compiled_paths", "_stored_paths", "_compile_paths")
     RECURSION = ("_shuffle_words", "_word_op_left", "_word_op_right", "_word_op_dot")
 
     @staticmethod
@@ -550,22 +552,68 @@ class TestOracleIndependence:
         assert shared & set(functions) == {"_letter_product"}
 
 
+def _decode(p, q, path):
+    """The steps of a compiled path of a (p, q) pair; a column index that
+    does not name the next letter of u, of v, or their product, or a path
+    that does not end at (p, q), is refused."""
+    steps, i, j = [], 0, 0
+    for index in path:
+        step = {i: (1, 0), p + j: (0, 1), p + q + i * q + j: (1, 1)}[index]
+        steps.append(step)
+        i, j = i + step[0], j + step[1]
+    assert (i, j) == (p, q)
+    return tuple(steps)
+
+
 class TestMemos:
     def test_cached_paths_match_the_generator(self):
-        for p, q in ((0, 0), (1, 0), (0, 3), (2, 2), (3, 4), (6, 6)):
-            paths = tensorq._lattice_paths(p, q)
-            assert paths == tuple(enumerate_lattice_paths(p, q))
-            assert len(paths) == delannoy_oracle(p, q)
-            assert tensorq._lattice_paths(p, q) is paths
+        limit = tensorq._PATH_CACHE_LETTERS
+        for p, q in itertools.product(range(limit + 1), repeat=2):
+            if p + q > limit:
+                continue
+            paths = tensorq._compiled_paths(p, q)
+            decoded = tuple(_decode(p, q, path) for path in paths)
+            assert decoded == tuple(enumerate_lattice_paths(p, q)), (p, q)
+            # distinct valid paths, as many as D(p, q): every path, once
+            assert len(set(decoded)) == len(paths) == delannoy_oracle(p, q), (p, q)
+            assert tensorq._compiled_paths(p, q) is paths
 
     def test_long_pairs_stream_instead_of_being_stored(self):
         p = tensorq._PATH_CACHE_LETTERS // 2 + 1
-        stored = tensorq._cached_paths.cache_info().currsize
-        paths = tensorq._lattice_paths(p, p - 1)
+        stored = tensorq._stored_paths.cache_info().currsize
+        paths = tensorq._compiled_paths(p, p - 1)
         assert isinstance(paths, types.GeneratorType)
-        assert next(paths) == ((1, 0),) * p + ((0, 1),) * (p - 1)
-        assert tensorq._cached_paths.cache_info().currsize == stored
+        assert _decode(p, p - 1, next(paths)) == ((1, 0),) * p + ((0, 1),) * (p - 1)
+        assert tensorq._stored_paths.cache_info().currsize == stored
         assert isinstance(enumerate_lattice_paths(1, 1), types.GeneratorType)
+
+    def test_a_streamed_pair_equals_the_recursion(self, zero_alg):
+        letters = zero_alg.letters_up_to_degree(2)[:3]
+        u = tuple(itertools.islice(itertools.cycle(letters), 7))
+        v = tuple(itertools.islice(itertools.cycle(letters[1:]), 6))
+        assert len(u) + len(v) > tensorq._PATH_CACHE_LETTERS
+        stored = tensorq._stored_paths.cache_info().currsize
+        expected = quasi_shuffle(
+            zero_alg, TensorElement.from_word(u), TensorElement.from_word(v)
+        )
+        assert quasi_shuffle_paths(zero_alg, u, v) == expected
+        assert tensorq._stored_paths.cache_info().currsize == stored
+
+    def test_paths_that_cancel_drop_their_word(self):
+        # a.b = -b and a.c = c: the paths (a.b, c) and (b, a.c) give -(b c) and +(b c)
+        products = {(A, B): [(B, -1)], (A, C): [(C, 1)]}
+        alg = dataclasses.replace(
+            _sum_product_algebra(),
+            name="cancelling",
+            cache={},
+            product_rule=lambda a, b: CoeffCombination(products.get((a, b), [])),
+        )
+        got = quasi_shuffle_paths(alg, (A,), (B, C))
+        assert (B, C) not in got.support()
+        assert got == TensorElement(
+            [((A, B, C), 1), ((B, A, C), 1), ((B, C, A), 1)]
+        )
+        assert got == quasi_shuffle(alg, element_of(A), element_of(B, C))
 
     @pytest.mark.parametrize("name", ["sym2", "stuffle-y", "word2", "zero", "sum-product"])
     def test_each_letter_pair_is_multiplied_once(self, name):
