@@ -13,7 +13,6 @@ arguments. ``main`` builds and prints only the requested form, once.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 
@@ -278,6 +277,8 @@ def main(argv=None) -> int:
     try:
         json_form, text_form, ok = args.handler(args)
         if args.json:
+            import json
+
             seed = getattr(args, "seed", None)
             envelope = {"command": args.command, "seed": seed, "result": json_form()}
             print(json.dumps(envelope, sort_keys=True))

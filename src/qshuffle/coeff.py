@@ -76,11 +76,28 @@ def _derived(kind: str, payload) -> tuple[int, tuple, str]:
     return degree, (degree, kind, key_payload), text
 
 
+class _Frozen:
+    """Base of the immutable classes: a subclass fills its own ``__slots__``
+    once, in ``__init__`` or ``__new__`` (``_set_slots`` sets them in order),
+    and every later assignment or deletion raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _set_slots(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    __delattr__ = __setattr__
+
+
 # (kind, payload) -> the one Letter with that value; see Letter
 _LETTERS: dict[tuple, "Letter"] = {}
 
 
-class Letter:
+class Letter(_Frozen):
     """One basis letter of a coefficient algebra.
 
     kind/payload combinations:
@@ -106,21 +123,11 @@ class Letter:
         if letter is None:
             degree, sort_key, text = _derived(kind, payload)
             letter = object.__new__(cls)
-            object.__setattr__(letter, "kind", kind)
-            object.__setattr__(letter, "payload", payload)
-            object.__setattr__(letter, "degree", degree)
-            object.__setattr__(letter, "sort_key", sort_key)
-            object.__setattr__(letter, "text", text)
+            letter._set_slots(kind, payload, degree, sort_key, text)
             # Threads may build the same new letter at once; setdefault is
             # atomic, so all of them return whichever copy was stored first.
             letter = _LETTERS.setdefault((kind, payload), letter)
         return letter
-
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("letters are immutable")
 
     def __reduce__(self):
         return (Letter, (self.kind, self.payload))

@@ -36,7 +36,6 @@ is their letter product is the row ``laws.LETTER_PRODUCT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, permutations, product
@@ -48,6 +47,7 @@ from .coeff import (
     CoeffAlgebraSpec,
     DomainError,
     Letter,
+    _Frozen,
     _positive_int,
     mono_letter,
     sym_algebra,
@@ -74,8 +74,7 @@ _CONCATENATE = dict.fromkeys(_OP_SYMBOL, add)  # a node's generators are its chi
 MAX_TERM_DEPTH = 500
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FreeTerm:
+class FreeTerm(_Frozen):
     """A generator leaf or a binary operation node.
 
     Its facts are built once, from the children's, when the node is built:
@@ -86,37 +85,39 @@ class FreeTerm:
     printing all use it without recursing.
     """
 
-    op: str
-    index: int = 0
-    left: "FreeTerm | None" = None
-    right: "FreeTerm | None" = None
-    depth: int = field(init=False)
-    degree: int = field(init=False)
-    is_ctd: bool = field(init=False)
-    text: str = field(init=False)
+    __slots__ = ("op", "index", "left", "right", "depth", "degree", "is_ctd", "text")
 
-    def __post_init__(self) -> None:
-        if self.op == "gen":
-            if not _positive_int(self.index) or self.left is not None or self.right is not None:
+    def __init__(
+        self, op: str, index: int = 0, left: FreeTerm | None = None, right: FreeTerm | None = None
+    ) -> None:
+        if op == "gen":
+            if not _positive_int(index) or left is not None or right is not None:
                 raise ValueError("generator leaf needs a positive index and no children")
             depth, degree, is_ctd = 0, 1, True
-            text = chr(ord("a") + self.index - 1) if self.index <= 26 else f"g{self.index}"
-        elif self.op in _OP_SYMBOL:
-            left, right = self.left, self.right
+            text = chr(ord("a") + index - 1) if index <= 26 else f"g{index}"
+        elif op in _OP_SYMBOL:
             if left is None or right is None:
-                raise ValueError(f"{self.op} node needs two children")
+                raise ValueError(f"{op} node needs two children")
             depth = 1 + max(left.depth, right.depth)
             if depth > MAX_TERM_DEPTH:
                 raise ValueError(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
             degree = left.degree + right.degree
-            is_ctd = self.op != "succ" and left.is_ctd and right.is_ctd
-            text = f"({left.text} {_OP_SYMBOL[self.op]} {right.text})"
+            is_ctd = op != "succ" and left.is_ctd and right.is_ctd
+            text = f"({left.text} {_OP_SYMBOL[op]} {right.text})"
         else:
-            raise ValueError(f"unknown term operation {self.op!r}")
+            raise ValueError(f"unknown term operation {op!r}")
+        # one call per slot, not ``_set_slots``'s loop: a parse builds a node per operator
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "is_ctd", is_ctd)
         object.__setattr__(self, "text", text)
+
+    def __reduce__(self):
+        return (FreeTerm, (self.op, self.index, self.left, self.right))
 
     def __eq__(self, other):
         if not isinstance(other, FreeTerm):

@@ -69,6 +69,7 @@ def _generator_indices(body: str, position: int) -> tuple[int, ...]:
 
 def parse_letter(alg: CoeffAlgebraSpec, text: str, position: int = 0) -> Letter:
     """Parse one letter in the algebra's letter style; checks membership."""
+    position += len(text) - len(text.lstrip())  # errors point past leading blanks
     text = text.strip()
     style = alg.letter_style
     letter: Letter | None = None

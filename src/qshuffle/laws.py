@@ -23,12 +23,11 @@ suite, algebra, case count and seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
 from .bialg import generator_inclusion, generator_projection, square_dot, square_left
-from .coeff import CoeffAlgebraSpec
+from .coeff import CoeffAlgebraSpec, _Frozen
 from .grammar import render_element, render_square_element
 from .lincomb import add_into
 from .sampling import random_element
@@ -45,13 +44,11 @@ from .tensorq import (
 )
 
 
-@dataclass(frozen=True)
-class LawViolation:
-    law: str
-    case_index: int
-    inputs: tuple[str, ...]
-    lhs: str
-    rhs: str
+class LawViolation(_Frozen):
+    __slots__ = ("law", "case_index", "inputs", "lhs", "rhs")
+
+    def __init__(self, law: str, case_index: int, inputs: tuple[str, ...], lhs: str, rhs: str):
+        self._set_slots(law, case_index, inputs, lhs, rhs)
 
     def to_json(self) -> dict:
         return {
@@ -63,13 +60,15 @@ class LawViolation:
         }
 
 
-@dataclass
 class LawReport:
-    suite: str
-    algebra: str
-    cases: int
-    seed: int
-    violations: list[LawViolation] = field(default_factory=list)
+    __slots__ = ("suite", "algebra", "cases", "seed", "violations")
+
+    def __init__(self, suite: str, algebra: str, cases: int, seed: int, violations=None):
+        self.suite, self.algebra, self.cases, self.seed = suite, algebra, cases, seed
+        self.violations: list[LawViolation] = [] if violations is None else violations
+
+    def __eq__(self, other):
+        return self.to_json() == other.to_json() if isinstance(other, LawReport) else NotImplemented
 
     @property
     def ok(self) -> bool:

@@ -25,10 +25,10 @@ derived operations are that product with P applied to one side or none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from .coeff import _Frozen
 from .grammar import _join_signed
 from .laws import SEVEN, first_failure
 from .lincomb import LinearCombination, Scalar, add_into, as_scalar, bilinear
@@ -61,8 +61,7 @@ def _sparse(entries) -> dict:
     return {k: as_scalar(c) for k, c in enumerate(entries) if c}
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteAlgebra:
+class FiniteAlgebra(_Frozen):
     """An associative algebra on an explicit finite basis.
 
     ``structure[i][j][k]`` is the coefficient of basis vector k in the
@@ -71,23 +70,26 @@ class FiniteAlgebra:
     checks cheap.
     """
 
-    name: str
-    basis_labels: tuple[str, ...]
-    structure: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    is_commutative: bool
+    __slots__ = ("name", "basis_labels", "structure", "is_commutative", "_product", "_indices")
 
-    def __post_init__(self) -> None:
-        m = self.dimension
+    def __init__(
+        self,
+        name: str,
+        basis_labels: tuple[str, ...],
+        structure: tuple[tuple[tuple[Scalar, ...], ...], ...],
+        is_commutative: bool,
+    ) -> None:
+        m = len(basis_labels)
         if not 1 <= m <= 5:
             raise ValueError("FiniteAlgebra supports dimensions 1..5")
-        if len(self.structure) != m or any(
-            len(row) != m or any(len(v) != m for v in row) for row in self.structure
+        if len(structure) != m or any(
+            len(row) != m or any(len(v) != m for v in row) for row in structure
         ):
             raise ValueError("structure constants must form an m x m x m table")
         # e_i e_j as zero-free dicts, made once: the basis rule of ``multiply``
-        table = tuple(tuple(_sparse(v) for v in row) for row in self.structure)
-        object.__setattr__(self, "_product", lambda i, j: table[i][j])
-        object.__setattr__(self, "_indices", frozenset(range(m)))
+        table = tuple(tuple(_sparse(v) for v in row) for row in structure)
+        product, indices = (lambda i, j: table[i][j]), frozenset(range(m))
+        self._set_slots(name, basis_labels, structure, is_commutative, product, indices)
         # associativity is SEVEN's last row, with the algebra product as D
         ops, basis = (None, None, self.multiply, None), self.basis()
         failure = first_failure(SEVEN[6:], ops, basis, 3)
@@ -123,19 +125,17 @@ class FiniteAlgebra:
         return _join_signed((self.basis_labels[k], c) for k, c in v.terms())
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOperator:
+class LinearOperator(_Frozen):
     """A square matrix of exact rationals acting on column vectors."""
 
-    matrix: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("matrix", "_columns", "_indices")
 
-    def __post_init__(self) -> None:
-        m = len(self.matrix)
-        if m == 0 or any(len(row) != m for row in self.matrix):
+    def __init__(self, matrix: tuple[tuple[Scalar, ...], ...]) -> None:
+        m = len(matrix)
+        if m == 0 or any(len(row) != m for row in matrix):
             raise ValueError("operator matrix must be square and nonempty")
-        columns = tuple(_sparse(column) for column in zip(*self.matrix))
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_indices", frozenset(range(m)))
+        columns = tuple(_sparse(column) for column in zip(*matrix))
+        self._set_slots(matrix, columns, frozenset(range(m)))
 
     @property
     def dimension(self) -> int:
@@ -185,12 +185,13 @@ def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> boo
     return first_failure(_STAR_MORPHISM, ops, algebra.basis(), 2) is None
 
 
-@dataclass(frozen=True, eq=False)
-class DerivedStructure:
+class DerivedStructure(_Frozen):
     """The three derived operations of a weight-one operator, and their sum."""
 
-    algebra: FiniteAlgebra
-    operator: LinearOperator
+    __slots__ = ("algebra", "operator")
+
+    def __init__(self, algebra: FiniteAlgebra, operator: LinearOperator) -> None:
+        self._set_slots(algebra, operator)
 
     def left(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
         return self.algebra.multiply(u, self.operator.apply(v))

@@ -620,3 +620,36 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "y3 + y1.y2 + y2.y1\n"
+
+
+COLD_START = """
+import contextlib, dataclasses, io, sys
+import qshuffle.cli
+assert "json" not in sys.modules, "import qshuffle.cli loaded json"
+made = [v for v in vars(qshuffle).values() if isinstance(v, type) and dataclasses.is_dataclass(v)]
+assert made == [qshuffle.CoeffAlgebraSpec], made
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert qshuffle.cli.main(["product", "y1", "y2"]) == 0
+assert out.getvalue() == "y3 + y1.y2 + y2.y1\\n", out.getvalue()
+assert "json" not in sys.modules, "text output loaded json"
+with contextlib.redirect_stdout(out):
+    assert qshuffle.cli.main(["product", "--json", "y1", "y2"]) == 0
+assert "json" in sys.modules
+"""
+
+
+def test_cold_start_loads_json_only_for_json_output(tmp_path):
+    """A new interpreter (without ``site``, whose hooks may load anything)
+    imports no ``json`` for the CLI or its text output, and the only
+    dataclass among the package's exports is ``CoeffAlgebraSpec``."""
+    src = str(Path(qshuffle.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr

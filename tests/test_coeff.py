@@ -16,16 +16,22 @@ from qshuffle import coeff as coeff_module
 from qshuffle import (
     CoeffCombination,
     DomainError,
+    LawReport,
+    LawViolation,
     Letter,
     LetterDomainError,
     MissingInvolutionError,
     algebra_by_name,
     atom_letter,
     builtin_algebras,
+    derived_structure,
+    gen,
     involute_letter,
     mono_letter,
     multiply_letters,
+    pointwise_function_algebra,
     stuffle_y_algebra,
+    summation_operator,
     sym_algebra,
     weight_letter,
     word_algebra,
@@ -334,3 +340,37 @@ def test_word_letter_roundtrip_under_reversal(payload):
     alg = word_algebra(3)
     letter = word_letter(tuple(payload))
     assert involute_letter(alg, involute_letter(alg, letter)) == letter
+
+
+def _frozen_instances():
+    algebra, operator = pointwise_function_algebra(2), summation_operator(2)
+    cases = [
+        (weight_letter(2), "payload"),
+        (gen(1), "index"),
+        (LawViolation("law", 0, ("y1",), "y1", "y2"), "lhs"),
+        (algebra, "name"),
+        (operator, "matrix"),
+        (derived_structure(algebra, operator), "operator"),
+    ]
+    return [pytest.param(obj, name, id=type(obj).__name__) for obj, name in cases]
+
+
+@pytest.mark.parametrize(("instance", "name"), _frozen_instances())
+def test_immutable_classes_refuse_assignment_and_deletion(instance, name):
+    before = getattr(instance, name)
+    with pytest.raises(AttributeError):
+        setattr(instance, name, before)
+    with pytest.raises(AttributeError):
+        delattr(instance, name)
+    with pytest.raises(AttributeError):
+        instance.extra = 1
+    assert getattr(instance, name) is before
+
+
+def test_a_law_report_is_slotted_but_assignable():
+    report = LawReport("seven", "sym2", 3, 1)
+    assert report.violations == [] and report.ok
+    report.cases = 4
+    assert report.to_json()["cases"] == 4
+    with pytest.raises(AttributeError):
+        report.extra = 1

@@ -87,8 +87,9 @@ class TestFreeTerm:
         assert term.generators() == (2, 1, 3)
 
     def test_facts_are_fields_built_once(self):
-        fields = {f.name: f for f in dataclasses.fields(FreeTerm)}
-        assert not any(fields[name].init for name in ("depth", "degree", "is_ctd", "text"))
+        for name in ("depth", "degree", "is_ctd", "text"):
+            with pytest.raises(TypeError):
+                FreeTerm("gen", 1, **{name: 0})
         assert not [name for name, value in vars(FreeTerm).items() if isinstance(value, property)]
         term = succ(prec(G1, G1), G2)
         for twin in (copy.copy(term), pickle.loads(pickle.dumps(term))):
@@ -415,12 +416,14 @@ class TestRewritingIndependence:
 
     def test_only_the_fold_and_the_encoder_walk_children(self, tree):
         reads = list(self._child_reads(tree))
-        assert {where for where, _ in reads} == {"__post_init__", "fold_term", "_encode"}
-        # building a node reads its own children's facts, one level down
+        walkers = {where for where, _ in reads}
+        builders = {"__init__", "__reduce__"}
+        assert {"fold_term", "_encode"} <= walkers <= builders | {"fold_term", "_encode"}
+        # building or pickling a node reads its own children, one level down
         assert all(
             isinstance(obj, ast.Name) and obj.id == "self"
             for where, obj in reads
-            if where == "__post_init__"
+            if where in builders
         )
 
 

@@ -59,6 +59,20 @@ class TestParseLetter:
         assert parse_letter(word2, "x1") == word_letter((1,))
         assert parse_letter(zero_alg, "q") == atom_letter("q")
 
+    @pytest.mark.parametrize(
+        ("alg_name", "text", "position", "error_at"),
+        [
+            ("sym2", "  [x1 x0]", 0, 6),
+            ("sym2", "[x1 x0]", 0, 4),
+            ("stuffle-y", "  y0", 0, 2),
+            ("stuffle-y", " y0", 10, 11),
+        ],
+    )
+    def test_errors_point_past_leading_blanks(self, alg_name, text, position, error_at):
+        with pytest.raises(ParseError) as exc:
+            parse_letter(algebra_by_name(alg_name), text, position)
+        assert exc.value.position == error_at
+
     def test_membership_enforced(self, sym2, word2, zero_alg):
         with pytest.raises(ParseError):
             parse_letter(sym2, "x3")
