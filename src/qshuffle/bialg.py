@@ -14,8 +14,12 @@ the undefined head operation is pushed to the right factors,
     (1 (x) b) < (1 (x) b')  =  1 (x) (b < b')
     (1 (x) b) . (1 (x) b')  =  1 (x) (b . b')
 
-and only the all-four-units pairing stays undefined. With this structure
-the deconcatenation coproduct is compatible with the partial operations:
+and only the all-four-units pairing stays undefined. All three are one
+grouped pass, ``_square``: the pairs of the first argument are grouped by
+left word, each left word meets each pair of the second argument once, in
+one head image (skipped when zero), and each head times each quasi-shuffle
+of right words is summed straight into one dict. With this structure the
+deconcatenation coproduct is compatible with the partial operations:
 
     coproduct(x < y) = coproduct(x) < coproduct(y)
     coproduct(x . y) = coproduct(x) . coproduct(y)
@@ -31,11 +35,9 @@ route, by exact sparse elimination of the words' reduced coproducts
 
 from __future__ import annotations
 
-from functools import partial
-
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
 from .freectd import FreeTerm, SignatureError, _fold_in
-from .lincomb import Scalar, bilinear, kernel
+from .lincomb import Scalar, kernel
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
@@ -48,41 +50,59 @@ from .tensorq import (
 )
 
 
-def _square_pairs(alg, word_op, p1, p2) -> dict[tuple[Word, Word], Scalar]:
-    (u1, v1), (u2, v2) = p1, p2
-    if not u1 and not u2:
-        # both heads are the unit: the operation moves to the right factors;
-        # raises UnitPairingError when all four components are units. For
-        # the total star this gives what the general branch gives.
-        inner = word_op(alg, v1, v2)
-        return {(EMPTY_WORD, w): c for w, c in inner.items()}
-    heads = word_op(alg, u1, u2)
-    if not heads:
-        return {}
-    tails = _shuffle_words(alg, v1, v2)
-    # distinct (head, tail) pairs give distinct keys
-    return {(hw, tw): hc * tc for hw, hc in heads.items() for tw, tc in tails.items()}
+def _square(alg, word_op, a, b) -> TensorSquareElement:
+    """``word_op`` on left words, quasi-shuffle on right words, extended bilinearly."""
+    rows: dict[Word, list] = {}
+    for (u1, v1), c1 in a._terms.items():
+        rows.setdefault(u1, []).append((v1, c1))
+    acc: dict[tuple[Word, Word], Scalar] = {}
+    get = acc.get
+    for u1, group in rows.items():
+        for (u2, v2), c2 in b._terms.items():
+            if u1 or u2:
+                heads, tails_op = word_op(alg, u1, u2), _shuffle_words
+            else:
+                # both heads are the unit: the operation moves to the right
+                # factors, raising UnitPairingError when all four are units;
+                # for the total star this gives what the general branch gives
+                heads, tails_op = {EMPTY_WORD: 1}, word_op
+            if not heads:
+                continue
+            heads = heads.items()
+            for v1, c1 in group:
+                tails = tails_op(alg, v1, v2).items()
+                c = c1 * c2
+                for hw, hc in heads:
+                    hc *= c
+                    for tw, tc in tails:
+                        key = (hw, tw)
+                        total = get(key, 0) + hc * tc
+                        if total:
+                            acc[key] = total
+                        else:
+                            del acc[key]
+    return TensorSquareElement._raw(acc)
 
 
 def square_star(
     alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
 ) -> TensorSquareElement:
     """Componentwise quasi-shuffle on two-fold tensors. Total."""
-    return bilinear(partial(_square_pairs, alg, _shuffle_words), a, b)
+    return _square(alg, _shuffle_words, a, b)
 
 
 def square_left(
     alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
 ) -> TensorSquareElement:
     """< on two-fold tensors; undefined only on the all-units pairing."""
-    return bilinear(partial(_square_pairs, alg, _word_op_left), a, b)
+    return _square(alg, _word_op_left, a, b)
 
 
 def square_dot(
     alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
 ) -> TensorSquareElement:
     """. on two-fold tensors; undefined only on the all-units pairing."""
-    return bilinear(partial(_square_pairs, alg, _word_op_dot), a, b)
+    return _square(alg, _word_op_dot, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,9 @@ class CoeffAlgebraSpec:
     def __contains__(self, letter: Letter) -> bool:
         if not isinstance(letter, Letter):
             return False
-        known = self.cache.setdefault("member", set())
+        known = self.cache.get("member")
+        if known is None:  # setdefault: two threads making the set keep one
+            known = self.cache.setdefault("member", set())
         if letter not in known and self.member_rule(letter):
             known.add(letter)
         return letter in known

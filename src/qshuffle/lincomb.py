@@ -17,14 +17,14 @@ sort by letter ranks: the distinct letters of one combination are ranked
 once by ``Letter.sort_key``, and a word's sort key is one ``str``, its
 length and then its ranks as code points, which C compares in the order of
 ``tensorq.word_sort_key``. ``add_into`` is the one sparse accumulator the
-kernels share; ``bilinear`` is the one extension of a rule on basis pairs
-to whole combinations, which every product of tensor elements, of tensor
-squares and of finite-algebra vectors goes through; ``kernel`` is the one
-exact solver, finding the linear relations among sparse vectors by an
-elimination whose row operations are ``add_into`` calls. Sums are taken
-only where keys can collide: ``bilinear`` copies its first nonzero image (a
-copy, since images may be memoised and shared) and adds the rest through
-``add_into``.
+kernels share; ``bilinear`` is the one extension of a rule on single basis
+keys to whole combinations, which every product of tensor elements and of
+finite-algebra vectors goes through (tensor squares go through the grouped
+``bialg._square`` instead); ``kernel`` is the one exact solver, finding the
+linear relations among sparse vectors by an elimination whose row
+operations are ``add_into`` calls. Sums are taken only where keys can
+collide: ``bilinear`` copies its first nonzero image (a copy, since images
+may be memoised and shared) and adds the rest through ``add_into``.
 """
 
 from __future__ import annotations

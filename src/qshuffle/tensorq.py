@@ -167,9 +167,9 @@ def _check_words(alg: CoeffAlgebraSpec, words) -> None:
     Letters already accepted are in ``alg.cache["member"]``, so the usual
     guard is one set test; otherwise each letter is checked in order.
     """
-    known = alg.cache.setdefault("member", set())
+    known = alg.cache.get("member")
     try:
-        if known.issuperset(chain.from_iterable(words)):
+        if known is not None and known.issuperset(chain.from_iterable(words)):
             return
     except TypeError:  # an unhashable item, refused below
         pass
@@ -224,7 +224,9 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
         return {v: 1}
     if not v:
         return {u: 1}
-    cache = alg.cache.setdefault("shuffle", {})
+    cache = alg.cache.get("shuffle")
+    if cache is None:  # setdefault: two threads making the table keep one
+        cache = alg.cache.setdefault("shuffle", {})
     key = (u, v)
     hit = cache.get(key)
     if hit is not None:

@@ -42,12 +42,12 @@ from qshuffle import (
     sym_algebra,
     weight_letter,
 )
-from qshuffle.bialg import _square_pairs
+from qshuffle import bialg
 from qshuffle.coeff import algebra_by_name
 from qshuffle.lincomb import kernel
 from qshuffle.laws import PRIMITIVE_DOT, PROJECTION, first_failure, splitting_failure, tensor_ops
 from qshuffle.sampling import random_ctd_term, random_element
-from qshuffle.tensorq import _word_op_dot, _word_op_left
+from qshuffle.tensorq import _shuffle_words, _word_op_dot, _word_op_left
 
 import conftest
 from conftest import rational_rank
@@ -63,6 +63,36 @@ def w(*letters):
 
 def sq(*pairs_with_coeffs):
     return TensorSquareElement(pairs_with_coeffs)
+
+
+def _square_pairs(alg, word_op, p1, p2):
+    """Per-pair reference for the tensor-square operations: ``word_op`` on
+    the left words and the quasi-shuffle on the right words of one pair of
+    basis pairs, with the operation moved to the right words when both left
+    words are units."""
+    (u1, v1), (u2, v2) = p1, p2
+    if not u1 and not u2:
+        inner = word_op(alg, v1, v2)
+        return {(EMPTY_WORD, w): c for w, c in inner.items()}
+    heads = word_op(alg, u1, u2)
+    if not heads:
+        return {}
+    tails = _shuffle_words(alg, v1, v2)
+    return {(hw, tw): hc * tc for hw, hc in heads.items() for tw, tc in tails.items()}
+
+
+def _reference_square(alg, word_op, a, b):
+    """The sum of ``c1 * c2 * _square_pairs(p1, p2)`` over all pairs of
+    basis pairs, zeros dropped."""
+    acc = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            for key, c in _square_pairs(alg, word_op, p1, p2).items():
+                acc[key] = acc.get(key, 0) + c1 * c2 * c
+    return {key: c for key, c in acc.items() if c}
+
+
+SQUARE_OPS = [(square_star, _shuffle_words), (square_left, _word_op_left), (square_dot, _word_op_dot)]
 
 
 class TestSquareOperations:
@@ -147,6 +177,91 @@ class TestSquareOperations:
         assert TensorSquareElement(
             _square_pairs(sym2, _word_op_dot, p1, p2).items()
         ) == square_dot(sym2, sq((p1, 1)), sq((p2, 1)))
+
+
+class TestGroupedSquares:
+    """The grouped pass of the square operations against the per-pair sum."""
+
+    COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+    def _random_square(self, alg, rng, unit_left, all_units):
+        letters = alg.letters_up_to_degree(2)
+
+        def word():
+            return tuple(rng.choice(letters) for _ in range(rng.randint(1, 2)))
+
+        lefts = [word(), word()] + [EMPTY_WORD] * unit_left
+        rights = [EMPTY_WORD, word(), word(), word()]
+        terms = {}
+        # each left word comes with up to three right words
+        for left in lefts:
+            for right in rng.sample(rights, rng.randint(1, 3)):
+                if left or right or all_units:
+                    terms[left, right] = rng.choice(self.COEFFS)
+        return TensorSquareElement(terms)
+
+    @pytest.mark.parametrize("name", ["sym2", "word2"])
+    def test_grouped_pass_matches_the_per_pair_sum(self, name):
+        alg = algebra_by_name(name)
+        rng = random.Random(109)
+        unit = sq(((EMPTY_WORD, EMPTY_WORD), 1))
+        for i in range(40):
+            # unit left words on neither side, on either one, or on both
+            a = self._random_square(alg, rng, i % 2, all_units=i % 3 == 0)
+            b = self._random_square(alg, rng, i // 2 % 2, all_units=False)
+            for op, word_op in SQUARE_OPS:
+                got = op(alg, a, b)
+                assert dict(got.items()) == _reference_square(alg, word_op, a, b), (i, op)
+                assert dict(op(alg, b, a).items()) == _reference_square(alg, word_op, b, a)
+            b = b + unit
+            assert dict(square_star(alg, a, b).items()) == _reference_square(
+                alg, _shuffle_words, a, b
+            )
+
+    def test_rows_of_one_left_word_cancel_to_zero(self, sym2):
+        # the right words multiply to (x1 + x2) * (x1 - x2) = x1*x1 - x2*x2
+        # in commutative sym2, so every tail with both letters cancels
+        half = Fraction(1, 2)
+        a = sq(((w(X1), w(X1)), half), ((w(X1), w(X2)), half))
+        b = sq(((w(X2), w(X1)), 2), ((w(X2), w(X2)), -2))
+        mixed = {w(X1, X2), w(X2, X1), w(mono_letter((1, 2)))}
+        for op, word_op in SQUARE_OPS:
+            got = op(sym2, a, b)
+            assert dict(got.items()) == _reference_square(sym2, word_op, a, b)
+            assert got and not {tail for _, tail in got.support()} & mixed
+
+    def test_all_units_pairing_raises_inside_larger_squares(self, sym2):
+        a = sq(((EMPTY_WORD, EMPTY_WORD), 1), ((w(X1), w(X2)), 2), ((EMPTY_WORD, w(X1)), -1))
+        b = sq(((w(X2), EMPTY_WORD), 1), ((EMPTY_WORD, EMPTY_WORD), Fraction(1, 2)))
+        for op in (square_left, square_dot):
+            with pytest.raises(UnitPairingError):
+                op(sym2, a, b)
+        assert dict(square_star(sym2, a, b).items()) == _reference_square(
+            sym2, _shuffle_words, a, b
+        )
+
+    def test_callers_look_the_square_operations_up_when_called(self, sym2, monkeypatch):
+        # a tracer rebinds square_left and square_dot in bialg and laws, so the
+        # free coproduct and the compatibility suite must find them there
+        calls = {"square_left": 0, "square_dot": 0}
+        originals = {name: getattr(bialg, name) for name in calls}
+
+        def counting(name):
+            def op(*args):
+                calls[name] += 1
+                return originals[name](*args)
+
+            return op
+
+        for module in (bialg, laws):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name))
+        free_ctd_coproduct(prec(G1, dot(G2, G3)), 3)
+        assert calls == {"square_left": 1, "square_dot": 1}
+        calls.update(square_left=0, square_dot=0)
+        report = laws.run_suite("bialgebra-compat", sym2, 1, 1)
+        assert report.violations == []
+        assert calls["square_left"] > 0 and calls["square_dot"] > 0
 
 
 # ---------------------------------------------------------------------------
