@@ -51,7 +51,14 @@ from .tensorq import (
 
 
 def _square(alg, word_op, a, b) -> TensorSquareElement:
-    """``word_op`` on left words, quasi-shuffle on right words, extended bilinearly."""
+    """``word_op`` on left words, quasi-shuffle on right words, extended bilinearly.
+
+    Letters are not checked against ``alg``: the fold in ``free_ctd_coproduct``
+    would re-check every intermediate square.
+    """
+    for x in (a, b):
+        if not isinstance(x, TensorSquareElement):
+            raise TypeError(f"TensorSquareElement expected, got {type(x).__name__}")
     rows: dict[Word, list] = {}
     for (u1, v1), c1 in a._terms.items():
         rows.setdefault(u1, []).append((v1, c1))

@@ -26,6 +26,12 @@ syntactic: it walks a term with its own encoder, not ``fold_term``, and
 never evaluates into the tensor module, which keeps it an independent
 cross-check against ``eval_ctd``.
 
+CTD is an operad, so an injective relabelling of the generators commutes
+with rewriting. The encoder therefore gives a term's shape: each generator
+is replaced by its rank 1, 2, ... in first-occurrence leaf order. Shapes
+are rewritten once each and kept in ``_NF_CACHE``, and ``normal_form`` maps
+a cached form back to the term's own generators, each distinct block once.
+
 Multilinear block sequences are the ordered set partitions counted by the
 Fubini numbers 1, 3, 13, 75, 541, 4683, ...; the module also verifies
 their exponential generating function (exp(x) - 1)/(2 - exp(x)) by exact
@@ -254,12 +260,14 @@ def _rdot(parts) -> tuple:
 
 # Its own walk, not ``fold_term``: rewriting is the independent check on
 # evaluation, so the two must not share the code that visits a term.
-def _encode(term: FreeTerm) -> tuple:
+def _encode(term: FreeTerm, labels: dict[int, int]) -> tuple:
+    """The term's shape: each generator index is replaced by its rank
+    1, 2, ... in first-occurrence leaf order, recorded in ``labels``."""
     if term.op == "gen":
-        return ("b", (term.index,))
+        return ("b", (labels.setdefault(term.index, len(labels) + 1),))
     if term.op == "prec":
-        return ("p", _encode(term.left), _encode(term.right))
-    return _rdot((_encode(term.left), _encode(term.right)))
+        return ("p", _encode(term.left, labels), _encode(term.right, labels))
+    return _rdot((_encode(term.left, labels), _encode(term.right, labels)))
 
 
 def _pull_prec(factors) -> tuple:
@@ -271,6 +279,9 @@ def _pull_prec(factors) -> tuple:
     return ("p", _rdot([w[1]] + rest), w[2])
 
 
+# Keyed by shape: ``_encode`` labels generators by first-occurrence rank,
+# so terms that differ by an injective relabelling share every entry. It is
+# process-global and unbounded (ROADMAP item 1).
 _NF_CACHE: dict[tuple, dict[BlockSequence, Scalar]] = {}
 
 
@@ -309,8 +320,16 @@ def normal_form(term: FreeTerm) -> NormalForm:
     """Rewrite a CTD term to its combination of right combs."""
     if not term.is_ctd:
         raise SignatureError("normal-form rewriting is defined for CTD terms only")
-    # a copy: the cached dict is shared
-    return NormalForm._raw(dict(_norm(_encode(term))))
+    labels: dict[int, int] = {}
+    shape = _norm(_encode(term, labels))
+    # each distinct block of the shape's form mapped back once, then every
+    # comb, into a new dict: the cached one is shared
+    back = (0, *labels)
+    relabel = {
+        block: tuple(sorted(map(back.__getitem__, block)))
+        for block in set(chain.from_iterable(shape))
+    }.__getitem__
+    return NormalForm._raw({tuple(map(relabel, seq)): c for seq, c in shape.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +340,13 @@ _ITD_OPS = {"prec": op_left, "succ": op_right, "dot": op_dot}
 
 
 def _generator_letter(alg: CoeffAlgebraSpec, index: int) -> Letter:
-    """Generator ``index`` as the degree-one letter of ``alg``'s own kind."""
-    letter = Letter(alg.letter_style, (index,))
-    if letter not in alg:
+    """Generator ``index`` as the degree-one letter of ``alg``'s own kind:
+    for sym(n) and word(n) the degree-one slice lists the generators in
+    index order."""
+    generators = alg.letters_of_degree(1)
+    if index > len(generators):
         raise DomainError(f"generator index {index} exceeds the generator count of {alg.name}")
-    return letter
+    return generators[index - 1]
 
 
 def _fold_in(term: FreeTerm, alg: CoeffAlgebraSpec, leaf, ops):

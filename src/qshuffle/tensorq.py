@@ -167,6 +167,8 @@ def _check_words(alg: CoeffAlgebraSpec, words) -> None:
     Letters already accepted are in ``alg.cache["member"]``, so the usual
     guard is one set test; otherwise each letter is checked in order.
     """
+    if iter(words) is words:  # an iterator: the set test would consume it
+        words = list(words)
     known = alg.cache.get("member")
     try:
         if known is not None and known.issuperset(chain.from_iterable(words)):

@@ -69,3 +69,12 @@ def test_algebra_specs_copy_with_a_fresh_memo():
     # the tracer swaps sym_algebra in the modules that build sym(n) themselves
     for module in ("qshuffle.freectd", "qshuffle.bialg"):
         assert callable(sys.modules[module].sym_algebra)
+
+
+def test_the_traced_cache_count_reads_the_normal_form_cache():
+    # the tracer reads the cache with getattr(..., ()), so a rename would
+    # report freectd.nf_cache.entries as 0 instead of failing
+    tracing = _source("tracing.py")
+    names = {node.value for node in ast.walk(tracing) if isinstance(node, ast.Constant)}
+    assert "_NF_CACHE" in names
+    assert isinstance(qshuffle.freectd._NF_CACHE, dict)

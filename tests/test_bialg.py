@@ -135,6 +135,16 @@ class TestSquareOperations:
         with pytest.raises(UnitPairingError):
             square_dot(sym2, unit, unit)
 
+    @pytest.mark.parametrize("op", [op for op, _ in SQUARE_OPS], ids=lambda op: op.__name__)
+    def test_refuses_an_argument_that_is_not_a_square(self, sym2, op):
+        a = sq(((w(X1), w(X2)), 1))
+        for x in (TensorElement.from_word(w(X1, X2)), TensorElement.from_word(w(X1)), {}):
+            message = f"^TensorSquareElement expected, got {type(x).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                op(sym2, x, a)
+            with pytest.raises(TypeError, match=message):
+                op(sym2, a, x)
+
     def test_three_unit_components_follow_the_outer_unit_law(self, sym2):
         unit = sq(((EMPTY_WORD, EMPTY_WORD), 1))
         b = sq(((EMPTY_WORD, w(X1)), 1))

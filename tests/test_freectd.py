@@ -3,11 +3,14 @@
 import ast
 import copy
 import dataclasses
+import hashlib
+import json
 import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from qshuffle import (
     multilinear_terms,
     multiply_letters,
     normal_form,
+    normal_form_to_json,
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     prec,
@@ -374,6 +378,67 @@ class TestNormalForm:
     def test_comb_term_rejects_empty(self):
         with pytest.raises(ValueError):
             comb_term(())
+
+
+def _chain(labels):
+    term = gen(labels[0])
+    for i in labels[1:]:
+        term = prec(term, gen(i))
+    return term
+
+
+class TestShapeCache:
+    """Normal forms are cached per shape, with generators relabelled by first
+    occurrence; CTD is an operad, so an injective relabelling sigma of the
+    generators gives normal_form(sigma . t) = sigma . normal_form(t)."""
+
+    # render and JSON text of every form of _pinned_terms, computed before
+    # the cache was keyed by shape
+    PINNED_SHA256 = "80203afa4dfee5a67b7f3705929e844b6de98949933e8b535a49a374024eb464"
+
+    @staticmethod
+    def _relabel(term, sigma):
+        if term.op == "gen":
+            return gen(sigma[term.index])
+        relabel = TestShapeCache._relabel
+        return FreeTerm(term.op, left=relabel(term.left, sigma), right=relabel(term.right, sigma))
+
+    def test_relabelling_commutes_with_normal_form(self):
+        rng = random.Random(2007)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            term = random_ctd_term(rng, rng.randint(2, 6), n)  # repeats generators
+            sigma = dict(zip(range(1, n + 1), rng.sample(range(1, 45), n)))
+            nf = normal_form(term)
+            # the constructor re-sorts each relabelled block
+            expected = NormalForm(
+                (tuple(tuple(sigma[i] for i in block) for block in seq), c)
+                for seq, c in nf.items()
+            )
+            assert normal_form(self._relabel(term, sigma)) == expected
+
+    def test_relabellings_of_a_chain_share_one_entry_per_shape(self):
+        orders = list(permutations(range(1, 6)))
+        normal_form(_chain(orders[0]))
+        size = len(freectd._NF_CACHE)
+        forms = {render_normal_form(normal_form(_chain(labels))) for labels in orders}
+        assert len(freectd._NF_CACHE) == size
+        # the form of ((a < b) < ...) < e is a < (quasi-shuffle of the rest): one per head
+        assert len(forms) == 5
+
+    @staticmethod
+    def _pinned_terms():
+        rng = random.Random(2007)
+        terms = [random_ctd_term(rng, rng.randint(1, 6), rng.randint(1, 9)) for _ in range(300)]
+        return terms + [_chain((27, 3, 40, 1, 12)), _chain((9, 30, 2, 27, 5, 41))]
+
+    def test_rendered_forms_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for term in self._pinned_terms():
+            nf = normal_form(term)
+            digest.update(render_normal_form(nf).encode() + b"\n")
+            digest.update(json.dumps(normal_form_to_json(nf)).encode() + b"\n")
+        assert digest.hexdigest() == self.PINNED_SHA256
 
 
 class TestRewritingIndependence:

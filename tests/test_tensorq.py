@@ -703,6 +703,15 @@ class TestMemos:
                     quasi_shuffle_paths(fresh, (X2, first), (second,))
         assert fresh.cache["member"] == {X1, X2}
 
+    def test_an_iterator_of_words_is_checked_in_full(self, sym2):
+        quasi_shuffle(sym2, element_of(X1), element_of(X2))  # accepted letters known
+        x3 = mono_letter((3,))
+        words = [(X1,), (x3,)]
+        for once in (iter(words), (word for word in words)):
+            with pytest.raises(LetterDomainError, match=f"^letter {x3} is not"):
+                tensorq._check_words(sym2, once)
+        assert tensorq._check_words(sym2, iter([(X1, X2), (X2,)])) is None
+
     @pytest.mark.parametrize("item", ["x1", 1, [X1], None])
     def test_non_letters_in_path_words_are_refused(self, sym2, item):
         quasi_shuffle(sym2, element_of(X1), element_of(X2))
