@@ -30,14 +30,12 @@ from .lincomb import LinearCombination, as_scalar
 from .tensorq import (
     EMPTY_WORD,
     OPERATIONS,
-    LatticePath,
     TensorElement,
     TensorSquareElement,
     UnitPairingError,
     Word,
     coradical_degree,
     deconcatenate,
-    enumerate_lattice_paths,
     involute_element,
     is_primitive,
     op_dot,

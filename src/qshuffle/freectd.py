@@ -42,12 +42,12 @@ is their letter product is the row ``laws.LETTER_PRODUCT``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, permutations, product
 from math import comb as binomial, factorial
 from operator import add
-from typing import Iterable, Iterator, Mapping
 
 from .coeff import (
     CoeffAlgebraSpec,
@@ -72,11 +72,7 @@ _CONCATENATE = dict.fromkeys(_OP_SYMBOL, add)  # a node's generators are its chi
 
 # Deepest nesting a free term may have; a deeper term is refused when it is
 # built. ``fold_term`` (so every map out of a term) and ``_encode`` recurse
-# once per level, which leaves room below the recursion limit for the
-# caller's frames. ``_norm`` does not fit: it recurses about twice per level
-# on left-nested ``<`` chains, so ``normalize`` on a 499-level chain
-# ``((a < b) < b) ...`` still ends in a ``RecursionError`` traceback. That
-# input is still to be refused by a size bound (ROADMAP item 1).
+# once per level and ``_norm`` at most once more, below the recursion limit.
 MAX_TERM_DEPTH = 500
 
 
@@ -316,12 +312,30 @@ def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
     return out
 
 
+def _norm_depth(rt: tuple) -> int:
+    """A bound on ``_norm``'s recursion depth on ``rt``, cold cache: a block
+    costs 1, (b < y) 1 more than y. Otherwise each < is rotated out of a
+    dot and peeled off the left at most once, until a block heads a term
+    over the other blocks: by induction, l blocks need (l - 1)**2 + 1."""
+    depth = 1
+    while rt[0] == "p" and rt[1][0] == "b":
+        depth, rt = depth + 1, rt[2]
+    tags, todo = [], [rt]
+    while todo:  # not recursive: the term may nest MAX_TERM_DEPTH deep
+        tags.append((node := todo.pop())[0])
+        todo.extend(node[1:] if node[0] == "p" else node[1] if node[0] == "d" else ())
+    return depth if rt[0] == "b" else depth + 2 * tags.count("p") + (tags.count("b") - 2) ** 2
+
+
 def normal_form(term: FreeTerm) -> NormalForm:
-    """Rewrite a CTD term to its combination of right combs."""
+    """Rewrite a CTD term to its combination of right combs, if shallow enough."""
     if not term.is_ctd:
         raise SignatureError("normal-form rewriting is defined for CTD terms only")
     labels: dict[int, int] = {}
-    shape = _norm(_encode(term, labels))
+    encoded = _encode(term, labels)
+    if (depth := _norm_depth(encoded)) > MAX_TERM_DEPTH + 1:
+        raise ValueError(f"rewriting could recurse {depth} levels deep, over {MAX_TERM_DEPTH + 1}")
+    shape = _norm(encoded)
     # each distinct block of the shape's form mapped back once, then every
     # comb, into a new dict: the cached one is shared
     back = (0, *labels)

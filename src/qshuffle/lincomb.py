@@ -29,8 +29,8 @@ may be memoised and shared) and adds the rest through ``add_into``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
 
 
 Scalar = int | Fraction

@@ -19,14 +19,12 @@ letter of a.b is a or b), and only such a branch goes through
 ``add_into``. An independent evaluator expands the same product as a sum
 over lattice paths with unit steps right, up, and diagonal, where a
 diagonal step multiplies the two letters it consumes; the two routes are
-cross-checked in the test suite. The oracle compiles each Delannoy path
-of a (p, q) shape into a tuple of column indices, one per step: i for
-u[i], p + j for v[j] and p + q + i*q + j for the letter product u[i].v[j]
-(``enumerate_lattice_paths`` reads them as steps). The paths of shapes
-with p + q <= 12 are cached; longer ones stream. A call reads each letter
-and letter product of its pair once, as a column of (letter, coefficient)
-choices; a path's words take one entry of each column it names, so an
-empty column (a zero product) kills the path. The two routes share only
+cross-checked in the test suite. A call lays its pair out in one table:
+u + v, then every (letter, coefficient) entry of each letter product.
+Each Delannoy path of the (p, q) shape, with one entry chosen per product
+it crosses, is compiled once per tuple of product sizes into two
+``itemgetter`` gathers, of its word and of its coefficients; a path
+through a zero product is dropped when compiled. The two routes share only
 the letter product, which both read from the per-algebra memo
 ``_letter_product``: it is input data, not the rule under test. Neither
 route calls the other's code, and the oracle calls neither ``add_into``
@@ -47,10 +45,10 @@ empty word raises ``UnitPairingError``.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import accumulate, chain, repeat
 from math import prod
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter, itemgetter
+from typing import Iterator, Mapping
 
 from .coeff import (
     CoeffAlgebraSpec,
@@ -65,9 +63,6 @@ from .lincomb import LinearCombination, Scalar, add_into, bilinear
 Word = tuple[Letter, ...]
 
 EMPTY_WORD: Word = ()
-
-# A path step consumes one letter of the first word, the second, or both.
-LatticePath = tuple[tuple[int, int], ...]
 
 
 class UnitPairingError(ValueError):
@@ -267,71 +262,64 @@ def quasi_shuffle(alg: CoeffAlgebraSpec, x: TensorElement, y: TensorElement) -> 
 # ---------------------------------------------------------------------------
 # lattice-path oracle
 
-
-def _compile_paths(p: int, q: int, i: int = 0, j: int = 0) -> Iterator[tuple[int, ...]]:
-    """The paths from (i, j) to (p, q) as column indices: right, up, diagonal."""
-    if i == p and j == q:
-        yield ()
-        return
-    if i < p:
-        for rest in _compile_paths(p, q, i + 1, j):
-            yield (i,) + rest
-    if j < q:
-        for rest in _compile_paths(p, q, i, j + 1):
-            yield (p + j,) + rest
-    if i < p and j < q:
-        for rest in _compile_paths(p, q, i + 1, j + 1):
-            yield (p + q + i * q + j,) + rest
+_PATH_CACHE_LETTERS = 12  # longer pairs (up to D(9, 9) = 1,462,563 paths) stream
+_NO_COEFFICIENTS = itemgetter(slice(0))
 
 
-def enumerate_lattice_paths(p: int, q: int) -> Iterator[LatticePath]:
-    """All step sequences from (0,0) to (p,q) over right, up and diagonal.
-
-    A (1,0) step consumes a letter of the first word, (0,1) one of the
-    second, (1,1) one of each. Path counts are the Delannoy numbers.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("path endpoints need nonnegative coordinates")
-    steps = ((1, 0),) * p + ((0, 1),) * q + ((1, 1),) * (p * q)
-    for path in _compile_paths(p, q):
-        yield tuple(map(steps.__getitem__, path))
+def _gather(indices: tuple[int, ...]) -> itemgetter:
+    """An ``itemgetter`` that returns the tuple of items at ``indices``."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else _NO_COEFFICIENTS
 
 
-# Compiled paths of a pair with p + q <= _PATH_CACHE_LETTERS are kept: at
-# most D(6, 6) = 8,989 paths for one pair, and 91 pairs. Longer pairs (up to
-# D(9, 9) = 1,462,563 paths) stream instead.
-_PATH_CACHE_LETTERS = 12
+def _compile_gathers(p: int, q: int, sizes: tuple[int, ...]) -> Iterator[tuple]:
+    """Each path to (p, q) by steps right, up and diagonal, with an entry of
+    each letter product it crosses, as gathers of its word and coefficients
+    from u + v, then ``sizes[i*q + j]`` entries of each u[i].v[j] in turn."""
+    starts = tuple(accumulate(sizes, initial=p + q))
+
+    def walk(i, j, word, merged):
+        if i == p and j == q:
+            yield _gather(word), _gather(merged)
+        if i < p:
+            yield from walk(i + 1, j, word + (i,), merged)
+        if j < q:
+            yield from walk(i, j + 1, word + (p + j,), merged)
+        if i < p and j < q:
+            for entry in range(starts[i * q + j], starts[i * q + j + 1]):
+                yield from walk(i + 1, j + 1, word + (entry,), merged + (entry,))
+
+    return walk(0, 0, (), ())
 
 
-@lru_cache(maxsize=None)
-def _stored_paths(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_compile_paths(p, q))
-
-
-def _compiled_paths(p: int, q: int) -> Iterable[tuple[int, ...]]:
-    if p + q > _PATH_CACHE_LETTERS:
-        return _compile_paths(p, q)
-    return _stored_paths(p, q)
+@lru_cache(maxsize=128)
+def _stored_gathers(p: int, q: int, sizes: tuple[int, ...]) -> tuple[tuple, ...]:
+    """``_compile_gathers``, kept for the last 128 keys. With letter products
+    of at most one term (all builtin algebras) the 91 shapes take 20 MB and
+    (6, 6) 3.1 MB, so 128 keys take about 400 MB at most; a product of t
+    terms multiplies a path's gathers by t per diagonal step through it."""
+    return tuple(_compile_gathers(p, q, sizes))
 
 
 def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
     """Independent quasi-shuffle of two words via lattice-path expansion."""
-    u = tuple(u)
-    v = tuple(v)
+    u, v = tuple(u), tuple(v)
     _check_words(alg, (u, v))
     if not u and not v:
         return TensorElement.unit()
-    columns = [((letter, 1),) for letter in u + v]
-    columns += [_letter_product(alg, a, b) for a in u for b in v]
+    columns = [_letter_product(alg, a, b) for a in u for b in v]
+    letters, coefficients = zip(*chain(zip(u + v, repeat(1)), *columns))
+    p, q = len(u), len(v)
+    compiled = _compile_gathers if p + q > _PATH_CACHE_LETTERS else _stored_gathers
     acc: dict[Word, Scalar] = {}
-    for path in _compiled_paths(len(u), len(v)):
-        for choice in product(*map(columns.__getitem__, path)):
-            word, cs = zip(*choice)
-            val = acc.get(word, 0) + prod(cs)
-            if val:
-                acc[word] = val
-            else:
-                del acc[word]
+    for word_of, coefficients_of in compiled(p, q, tuple(map(len, columns))):
+        word = word_of(letters)
+        val = acc.get(word, 0) + prod(coefficients_of(coefficients))
+        if val:
+            acc[word] = val
+        else:
+            del acc[word]
     return TensorElement._raw(acc)
 
 

@@ -206,6 +206,24 @@ class TestNormalizeCommand:
         assert code == 0
         assert out == "(v1)" * (MAX_TERM_DEPTH + 1) + "\n"
 
+    def test_a_deep_left_chain_is_refused_before_rewriting(self, capsys):
+        # its rewriting recursed about twice per level and ended in a RecursionError
+        term = "(" * 499 + "a" + " < b)" * 499
+        start = perf_counter()
+        code, out, err = run_cli(capsys, ["normalize", term])
+        assert perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rewriting could recurse ")
+        assert err.count("\n") == 1
+
+    def test_a_deep_right_comb_still_normalizes(self, capsys):
+        term = "(a < " * 499 + "b" + ")" * 499
+        start = perf_counter()
+        code, out, err = run_cli(capsys, ["normalize", term])
+        assert perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "(v1)" * 499 + "(v2)\n", "")
+
 
 class TestCoproductCommand:
     def test_prec_example(self, capsys):

@@ -492,6 +492,43 @@ class TestRewritingIndependence:
         )
 
 
+class TestRewritingDepth:
+    """``normal_form`` refuses a term whose rewriting could outgrow the
+    stack, judged by ``_norm_depth`` before any rewriting."""
+
+    def test_the_predicted_depth_bounds_the_rewriting(self, monkeypatch):
+        norm, depth = freectd._norm, [0, 0]
+
+        def counted(rt):
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return norm(rt)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(freectd, "_norm", counted)
+        rng = random.Random(21)
+        terms = [random_ctd_term(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(400)]
+        terms += [_chain((1,) + (2,) * n) for n in range(1, 9)]
+        for term in terms:
+            monkeypatch.setattr(freectd, "_NF_CACHE", {})  # the deepest case: a cold cache
+            encoded = freectd._encode(term, {})
+            depth[1] = 0
+            counted(encoded)
+            assert depth[1] <= freectd._norm_depth(encoded), term
+
+    def test_a_right_comb_is_bounded_by_its_depth_and_a_left_chain_is_refused(self):
+        comb, chain = gen(2), gen(1)
+        for _ in range(MAX_TERM_DEPTH):
+            comb, chain = prec(G1, comb), prec(chain, G2)
+        assert comb.depth == chain.depth == MAX_TERM_DEPTH
+        assert freectd._norm_depth(freectd._encode(comb, {})) == MAX_TERM_DEPTH + 1
+        message = f"^rewriting could recurse .* levels deep, over {MAX_TERM_DEPTH + 1}$"
+        with pytest.raises(ValueError, match=message):
+            normal_form(chain)
+
+
 class TestMultilinearSpan:
     """Normal forms of multilinear terms hit every partition, injectively."""
 

@@ -8,6 +8,7 @@ import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -24,7 +25,6 @@ from qshuffle import (
     builtin_algebras,
     coradical_degree,
     deconcatenate,
-    enumerate_lattice_paths,
     involute_element,
     is_primitive,
     mono_letter,
@@ -45,6 +45,28 @@ from qshuffle.sampling import random_element, random_word
 
 from conftest import coradical_degree_oracle, delannoy_oracle, shuffle_oracle
 from test_laws import _sum_product_algebra
+
+
+# A path step consumes one letter of the first word, the second, or both.
+LatticePath = tuple[tuple[int, int], ...]
+
+
+def enumerate_lattice_paths(p: int, q: int) -> Iterator[LatticePath]:
+    """All step sequences from (0,0) to (p,q) over right, up and diagonal.
+
+    A (1,0) step consumes a letter of the first word, (0,1) one of the
+    second, (1,1) one of each. Path counts are the Delannoy numbers.
+    Paths come in the oracle's order: right before up before diagonal.
+    """
+    if p < 0 or q < 0:
+        raise ValueError("path endpoints need nonnegative coordinates")
+    if p == q == 0:
+        yield ()
+        return
+    for step in ((1, 0), (0, 1), (1, 1)):
+        if step[0] <= p and step[1] <= q:
+            for rest in enumerate_lattice_paths(p - step[0], q - step[1]):
+                yield (step,) + rest
 
 
 def word_of(*letters):
@@ -509,8 +531,8 @@ class TestOracleIndependence:
     """The recursion and the lattice-path oracle check each other, so they
     may share only the letter product, which is input data to both."""
 
-    PATH_ROUTE = ("quasi_shuffle_paths", "_compiled_paths", "_stored_paths", "_compile_paths")
-    PATH_CACHE = ("_compiled_paths", "_stored_paths", "_compile_paths")
+    PATH_CACHE = ("_stored_gathers", "_compile_gathers", "_gather")
+    PATH_ROUTE = ("quasi_shuffle_paths", *PATH_CACHE)
     RECURSION = ("_shuffle_words", "_word_op_left", "_word_op_right", "_word_op_dot")
 
     @staticmethod
@@ -543,7 +565,7 @@ class TestOracleIndependence:
 
     def test_recursion_uses_nothing_of_the_paths(self, functions):
         reached = self._reach(functions, self.RECURSION)
-        assert not reached & {"enumerate_lattice_paths", *self.PATH_CACHE}
+        assert not reached & set(self.PATH_ROUTE)
 
     def test_the_letter_product_is_the_one_shared_helper(self, functions):
         shared = self._reach(functions, self.PATH_ROUTE) & self._reach(
@@ -552,17 +574,47 @@ class TestOracleIndependence:
         assert shared & set(functions) == {"_letter_product"}
 
 
-def _decode(p, q, path):
-    """The steps of a compiled path of a (p, q) pair; a column index that
-    does not name the next letter of u, of v, or their product, or a path
-    that does not end at (p, q), is refused."""
-    steps, i, j = [], 0, 0
-    for index in path:
-        step = {i: (1, 0), p + j: (0, 1), p + q + i * q + j: (1, 1)}[index]
+def _decode(p, q, sizes, gathers):
+    """The steps of a compiled (word, coefficients) pair of gathers of a
+    (p, q) pair whose letter products have ``sizes`` entries, and the entry
+    each diagonal step takes of its product.
+
+    Both gathers are applied to the table of their own positions, so they
+    return the indices they read. An index that does not name the next
+    letter of u, of v, or an entry of their product, a coefficient gather
+    that reads other than the diagonal entries, or a path that does not end
+    at (p, q), is refused.
+    """
+    starts = tuple(itertools.accumulate(sizes, initial=p + q))
+    positions = tuple(range(starts[-1]))
+    word_of, coefficients_of = gathers
+    steps, entries, merged, i, j = [], [], [], 0, 0
+    for index in word_of(positions):
+        if i < p and index == i:
+            step = (1, 0)
+        elif j < q and index == p + j:
+            step = (0, 1)
+        else:
+            column = i * q + j
+            assert i < p and j < q and starts[column] <= index < starts[column + 1]
+            step = (1, 1)
+            entries.append(index - starts[column])
+            merged.append(index)
         steps.append(step)
         i, j = i + step[0], j + step[1]
     assert (i, j) == (p, q)
-    return tuple(steps)
+    assert coefficients_of(positions) == tuple(merged)
+    return tuple(steps), tuple(entries)
+
+
+def _diagonal_corners(path):
+    """The points from which ``path`` takes its diagonal steps, in order."""
+    corners, i, j = [], 0, 0
+    for step in path:
+        if step == (1, 1):
+            corners.append((i, j))
+        i, j = i + step[0], j + step[1]
+    return corners
 
 
 class TestMemos:
@@ -571,33 +623,78 @@ class TestMemos:
         for p, q in itertools.product(range(limit + 1), repeat=2):
             if p + q > limit:
                 continue
-            paths = tensorq._compiled_paths(p, q)
-            decoded = tuple(_decode(p, q, path) for path in paths)
-            assert decoded == tuple(enumerate_lattice_paths(p, q)), (p, q)
+            sizes = (1,) * (p * q)
+            gathers = tensorq._stored_gathers(p, q, sizes)
+            decoded = tuple(_decode(p, q, sizes, pair) for pair in gathers)
+            assert decoded == tuple(
+                (path, (0,) * path.count((1, 1))) for path in enumerate_lattice_paths(p, q)
+            ), (p, q)
             # distinct valid paths, as many as D(p, q): every path, once
-            assert len(set(decoded)) == len(paths) == delannoy_oracle(p, q), (p, q)
-            assert tensorq._compiled_paths(p, q) is paths
+            assert len(set(decoded)) == len(gathers) == delannoy_oracle(p, q), (p, q)
+            assert tensorq._stored_gathers(p, q, sizes) is gathers
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 3), (4, 2)])
+    def test_an_empty_product_drops_exactly_the_paths_through_it(self, p, q):
+        for i, j in itertools.product(range(p), range(q)):
+            sizes = tuple(0 if column == i * q + j else 1 for column in range(p * q))
+            decoded = [
+                _decode(p, q, sizes, pair) for pair in tensorq._stored_gathers(p, q, sizes)
+            ]
+            kept = [
+                path for path in enumerate_lattice_paths(p, q)
+                if (i, j) not in _diagonal_corners(path)
+            ]
+            assert decoded == [(path, (0,) * path.count((1, 1))) for path in kept], (i, j)
+            assert len(kept) < delannoy_oracle(p, q)
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 3), (4, 2)])
+    def test_a_two_entry_product_doubles_exactly_the_paths_through_it(self, p, q):
+        for i, j in itertools.product(range(p), range(q)):
+            sizes = tuple(2 if column == i * q + j else 1 for column in range(p * q))
+            decoded = [
+                _decode(p, q, sizes, pair) for pair in tensorq._stored_gathers(p, q, sizes)
+            ]
+            expected = []
+            for path in enumerate_lattice_paths(p, q):
+                corners = _diagonal_corners(path)
+                # the doubled product's first entry, then its second
+                for entry in (0, 1) if (i, j) in corners else (0,):
+                    chosen = tuple(entry if corner == (i, j) else 0 for corner in corners)
+                    expected.append((path, chosen))
+            # a choice is made where the path crosses the product, so the two
+            # copies of a path need not be adjacent
+            assert sorted(decoded) == sorted(expected), (i, j)
+            assert len(set(decoded)) == len(decoded) > delannoy_oracle(p, q)
+
+    def test_the_cache_stays_within_its_maxsize(self):
+        maxsize = tensorq._stored_gathers.cache_info().maxsize
+        assert maxsize == 128
+        for sizes in itertools.product(range(4), repeat=4):  # 256 distinct keys
+            tensorq._stored_gathers(2, 2, sizes)
+            assert tensorq._stored_gathers.cache_info().currsize <= maxsize
+        assert tensorq._stored_gathers.cache_info().currsize == maxsize
 
     def test_long_pairs_stream_instead_of_being_stored(self):
         p = tensorq._PATH_CACHE_LETTERS // 2 + 1
-        stored = tensorq._stored_paths.cache_info().currsize
-        paths = tensorq._compiled_paths(p, p - 1)
-        assert isinstance(paths, types.GeneratorType)
-        assert _decode(p, p - 1, next(paths)) == ((1, 0),) * p + ((0, 1),) * (p - 1)
-        assert tensorq._stored_paths.cache_info().currsize == stored
-        assert isinstance(enumerate_lattice_paths(1, 1), types.GeneratorType)
+        sizes = (1,) * (p * (p - 1))
+        stored = tensorq._stored_gathers.cache_info()
+        gathers = tensorq._compile_gathers(p, p - 1, sizes)
+        assert isinstance(gathers, types.GeneratorType)
+        first = ((1, 0),) * p + ((0, 1),) * (p - 1)
+        assert _decode(p, p - 1, sizes, next(gathers)) == (first, ())
+        assert tensorq._stored_gathers.cache_info() == stored
 
     def test_a_streamed_pair_equals_the_recursion(self, zero_alg):
         letters = zero_alg.letters_up_to_degree(2)[:3]
         u = tuple(itertools.islice(itertools.cycle(letters), 7))
         v = tuple(itertools.islice(itertools.cycle(letters[1:]), 6))
         assert len(u) + len(v) > tensorq._PATH_CACHE_LETTERS
-        stored = tensorq._stored_paths.cache_info().currsize
+        stored = tensorq._stored_gathers.cache_info()
         expected = quasi_shuffle(
             zero_alg, TensorElement.from_word(u), TensorElement.from_word(v)
         )
         assert quasi_shuffle_paths(zero_alg, u, v) == expected
-        assert tensorq._stored_paths.cache_info().currsize == stored
+        assert tensorq._stored_gathers.cache_info() == stored
 
     def test_paths_that_cancel_drop_their_word(self):
         # a.b = -b and a.c = c: the paths (a.b, c) and (b, a.c) give -(b c) and +(b c)
