@@ -72,7 +72,7 @@ _CONCATENATE = dict.fromkeys(_OP_SYMBOL, add)  # a node's generators are its chi
 
 # Deepest nesting a free term may have; a deeper term is refused when it is
 # built. ``fold_term`` (so every map out of a term) and ``_encode`` recurse
-# once per level and ``_norm`` at most once more, below the recursion limit.
+# once per level; rewriting that could recurse deeper is refused (``_norm_depth``).
 MAX_TERM_DEPTH = 500
 
 
@@ -282,49 +282,50 @@ _NF_CACHE: dict[tuple, dict[BlockSequence, Scalar]] = {}
 
 
 def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
-    """Normal form of one encoded term. Cached; results are never mutated."""
-    hit = _NF_CACHE.get(rt)
-    if hit is not None:
+    """Normal form of one encoded term. Cached; results are never mutated.
+    A < pulled out of a dot stays on this level (``_norm_depth``)."""
+    if (hit := _NF_CACHE.get(rt)) is not None:
         return hit
-    tag = rt[0]
-    if tag == "b":
+    key = rt
+    if rt[0] == "d":  # (w1 < w2) . rest = (w1 . rest) < w2
+        rt = _pull_prec(rt[1])
+    if rt[0] == "p" and rt[1][0] == "d":  # the same for a dot heading a <
+        rt = ("p", _pull_prec(rt[1][1]), rt[2])
+    if rt[0] == "b":
         out = {(rt[1],): 1}
-    elif tag == "d":
-        out = _norm(_pull_prec(rt[1]))
+    elif rt[1][0] == "b":
+        # prepending a block keeps distinct sequences distinct
+        out = {(rt[1][1],) + seq: c for seq, c in _norm(rt[2]).items()}
     else:
-        x, y = rt[1], rt[2]
-        if x[0] == "b":
-            # prepending a block keeps distinct sequences distinct
-            block = x[1]
-            out = {(block,) + seq: c for seq, c in _norm(y).items()}
-        elif x[0] == "p":
-            # (x1 < x2) < y = x1 < (x2 < y) + x1 < (y < x2) + x1 < (x2 . y)
-            x1, x2 = x[1], x[2]
-            out = {}
-            add_into(out, _norm(("p", x1, ("p", x2, y))).items())
-            add_into(out, _norm(("p", x1, ("p", y, x2))).items())
-            add_into(out, _norm(("p", x1, _rdot([x2, y]))).items())
-        else:
-            # dot head with a < inside: rotate it, then the new head is a
-            # < node and the branch above applies
-            out = _norm(("p", _pull_prec(x[1]), y))
-    _NF_CACHE[rt] = out
+        # (x1 < x2) < y = x1 < (x2 < y) + x1 < (y < x2) + x1 < (x2 . y)
+        (_, x1, x2), y = rt[1], rt[2]
+        out = {}
+        add_into(out, _norm(("p", x1, ("p", x2, y))).items())
+        add_into(out, _norm(("p", x1, ("p", y, x2))).items())
+        add_into(out, _norm(("p", x1, _rdot([x2, y]))).items())
+    _NF_CACHE[key] = _NF_CACHE[rt] = out
     return out
 
 
 def _norm_depth(rt: tuple) -> int:
-    """A bound on ``_norm``'s recursion depth on ``rt``, cold cache: a block
-    costs 1, (b < y) 1 more than y. Otherwise each < is rotated out of a
-    dot and peeled off the left at most once, until a block heads a term
-    over the other blocks: by induction, l blocks need (l - 1)**2 + 1."""
-    depth = 1
-    while rt[0] == "p" and rt[1][0] == "b":
-        depth, rt = depth + 1, rt[2]
-    tags, todo = [], [rt]
+    """A bound on ``_norm``'s recursion depth on ``rt``, cold cache: 1 + (<
+    nodes) + (pairs of blocks) - (sum over < nodes of their right blocks),
+    >= 1 + (< nodes). Each level lowers it: prepending a block drops a < node,
+    x1 < (x2 < y) and x1 < (y < x2) add y's, resp. x2's, blocks to the sum,
+    x1 < (x2 . y) drops a < node, and a pull raises nothing. A right comb
+    costs 1 per block, a left chain of l blocks about l**2 / 2."""
+    nodes = blocks = right = 0
+    todo = [(rt, 0)]  # each subterm with the number of < nodes it is right of
     while todo:  # not recursive: the term may nest MAX_TERM_DEPTH deep
-        tags.append((node := todo.pop())[0])
-        todo.extend(node[1:] if node[0] == "p" else node[1] if node[0] == "d" else ())
-    return depth if rt[0] == "b" else depth + 2 * tags.count("p") + (tags.count("b") - 2) ** 2
+        node, r = todo.pop()
+        if node[0] == "b":
+            blocks, right = blocks + 1, right + r
+        elif node[0] == "p":
+            nodes += 1
+            todo += ((node[1], r), (node[2], r + 1))
+        else:
+            todo += ((factor, r) for factor in node[1])
+    return 1 + nodes + blocks * (blocks - 1) // 2 - right
 
 
 def normal_form(term: FreeTerm) -> NormalForm:
@@ -333,7 +334,7 @@ def normal_form(term: FreeTerm) -> NormalForm:
         raise SignatureError("normal-form rewriting is defined for CTD terms only")
     labels: dict[int, int] = {}
     encoded = _encode(term, labels)
-    if (depth := _norm_depth(encoded)) > MAX_TERM_DEPTH + 1:
+    if encoded not in _NF_CACHE and (depth := _norm_depth(encoded)) > MAX_TERM_DEPTH + 1:
         raise ValueError(f"rewriting could recurse {depth} levels deep, over {MAX_TERM_DEPTH + 1}")
     shape = _norm(encoded)
     # each distinct block of the shape's form mapped back once, then every

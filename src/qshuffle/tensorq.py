@@ -20,11 +20,12 @@ letter of a.b is a or b), and only such a branch goes through
 over lattice paths with unit steps right, up, and diagonal, where a
 diagonal step multiplies the two letters it consumes; the two routes are
 cross-checked in the test suite. A call lays its pair out in one table:
-u + v, then every (letter, coefficient) entry of each letter product.
-Each Delannoy path of the (p, q) shape, with one entry chosen per product
-it crosses, is compiled once per tuple of product sizes into two
-``itemgetter`` gathers, of its word and of its coefficients; a path
-through a zero product is dropped when compiled. The two routes share only
+u + v, then the (letter, coefficient) entries of each letter product,
+padded with zero entries to the length t of the longest. Each Delannoy
+path of the (p, q) shape, with one entry chosen per product it crosses,
+is compiled once per (p, q, t) into two ``itemgetter`` gathers, of its
+word and of its coefficients; when every product is zero (t = 0) the
+diagonal paths are dropped when compiled. The two routes share only
 the letter product, which both read from the per-algebra memo
 ``_letter_product``: it is input data, not the rule under test. Neither
 route calls the other's code, and the oracle calls neither ``add_into``
@@ -45,7 +46,7 @@ empty word raises ``UnitPairingError``.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import prod
 from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping
@@ -273,33 +274,30 @@ def _gather(indices: tuple[int, ...]) -> itemgetter:
     return itemgetter(*indices) if indices else _NO_COEFFICIENTS
 
 
-def _compile_gathers(p: int, q: int, sizes: tuple[int, ...]) -> Iterator[tuple]:
-    """Each path to (p, q) by steps right, up and diagonal, with an entry of
-    each letter product it crosses, as gathers of its word and coefficients
-    from u + v, then ``sizes[i*q + j]`` entries of each u[i].v[j] in turn."""
-    starts = tuple(accumulate(sizes, initial=p + q))
-
-    def walk(i, j, word, merged):
-        if i == p and j == q:
-            yield _gather(word), _gather(merged)
-        if i < p:
-            yield from walk(i + 1, j, word + (i,), merged)
-        if j < q:
-            yield from walk(i, j + 1, word + (p + j,), merged)
+def _compile_gathers(p: int, q: int, terms: int) -> Iterator[tuple]:
+    """Each path to (p, q) by steps right, up and diagonal, in that order, with
+    an entry of each letter product it crosses, as gathers of its word and
+    coefficients from u + v, then ``terms`` entries of each u[i].v[j]."""
+    todo = [(0, 0, (), ())]
+    while todo:
+        i, j, word, merged = todo.pop()
         if i < p and j < q:
-            for entry in range(starts[i * q + j], starts[i * q + j + 1]):
-                yield from walk(i + 1, j + 1, word + (entry,), merged + (entry,))
+            start = p + q + (i * q + j) * terms
+            for entry in reversed(range(start, start + terms)):
+                todo.append((i + 1, j + 1, word + (entry,), merged + (entry,)))
+        if j < q:
+            todo.append((i, j + 1, word + (p + j,), merged))
+        if i < p:
+            todo.append((i + 1, j, word + (i,), merged))
+        elif j == q:
+            yield _gather(word), _gather(merged)
 
-    return walk(0, 0, (), ())
 
-
-@lru_cache(maxsize=128)
-def _stored_gathers(p: int, q: int, sizes: tuple[int, ...]) -> tuple[tuple, ...]:
-    """``_compile_gathers``, kept for the last 128 keys. With letter products
-    of at most one term (all builtin algebras) the 91 shapes take 20 MB and
-    (6, 6) 3.1 MB, so 128 keys take about 400 MB at most; a product of t
-    terms multiplies a path's gathers by t per diagonal step through it."""
-    return tuple(_compile_gathers(p, q, sizes))
+@lru_cache(maxsize=273)
+def _stored_gathers(p: int, q: int, terms: int) -> tuple[tuple, ...]:
+    """``_compile_gathers`` for the 91 shapes of at most 12 letters and t <= 2,
+    273 keys: t = 1 (the builtin algebras but zero) takes 20 MB, t = 2 75 MB."""
+    return tuple(_compile_gathers(p, q, terms))
 
 
 def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
@@ -309,17 +307,18 @@ def quasi_shuffle_paths(alg: CoeffAlgebraSpec, u, v) -> TensorElement:
     if not u and not v:
         return TensorElement.unit()
     columns = [_letter_product(alg, a, b) for a in u for b in v]
-    letters, coefficients = zip(*chain(zip(u + v, repeat(1)), *columns))
-    p, q = len(u), len(v)
-    compiled = _compile_gathers if p + q > _PATH_CACHE_LETTERS else _stored_gathers
+    p, q, terms = len(u), len(v), max(map(len, columns), default=0)
+    padded = [column + ((None, 0),) * (terms - len(column)) for column in columns]
+    letters, coefficients = zip(*chain(zip(u + v, repeat(1)), *padded))
+    stored = p + q <= _PATH_CACHE_LETTERS and terms <= 2
     acc: dict[Word, Scalar] = {}
-    for word_of, coefficients_of in compiled(p, q, tuple(map(len, columns))):
+    for word_of, coefficients_of in (_stored_gathers if stored else _compile_gathers)(p, q, terms):
         word = word_of(letters)
         val = acc.get(word, 0) + prod(coefficients_of(coefficients))
         if val:
             acc[word] = val
         else:
-            del acc[word]
+            acc.pop(word, None)
     return TensorElement._raw(acc)
 
 

@@ -217,6 +217,16 @@ class TestNormalizeCommand:
         assert err.startswith("error: rewriting could recurse ")
         assert err.count("\n") == 1
 
+    def test_a_chain_heading_a_long_comb_still_normalizes(self, capsys):
+        # 26 generators; a bound charging every block quadratically refused it
+        term = "((a < b) < " + "".join(f"(g{k} < " for k in range(3, 26)) + "g26" + ")" * 24
+        start = perf_counter()
+        code, out, err = run_cli(capsys, ["normalize", term])
+        assert perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out.startswith("".join(f"(v{k})" for k in range(1, 27)) + " + ")
+        assert out.count(" + ") == 48
+
     def test_a_deep_right_comb_still_normalizes(self, capsys):
         term = "(a < " * 499 + "b" + ")" * 499
         start = perf_counter()

@@ -496,27 +496,26 @@ class TestRewritingDepth:
     """``normal_form`` refuses a term whose rewriting could outgrow the
     stack, judged by ``_norm_depth`` before any rewriting."""
 
-    def test_the_predicted_depth_bounds_the_rewriting(self, monkeypatch):
-        norm, depth = freectd._norm, [0, 0]
+    def test_each_level_of_rewriting_lowers_the_bound(self, monkeypatch):
+        # so the bound on a term bounds the levels below it
+        norm, bounds = freectd._norm, []
 
-        def counted(rt):
-            depth[0] += 1
-            depth[1] = max(depth)
+        def checked(rt):
+            bound = freectd._norm_depth(rt)
+            assert not bounds or bound < bounds[-1], rt
+            bounds.append(bound)
             try:
                 return norm(rt)
             finally:
-                depth[0] -= 1
+                bounds.pop()
 
-        monkeypatch.setattr(freectd, "_norm", counted)
+        monkeypatch.setattr(freectd, "_norm", checked)
         rng = random.Random(21)
         terms = [random_ctd_term(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(400)]
         terms += [_chain((1,) + (2,) * n) for n in range(1, 9)]
         for term in terms:
-            monkeypatch.setattr(freectd, "_NF_CACHE", {})  # the deepest case: a cold cache
-            encoded = freectd._encode(term, {})
-            depth[1] = 0
-            counted(encoded)
-            assert depth[1] <= freectd._norm_depth(encoded), term
+            monkeypatch.setattr(freectd, "_NF_CACHE", {})  # every step taken: a cold cache
+            checked(freectd._encode(term, {}))
 
     def test_a_right_comb_is_bounded_by_its_depth_and_a_left_chain_is_refused(self):
         comb, chain = gen(2), gen(1)
@@ -527,6 +526,24 @@ class TestRewritingDepth:
         message = f"^rewriting could recurse .* levels deep, over {MAX_TERM_DEPTH + 1}$"
         with pytest.raises(ValueError, match=message):
             normal_form(chain)
+
+    def test_a_chain_heading_a_long_comb_is_charged_per_generator(self):
+        # ((g1 < g2) < (g3 < (g4 < ... < g26))): 49 combs, once refused
+        comb = gen(26)
+        for index in range(25, 2, -1):
+            comb = prec(gen(index), comb)
+        term = prec(prec(G1, G2), comb)
+        assert freectd._norm_depth(freectd._encode(term, {})) == 50
+        assert len(normal_form(term)) == 49
+
+    def test_every_term_of_at_most_32_generators_passes(self):
+        rng = random.Random(32)
+        terms = [random_ctd_term(rng, 32, rng.randint(1, 32)) for _ in range(200)]
+        depths = [freectd._norm_depth(freectd._encode(term, {})) for term in terms]
+        assert max(depths) <= 1 + 32 * 31 // 2 < MAX_TERM_DEPTH
+        # the left chain has the most pairs and the fewest blocks to the right
+        chain = freectd._encode(_chain(tuple(range(1, 33))), {})
+        assert freectd._norm_depth(chain) == 1 + 32 * 31 // 2
 
 
 class TestMultilinearSpan:

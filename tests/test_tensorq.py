@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import itertools
+import math
 import random
 import types
 from collections import Counter
@@ -47,19 +48,13 @@ from conftest import coradical_degree_oracle, delannoy_oracle, shuffle_oracle
 from test_laws import _sum_product_algebra
 
 
-# A path step consumes one letter of the first word, the second, or both.
-LatticePath = tuple[tuple[int, int], ...]
-
-
-def enumerate_lattice_paths(p: int, q: int) -> Iterator[LatticePath]:
+def enumerate_lattice_paths(p: int, q: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All step sequences from (0,0) to (p,q) over right, up and diagonal.
 
     A (1,0) step consumes a letter of the first word, (0,1) one of the
     second, (1,1) one of each. Path counts are the Delannoy numbers.
     Paths come in the oracle's order: right before up before diagonal.
     """
-    if p < 0 or q < 0:
-        raise ValueError("path endpoints need nonnegative coordinates")
     if p == q == 0:
         yield ()
         return
@@ -80,6 +75,7 @@ def element_of(*letters):
 A = atom_letter("a")
 B = atom_letter("b")
 C = atom_letter("c")
+D, E = atom_letter("d"), atom_letter("e")
 Y1, Y2, Y3 = weight_letter(1), weight_letter(2), weight_letter(3)
 X1, X2 = mono_letter((1,)), mono_letter((2,))
 
@@ -574,10 +570,10 @@ class TestOracleIndependence:
         assert shared & set(functions) == {"_letter_product"}
 
 
-def _decode(p, q, sizes, gathers):
+def _decode(p, q, terms, gathers):
     """The steps of a compiled (word, coefficients) pair of gathers of a
-    (p, q) pair whose letter products have ``sizes`` entries, and the entry
-    each diagonal step takes of its product.
+    (p, q) pair whose letter products have ``terms`` entries each, and the
+    entry each diagonal step takes of its product.
 
     Both gathers are applied to the table of their own positions, so they
     return the indices they read. An index that does not name the next
@@ -585,8 +581,7 @@ def _decode(p, q, sizes, gathers):
     that reads other than the diagonal entries, or a path that does not end
     at (p, q), is refused.
     """
-    starts = tuple(itertools.accumulate(sizes, initial=p + q))
-    positions = tuple(range(starts[-1]))
+    positions = tuple(range(p + q + p * q * terms))
     word_of, coefficients_of = gathers
     steps, entries, merged, i, j = [], [], [], 0, 0
     for index in word_of(positions):
@@ -595,10 +590,10 @@ def _decode(p, q, sizes, gathers):
         elif j < q and index == p + j:
             step = (0, 1)
         else:
-            column = i * q + j
-            assert i < p and j < q and starts[column] <= index < starts[column + 1]
+            start = p + q + (i * q + j) * terms
+            assert i < p and j < q and start <= index < start + terms
             step = (1, 1)
-            entries.append(index - starts[column])
+            entries.append(index - start)
             merged.append(index)
         steps.append(step)
         i, j = i + step[0], j + step[1]
@@ -607,14 +602,22 @@ def _decode(p, q, sizes, gathers):
     return tuple(steps), tuple(entries)
 
 
-def _diagonal_corners(path):
-    """The points from which ``path`` takes its diagonal steps, in order."""
-    corners, i, j = [], 0, 0
-    for step in path:
-        if step == (1, 1):
-            corners.append((i, j))
-        i, j = i + step[0], j + step[1]
-    return corners
+def _path_expansion(u, v, product):
+    """The sum over the reference's paths and over the entries of the letter
+    products they cross, one word and coefficient per choice."""
+    terms = Counter()
+    for path in enumerate_lattice_paths(len(u), len(v)):
+        words, i, j = [((), 1)], 0, 0
+        for step in path:
+            if step == (1, 1):
+                entries = product(u[i], v[j])
+            else:
+                entries = [(u[i], 1)] if step == (1, 0) else [(v[j], 1)]
+            words = [(w + (letter,), c * k) for w, c in words for letter, k in entries]
+            i, j = i + step[0], j + step[1]
+        for word, c in words:
+            terms[word] += c
+    return TensorElement([(word, c) for word, c in terms.items() if c])
 
 
 class TestMemos:
@@ -623,65 +626,76 @@ class TestMemos:
         for p, q in itertools.product(range(limit + 1), repeat=2):
             if p + q > limit:
                 continue
-            sizes = (1,) * (p * q)
-            gathers = tensorq._stored_gathers(p, q, sizes)
-            decoded = tuple(_decode(p, q, sizes, pair) for pair in gathers)
+            gathers = tensorq._stored_gathers(p, q, 1)
+            decoded = tuple(_decode(p, q, 1, pair) for pair in gathers)
             assert decoded == tuple(
                 (path, (0,) * path.count((1, 1))) for path in enumerate_lattice_paths(p, q)
             ), (p, q)
             # distinct valid paths, as many as D(p, q): every path, once
             assert len(set(decoded)) == len(gathers) == delannoy_oracle(p, q), (p, q)
-            assert tensorq._stored_gathers(p, q, sizes) is gathers
+            assert tensorq._stored_gathers(p, q, 1) is gathers
 
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 3), (4, 2)])
-    def test_an_empty_product_drops_exactly_the_paths_through_it(self, p, q):
-        for i, j in itertools.product(range(p), range(q)):
-            sizes = tuple(0 if column == i * q + j else 1 for column in range(p * q))
-            decoded = [
-                _decode(p, q, sizes, pair) for pair in tensorq._stored_gathers(p, q, sizes)
-            ]
-            kept = [
-                path for path in enumerate_lattice_paths(p, q)
-                if (i, j) not in _diagonal_corners(path)
-            ]
-            assert decoded == [(path, (0,) * path.count((1, 1))) for path in kept], (i, j)
-            assert len(kept) < delannoy_oracle(p, q)
+    def test_empty_products_drop_every_diagonal_path_when_compiled(self, p, q):
+        decoded = [_decode(p, q, 0, pair) for pair in tensorq._stored_gathers(p, q, 0)]
+        kept = [path for path in enumerate_lattice_paths(p, q) if (1, 1) not in path]
+        assert decoded == [(path, ()) for path in kept]
+        assert len(kept) == math.comb(p + q, p) < delannoy_oracle(p, q)
 
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 3), (4, 2)])
-    def test_a_two_entry_product_doubles_exactly_the_paths_through_it(self, p, q):
-        for i, j in itertools.product(range(p), range(q)):
-            sizes = tuple(2 if column == i * q + j else 1 for column in range(p * q))
-            decoded = [
-                _decode(p, q, sizes, pair) for pair in tensorq._stored_gathers(p, q, sizes)
-            ]
-            expected = []
-            for path in enumerate_lattice_paths(p, q):
-                corners = _diagonal_corners(path)
-                # the doubled product's first entry, then its second
-                for entry in (0, 1) if (i, j) in corners else (0,):
-                    chosen = tuple(entry if corner == (i, j) else 0 for corner in corners)
-                    expected.append((path, chosen))
-            # a choice is made where the path crosses the product, so the two
-            # copies of a path need not be adjacent
-            assert sorted(decoded) == sorted(expected), (i, j)
-            assert len(set(decoded)) == len(decoded) > delannoy_oracle(p, q)
+    def test_two_entry_products_double_the_paths_at_each_diagonal(self, p, q):
+        decoded = [_decode(p, q, 2, pair) for pair in tensorq._stored_gathers(p, q, 2)]
+        expected = [
+            (path, chosen)
+            for path in enumerate_lattice_paths(p, q)
+            for chosen in itertools.product((0, 1), repeat=path.count((1, 1)))
+        ]
+        # a choice is made where the path crosses a product, so the copies
+        # of a path need not be adjacent
+        assert sorted(decoded) == sorted(expected)
+        assert len(set(decoded)) == len(decoded) > delannoy_oracle(p, q)
+
+    @pytest.mark.parametrize("special", [(), ((A, 1), (B, 2))], ids=["empty", "two-entry"])
+    def test_one_odd_product_drops_or_doubles_exactly_the_paths_through_it(self, special):
+        # a.b = a for all letters but one pair, whose product is empty or two
+        # terms: the other products get a zero entry, whose paths add nothing
+        u, v = (A, B, C), (D, E)
+        for odd in itertools.product(u, v):
+            alg = dataclasses.replace(
+                _sum_product_algebra(),
+                name="one-odd-product",
+                cache={},
+                product_rule=lambda a, b: CoeffCombination(special if (a, b) == odd else [(a, 1)]),
+            )
+            got = quasi_shuffle_paths(alg, u, v)
+            assert got == _path_expansion(u, v, lambda a, b: alg.product_rule(a, b).items())
+            assert got == quasi_shuffle(alg, TensorElement.from_word(u), TensorElement.from_word(v))
+
+    def test_one_key_per_shape_and_term_count(self):
+        # a.b = a + b has one term when a is b, two otherwise
+        alg, letters = _sum_product_algebra(), (A, B, C)
+        tensorq._stored_gathers.cache_clear()
+        for u, v in itertools.product(itertools.product(letters, repeat=2), repeat=2):
+            expected = quasi_shuffle(alg, TensorElement.from_word(u), TensorElement.from_word(v))
+            assert quasi_shuffle_paths(alg, u, v) == expected
+        assert tensorq._stored_gathers.cache_info().currsize == 2  # terms 1 and 2
 
     def test_the_cache_stays_within_its_maxsize(self):
         maxsize = tensorq._stored_gathers.cache_info().maxsize
-        assert maxsize == 128
-        for sizes in itertools.product(range(4), repeat=4):  # 256 distinct keys
-            tensorq._stored_gathers(2, 2, sizes)
+        assert maxsize == 3 * 91  # the shapes of at most 12 letters, 0 to 2 terms
+        for terms in range(maxsize + 20):  # one path each
+            tensorq._stored_gathers(3, 0, terms)
             assert tensorq._stored_gathers.cache_info().currsize <= maxsize
         assert tensorq._stored_gathers.cache_info().currsize == maxsize
+        tensorq._stored_gathers.cache_clear()
 
     def test_long_pairs_stream_instead_of_being_stored(self):
         p = tensorq._PATH_CACHE_LETTERS // 2 + 1
-        sizes = (1,) * (p * (p - 1))
         stored = tensorq._stored_gathers.cache_info()
-        gathers = tensorq._compile_gathers(p, p - 1, sizes)
+        gathers = tensorq._compile_gathers(p, p - 1, 1)
         assert isinstance(gathers, types.GeneratorType)
         first = ((1, 0),) * p + ((0, 1),) * (p - 1)
-        assert _decode(p, p - 1, sizes, next(gathers)) == (first, ())
+        assert _decode(p, p - 1, 1, next(gathers)) == (first, ())
         assert tensorq._stored_gathers.cache_info() == stored
 
     def test_a_streamed_pair_equals_the_recursion(self, zero_alg):
@@ -694,6 +708,19 @@ class TestMemos:
             zero_alg, TensorElement.from_word(u), TensorElement.from_word(v)
         )
         assert quasi_shuffle_paths(zero_alg, u, v) == expected
+        assert tensorq._stored_gathers.cache_info() == stored
+
+    def test_products_of_three_terms_stream(self):
+        alg = dataclasses.replace(
+            _sum_product_algebra(),
+            name="three-terms",
+            cache={},
+            product_rule=lambda a, b: CoeffCombination([(a, 1), (D, 2), (E, -1)]),
+        )
+        stored = tensorq._stored_gathers.cache_info()
+        for u, v in [((A, B), (B,)), ((A,), (A, C)), ((B, A), (C, A))]:
+            expected = quasi_shuffle(alg, TensorElement.from_word(u), TensorElement.from_word(v))
+            assert quasi_shuffle_paths(alg, u, v) == expected
         assert tensorq._stored_gathers.cache_info() == stored
 
     def test_paths_that_cancel_drop_their_word(self):
