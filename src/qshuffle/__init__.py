@@ -41,11 +41,9 @@ from .tensorq import (
     op_dot,
     op_left,
     op_right,
-    project_to_letters,
     quasi_shuffle,
     quasi_shuffle_paths,
     reduced_coproduct,
-    word_degree,
 )
 from .freectd import (
     FreeTerm,
@@ -76,7 +74,6 @@ from .bialg import (
     reduced_coproduct_kernel,
     square_dot,
     square_left,
-    square_star,
 )
 from .rota import (
     DerivedStructure,
@@ -86,13 +83,10 @@ from .rota import (
     check_star_morphism,
     derived_structure,
     example_by_name,
-    identity_operator,
     pointwise_function_algebra,
-    rota_baxter_defect,
     star_product,
     summation_operator,
     verify_rota_baxter,
-    zero_operator,
 )
 from .grammar import (
     ParseError,
@@ -105,12 +99,11 @@ from .grammar import (
     parse_word,
     render_element,
     render_normal_form,
-    render_partition,
     render_square_element,
     render_word,
     square_to_json,
 )
-from .laws import LawReport, LawViolation, check_compatibility, run_suite, splitting_identity_holds
+from .laws import LawReport, LawViolation, check_compatibility, run_suite
 from .sampling import (
     random_ctd_term,
     random_element,

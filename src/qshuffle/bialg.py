@@ -14,12 +14,13 @@ the undefined head operation is pushed to the right factors,
     (1 (x) b) < (1 (x) b')  =  1 (x) (b < b')
     (1 (x) b) . (1 (x) b')  =  1 (x) (b . b')
 
-and only the all-four-units pairing stays undefined. All three are one
-grouped pass, ``_square``: the pairs of the first argument are grouped by
-left word, each left word meets each pair of the second argument once, in
-one head image (skipped when zero), and each head times each quasi-shuffle
-of right words is summed straight into one dict. With this structure the
-deconcatenation coproduct is compatible with the partial operations:
+and only the all-four-units pairing stays undefined. ``square_left`` and
+``square_dot`` are one grouped pass, ``_square``: the pairs of the first
+argument are grouped by left word, each left word meets each pair of the
+second argument once, in one head image (skipped when zero), and each head
+times each quasi-shuffle of right words is summed straight into one dict.
+With this structure the deconcatenation coproduct is compatible with the
+partial operations:
 
     coproduct(x < y) = coproduct(x) < coproduct(y)
     coproduct(x . y) = coproduct(x) . coproduct(y)
@@ -28,12 +29,15 @@ stated once, as the two rows of the law table ``laws.COMPAT``. The
 length-one words are exactly the primitives in each graded piece;
 ``reduced_coproduct_kernel`` recomputes that kernel as an independent
 route, by exact sparse elimination of the words' reduced coproducts
-(``lincomb.kernel``). The dot of primitives and the splitting of
-``generator_projection`` are checked by ``laws.PRIMITIVE_DOT`` and
-``laws.PROJECTION``.
+(``lincomb.kernel``); no package code calls it, as acceptance criterion 9
+checks ``is_primitive`` against it. The dot of primitives and the
+splitting of ``generator_projection`` are checked by ``laws.PRIMITIVE_DOT``
+and ``laws.PROJECTION``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
 from .freectd import FreeTerm, SignatureError, _fold_in
@@ -43,6 +47,7 @@ from .tensorq import (
     TensorElement,
     TensorSquareElement,
     Word,
+    _check_words,
     _shuffle_words,
     _word_op_dot,
     _word_op_left,
@@ -51,14 +56,11 @@ from .tensorq import (
 
 
 def _square(alg, word_op, a, b) -> TensorSquareElement:
-    """``word_op`` on left words, quasi-shuffle on right words, extended bilinearly.
-
-    Letters are not checked against ``alg``: the fold in ``free_ctd_coproduct``
-    would re-check every intermediate square.
-    """
+    """``word_op`` on left words, quasi-shuffle on right words, extended bilinearly."""
     for x in (a, b):
         if not isinstance(x, TensorSquareElement):
             raise TypeError(f"TensorSquareElement expected, got {type(x).__name__}")
+        _check_words(alg, chain.from_iterable(x._terms))
     rows: dict[Word, list] = {}
     for (u1, v1), c1 in a._terms.items():
         rows.setdefault(u1, []).append((v1, c1))
@@ -70,8 +72,7 @@ def _square(alg, word_op, a, b) -> TensorSquareElement:
                 heads, tails_op = word_op(alg, u1, u2), _shuffle_words
             else:
                 # both heads are the unit: the operation moves to the right
-                # factors, raising UnitPairingError when all four are units;
-                # for the total star this gives what the general branch gives
+                # factors, raising UnitPairingError when all four are units
                 heads, tails_op = {EMPTY_WORD: 1}, word_op
             if not heads:
                 continue
@@ -89,13 +90,6 @@ def _square(alg, word_op, a, b) -> TensorSquareElement:
                         else:
                             del acc[key]
     return TensorSquareElement._raw(acc)
-
-
-def square_star(
-    alg: CoeffAlgebraSpec, a: TensorSquareElement, b: TensorSquareElement
-) -> TensorSquareElement:
-    """Componentwise quasi-shuffle on two-fold tensors. Total."""
-    return _square(alg, _shuffle_words, a, b)
 
 
 def square_left(

@@ -13,6 +13,9 @@ Builtin families:
                    is multiset union (free commutative nonunital algebra),
 * ``word(n)``    - nonempty words in n generators, product is concatenation
                    (free associative nonunital algebra), reversal involution.
+
+No package code calls ``builtin_algebras`` or ``multiply_letters``: the tests
+sweep the first, and check ``laws.LETTER_PRODUCT`` with the second.
 """
 
 from __future__ import annotations

@@ -38,6 +38,9 @@ their exponential generating function (exp(x) - 1)/(2 - exp(x)) by exact
 truncated series arithmetic. ``dimension_flavor`` gives a flavour's
 partition enumerator and counts. That ``eval_ctd`` of a dot of generators
 is their letter product is the row ``laws.LETTER_PRODUCT``.
+
+No package code calls ``eval_itd``, ``involute_term`` or ``multilinear_terms``:
+they are the tridendriform side and the free-term involution law.
 """
 
 from __future__ import annotations
@@ -355,21 +358,24 @@ _ITD_OPS = {"prec": op_left, "succ": op_right, "dot": op_dot}
 
 
 def _generator_letter(alg: CoeffAlgebraSpec, index: int) -> Letter:
-    """Generator ``index`` as the degree-one letter of ``alg``'s own kind:
-    for sym(n) and word(n) the degree-one slice lists the generators in
-    index order."""
-    generators = alg.letters_of_degree(1)
-    if index > len(generators):
+    """Generator ``index`` as ``alg``'s degree-one letter, refused if ``alg`` lacks it."""
+    letter = Letter(alg.letter_style, (index,))
+    if letter not in alg:
         raise DomainError(f"generator index {index} exceeds the generator count of {alg.name}")
-    return generators[index - 1]
+    return letter
 
 
 def _fold_in(term: FreeTerm, alg: CoeffAlgebraSpec, leaf, ops):
-    """``fold_term`` into ``alg``: a generator goes to ``leaf`` of its letter
-    and a node to ``ops[op](alg, left, right)``. ``ops`` is read when the map
-    is called, so a later rebinding of its operations takes effect."""
+    """``fold_term`` into ``alg``: a generator goes to ``leaf`` of its letter,
+    made once per distinct generator, and a node to ``ops[op](alg, left,
+    right)``. ``ops`` is read when called, so a later rebinding takes effect."""
     ops = {op: partial(f, alg) for op, f in ops.items()}
-    return fold_term(term, lambda i: leaf(_generator_letter(alg, i)), ops)
+    leaves = {}
+    def image(i):
+        if i not in leaves:
+            leaves[i] = leaf(_generator_letter(alg, i))
+        return leaves[i]
+    return fold_term(term, image, ops)
 
 
 def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:

@@ -286,10 +286,6 @@ def _render_block(block) -> str:
     return "(v" + " v".join(map(str, block)) + ")" if block else "()"
 
 
-def render_partition(blocks) -> str:
-    return "".join(map(_render_block, blocks))
-
-
 def render_normal_form(nf: NormalForm) -> str:
     terms = nf.terms()
     # the combs of one form share their blocks, so each distinct block is

@@ -157,14 +157,6 @@ def _operator_ops(algebra: FiniteAlgebra, operator: LinearOperator):
     return (None, None, algebra.multiply, partial(star_product, algebra, operator), operator.apply)
 
 
-def rota_baxter_defect(
-    algebra: FiniteAlgebra, operator: LinearOperator, a: LinearCombination, b: LinearCombination
-) -> LinearCombination:
-    """P(a)P(b) - P(aP(b) + P(a)b + ab); zero exactly when the identity holds."""
-    lhs, rhs = _WEIGHT_ONE[0][1](*_operator_ops(algebra, operator), a, b)
-    return lhs - rhs
-
-
 def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
     """Weight-one identity over all basis pairs (bilinear, so complete)."""
     ops = _operator_ops(algebra, operator)
@@ -271,14 +263,6 @@ def summation_operator(points: int) -> LinearOperator:
     pointwise product.
     """
     return LinearOperator(_indicator_matrix(points, lambda i, j: j < i))
-
-
-def zero_operator(dimension: int) -> LinearOperator:
-    return LinearOperator(_indicator_matrix(dimension, lambda i, j: False))
-
-
-def identity_operator(dimension: int) -> LinearOperator:
-    return LinearOperator(_indicator_matrix(dimension, lambda i, j: i == j))
 
 
 def example_by_name(name: str) -> tuple[FiniteAlgebra, LinearOperator]:

@@ -4,7 +4,8 @@ All samplers take an explicit :class:`random.Random` so every run is
 reproducible from a seed. Elements are kept small on purpose: letters of
 degree at most two, words of length at most three, integer coefficients in
 ``[-3, -1] + [1, 3]``. That keeps exhaustive law checks fast while still
-exercising the non-commutative and composite-letter paths.
+exercising the non-commutative and composite-letter paths. No package code
+calls ``random_ctd_term`` or ``random_td_term``: they draw the tests' terms.
 """
 
 from __future__ import annotations

@@ -246,6 +246,14 @@ class TestCoproductCommand:
         assert code == 0
         assert out == "1 (x) [x1 x1] + [x1 x1] (x) 1\n"
 
+    def test_a_huge_generator_index_builds_only_its_own_letter(self, capsys):
+        # building every generator of sym(2000000) took 14.5 s and 802 MB
+        start = perf_counter()
+        code, out, err = run_cli(capsys, ["coproduct", "(g2000000 < g1)"])
+        assert perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == "1 (x) x2000000.x1 + x2000000 (x) x1 + x2000000.x1 (x) 1\n"
+
 
 class TestAxiomsCommand:
     def test_seven_suite_passes(self, capsys):

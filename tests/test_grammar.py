@@ -34,7 +34,6 @@ from qshuffle import (
     quasi_shuffle,
     render_element,
     render_normal_form,
-    render_partition,
     render_square_element,
     render_word,
     square_to_json,
@@ -271,9 +270,9 @@ class TestRendering:
         assert render_square_element(square) == "1 (x) x1.x2 + x1 (x) x2 + x1.x2 (x) 1"
 
     def test_partitions(self):
-        assert render_partition(((1, 2), (3,))) == "(v1 v2)(v3)"
-        assert render_partition(((2,),)) == "(v2)"
-        assert render_partition(((), (10, 27))) == "()(v10 v27)"
+        assert render_normal_form(NormalForm.basis(((1, 2), (3,)))) == "(v1 v2)(v3)"
+        assert render_normal_form(NormalForm.basis(((2,),))) == "(v2)"
+        assert render_normal_form(NormalForm.basis(((27, 10), (5,)))) == "(v10 v27)(v5)"
 
     def test_normal_forms(self):
         nf = normal_form(prec(prec(gen(1), gen(2)), gen(3)))
@@ -310,15 +309,12 @@ class TestRendering:
                     out = text if sign == "+" else "-" + text
             return out or "0"
 
+        def block_join(seq):
+            return "".join("(" + " ".join(f"v{i}" for i in block) + ")" for block in seq)
+
         for nf in self._sampled_normal_forms():
             terms = nf.terms()
-            for seq, _ in terms:
-                assert render_partition(seq) == "".join(
-                    "(" + " ".join(f"v{i}" for i in block) + ")" for block in seq
-                )
-            assert render_normal_form(nf) == signed_join(
-                (render_partition(seq), c) for seq, c in terms
-            )
+            assert render_normal_form(nf) == signed_join((block_join(seq), c) for seq, c in terms)
             data = normal_form_to_json(nf)["terms"]
             assert [entry["blocks"] for entry in data] == [
                 [list(block) for block in seq] for seq, _ in terms
