@@ -120,8 +120,8 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
     """
     if not term.is_ctd:
         raise SignatureError("the free coproduct is defined for CTD terms only")
-    alg = sym_algebra(n_generators)
-    return _fold_in(term, alg, _primitive_square, {"prec": square_left, "dot": square_dot})
+    ops = {"prec": square_left, "dot": square_dot}
+    return _fold_in(term, n_generators, sym_algebra, _primitive_square, ops)
 
 
 def _primitive_square(letter) -> TensorSquareElement:

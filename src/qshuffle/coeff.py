@@ -14,6 +14,10 @@ Builtin families:
 * ``word(n)``    - nonempty words in n generators, product is concatenation
                    (free associative nonunital algebra), reversal involution.
 
+A letter of ``sym(n)`` is a sorted nonempty tuple over 1..n, one of
+``word(n)`` any such tuple, and the rest follows, so one cached builder,
+keyed by letter kind and n, makes both: one algebra object per family and n.
+
 No package code calls ``builtin_algebras`` or ``multiply_letters``: the tests
 sweep the first, and check ``laws.LETTER_PRODUCT`` with the second.
 """
@@ -213,10 +217,6 @@ class CoeffAlgebraSpec:
             known.add(letter)
         return letter in known
 
-    @property
-    def has_involution(self) -> bool:
-        return self.involution_rule is not None
-
     def letters_of_degree(self, degree: int) -> tuple[Letter, ...]:
         if degree < 1:
             return ()
@@ -311,63 +311,51 @@ def stuffle_y_algebra() -> CoeffAlgebraSpec:
     )
 
 
-@lru_cache(maxsize=None)
 def sym_algebra(n: int) -> CoeffAlgebraSpec:
     """Nonempty monomials in n generators; product is multiset union."""
-    if not _positive_int(n):
-        raise ValueError("sym algebra needs at least one generator")
-
-    def product(a: Letter, b: Letter) -> CoeffCombination:
-        return CoeffCombination.basis(mono_letter(a.payload + b.payload))
-
-    def member(letter: Letter) -> bool:
-        return letter.kind == "mono" and all(1 <= i <= n for i in letter.payload)
-
-    @lru_cache(maxsize=None)
-    def slice_(degree: int) -> tuple[Letter, ...]:
-        combos = combinations_with_replacement(range(1, n + 1), degree)
-        return tuple(mono_letter(c) for c in combos)
-
-    return CoeffAlgebraSpec(
-        name=f"sym{n}",
-        is_commutative=True,
-        letter_style="mono",
-        product_rule=product,
-        member_rule=member,
-        degree_slice=slice_,
-        involution_rule=lambda letter: letter,
-    )
+    return _generated_algebra("mono", n)
 
 
-@lru_cache(maxsize=None)
 def word_algebra(n: int) -> CoeffAlgebraSpec:
     """Nonempty words in n generators; product is concatenation.
 
     Commutative only in the single-generator case. The involution reverses
     each word letter.
     """
+    return _generated_algebra("word", n)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _generated_algebra(kind: str, n: int) -> CoeffAlgebraSpec:
+    """sym(n) for ``kind`` "mono", word(n) for "word". The cache is typed:
+    ``True == 1`` and ``2.0 == 2``, so an untyped key would hand out a
+    cached algebra for an argument the check below refuses."""
+    sym = kind == "mono"
+    family, make = ("sym", mono_letter) if sym else ("word", word_letter)
     if not _positive_int(n):
-        raise ValueError("word algebra needs at least one generator")
+        raise ValueError(f"{family} algebra needs at least one generator")
 
     def product(a: Letter, b: Letter) -> CoeffCombination:
-        return CoeffCombination.basis(word_letter(a.payload + b.payload))
+        return CoeffCombination.basis(make(a.payload + b.payload))
 
     def member(letter: Letter) -> bool:
-        return letter.kind == "word" and all(1 <= i <= n for i in letter.payload)
+        return letter.kind == kind and all(1 <= i <= n for i in letter.payload)
 
     @lru_cache(maxsize=None)
     def slice_(degree: int) -> tuple[Letter, ...]:
-        seqs = iter_product(range(1, n + 1), repeat=degree)
-        return tuple(word_letter(s) for s in seqs)
+        generators = range(1, n + 1)
+        if sym:
+            return tuple(map(make, combinations_with_replacement(generators, degree)))
+        return tuple(map(make, iter_product(generators, repeat=degree)))
 
     return CoeffAlgebraSpec(
-        name=f"word{n}",
-        is_commutative=(n == 1),
-        letter_style="word",
+        name=f"{family}{n}",
+        is_commutative=sym or n == 1,
+        letter_style=kind,
         product_rule=product,
         member_rule=member,
         degree_slice=slice_,
-        involution_rule=lambda letter: word_letter(tuple(reversed(letter.payload))),
+        involution_rule=(lambda a: a) if sym else (lambda a: word_letter(a.payload[::-1])),
     )
 
 

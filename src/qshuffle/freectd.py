@@ -40,7 +40,8 @@ partition enumerator and counts. That ``eval_ctd`` of a dot of generators
 is their letter product is the row ``laws.LETTER_PRODUCT``.
 
 No package code calls ``eval_itd``, ``involute_term`` or ``multilinear_terms``:
-they are the tridendriform side and the free-term involution law.
+they are the tridendriform side and the free-term involution law. Nor does
+any call ``comb_term``: acceptance criterion 7 builds each comb's term with it.
 """
 
 from __future__ import annotations
@@ -205,10 +206,6 @@ class NormalForm(LinearCombination):
             (tuple([letter[block] for block in seq]), c) for seq, c in self.items()
         )
 
-    def to_free_terms(self) -> list[tuple[FreeTerm, Scalar]]:
-        """Reconstruct each comb as a term tree, canonically ordered."""
-        return [(comb_term(seq), c) for seq, c in self.terms()]
-
 
 def _sorted_comb(seq) -> BlockSequence:
     if seq and all(block and all(map(_positive_int, block)) for block in seq):
@@ -357,23 +354,26 @@ _CTD_OPS = {"prec": op_left, "dot": op_dot}
 _ITD_OPS = {"prec": op_left, "succ": op_right, "dot": op_dot}
 
 
-def _generator_letter(alg: CoeffAlgebraSpec, index: int) -> Letter:
-    """Generator ``index`` as ``alg``'s degree-one letter, refused if ``alg`` lacks it."""
-    letter = Letter(alg.letter_style, (index,))
-    if letter not in alg:
+def _generator_letter(alg: CoeffAlgebraSpec, n: int, index: int) -> Letter:
+    """Generator ``index`` as the degree-one letter of ``alg``, sym(n) or
+    word(n), whose members it is exactly when ``index <= n``: a larger index
+    is refused before its letter is built, so it interns nothing."""
+    if index > n:
         raise DomainError(f"generator index {index} exceeds the generator count of {alg.name}")
-    return letter
+    return Letter(alg.letter_style, (index,))
 
 
-def _fold_in(term: FreeTerm, alg: CoeffAlgebraSpec, leaf, ops):
-    """``fold_term`` into ``alg``: a generator goes to ``leaf`` of its letter,
-    made once per distinct generator, and a node to ``ops[op](alg, left,
-    right)``. ``ops`` is read when called, so a later rebinding takes effect."""
+def _fold_in(term: FreeTerm, n: int, algebra, leaf, ops):
+    """``fold_term`` into ``alg = algebra(n)``, sym(n) or word(n): a generator
+    goes to ``leaf`` of its letter, made once per distinct generator, and a
+    node to ``ops[op](alg, left, right)``. ``ops`` is read when called, so a
+    later rebinding takes effect."""
+    alg = algebra(n)
     ops = {op: partial(f, alg) for op, f in ops.items()}
     leaves = {}
     def image(i):
         if i not in leaves:
-            leaves[i] = leaf(_generator_letter(alg, i))
+            leaves[i] = leaf(_generator_letter(alg, n, i))
         return leaves[i]
     return fold_term(term, image, ops)
 
@@ -387,12 +387,12 @@ def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
     """
     if not term.is_ctd:
         raise SignatureError("eval_ctd is defined for CTD terms only")
-    return _fold_in(term, sym_algebra(n_generators), TensorElement.from_letter, _CTD_OPS)
+    return _fold_in(term, n_generators, sym_algebra, TensorElement.from_letter, _CTD_OPS)
 
 
 def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
     """Evaluate a tridendriform term in the quasi-shuffle algebra over word(n)."""
-    return _fold_in(term, word_algebra(n_generators), TensorElement.from_letter, _ITD_OPS)
+    return _fold_in(term, n_generators, word_algebra, TensorElement.from_letter, _ITD_OPS)
 
 
 _INVOLUTE = {

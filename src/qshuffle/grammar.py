@@ -30,7 +30,7 @@ from .coeff import (
     word_letter,
 )
 from .freectd import _OP_SYMBOL, MAX_TERM_DEPTH, FreeTerm, NormalForm, gen
-from .lincomb import Scalar
+from .lincomb import Scalar, as_scalar
 from .tensorq import EMPTY_WORD, TensorElement, TensorSquareElement, Word
 
 
@@ -77,18 +77,13 @@ def parse_letter(alg: CoeffAlgebraSpec, text: str, position: int = 0) -> Letter:
         m = _WEIGHT_RE.fullmatch(text)
         if m:
             letter = weight_letter(int(m.group(1)))
-    elif style == "mono":
+    elif style in ("mono", "word"):
+        (opening, closing), make = ("[]", mono_letter) if style == "mono" else ("()", word_letter)
         m = _SINGLETON_RE.fullmatch(text)
         if m:
-            letter = mono_letter((int(m.group(1)),))
-        elif text.startswith("[") and text.endswith("]"):
-            letter = mono_letter(_generator_indices(text[1:-1], position))
-    elif style == "word":
-        m = _SINGLETON_RE.fullmatch(text)
-        if m:
-            letter = word_letter((int(m.group(1)),))
-        elif text.startswith("(") and text.endswith(")"):
-            letter = word_letter(_generator_indices(text[1:-1], position))
+            letter = make((int(m.group(1)),))
+        elif text.startswith(opening) and text.endswith(closing):
+            letter = make(_generator_indices(text[1:-1], position))
     elif style == "atom":
         if _ATOM_RE.fullmatch(text):
             letter = atom_letter(text)
@@ -313,7 +308,11 @@ def element_to_json(element: TensorElement) -> dict:
 def element_from_json(alg: CoeffAlgebraSpec, data: dict) -> TensorElement:
     terms = []
     for entry in data["terms"]:
-        coeff = Fraction(entry["coeff"])
+        coeff = entry["coeff"]
+        try:  # "p/q" as element_to_json writes it, or an int; as_scalar refuses a float
+            coeff = Fraction(coeff) if isinstance(coeff, str) else as_scalar(coeff)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
         word = tuple(parse_letter(alg, token) for token in entry["word"])
         terms.append((word, coeff))
     return TensorElement(terms)

@@ -148,10 +148,6 @@ class LinearCombination:
         return sorted(terms.items(), key=lambda kv: key(kv[0]))
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def basis(cls, key, coeff: Scalar = 1):
         c = as_scalar(coeff)
         return cls._raw({key: c} if c else {})
@@ -170,9 +166,6 @@ class LinearCombination:
         if ordered is None:
             ordered = self._sorted = type(self)._ordered(self._terms)
         return ordered.copy()
-
-    def support(self) -> list:
-        return [key for key, _ in self.terms()]
 
     @property
     def is_zero(self) -> bool:

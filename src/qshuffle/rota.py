@@ -9,15 +9,15 @@ Setting a < b = a P(b), a > b = P(a) b and keeping the algebra product as
 the dot yields a tridendriform structure (the seven relations hold), a
 commutative one when R is commutative. With a * b = a<b + a>b + a.b the
 identity above says exactly that P is an algebra map from (R, *) to (R, .),
-so ``check_star_morphism`` and ``verify_rota_baxter`` test the same
-equation written two ways.
+so ``check_star_morphism`` and ``verify_rota_baxter`` check the same
+row, ``_WEIGHT_ONE``.
 
 Everything here is finite dimensional over exact rationals: an algebra is
 a table of structure constants, an operator is a matrix, and a vector is a
 ``LinearCombination`` keyed by basis index. Every law is a row of a law
 table checked by ``laws.first_failure`` over all basis tuples (the laws
 are multilinear, so that is a complete check): associativity and
-commutativity of the algebra, the weight-one identity, the star morphism,
+commutativity of the algebra, the weight-one identity (the star morphism),
 the seven relations and the commutative flips. The algebra product is its
 structure constants extended by ``lincomb.bilinear``, and the three
 derived operations are that product with P applied to one side or none.
@@ -33,10 +33,9 @@ from .grammar import _join_signed
 from .laws import SEVEN, first_failure
 from .lincomb import LinearCombination, Scalar, add_into, as_scalar, bilinear
 
-# The weight-one rows take the operator P after (L, R, D, S), where D is
-# the algebra product and S is star_product; they use only D, S and P.
+# The weight-one row takes the operator P after (L, R, D, S), where D is
+# the algebra product and S is star_product; it uses only D, S and P.
 _WEIGHT_ONE = (("P(x)P(y) = P(x*y)", lambda L, R, D, S, P, x, y: (D(P(x), P(y)), P(S(x, y)))),)
-_STAR_MORPHISM = (("P(x*y) = P(x)P(y)", lambda L, R, D, S, P, x, y: (P(S(x, y)), D(P(x), P(y)))),)
 
 _COMMUTATIVE = (
     ("commutative flip x>y = y<x", lambda L, R, D, S, x, y: (R(x, y), L(y, x))),
@@ -151,7 +150,7 @@ class LinearOperator(_Frozen):
 
 
 def _operator_ops(algebra: FiniteAlgebra, operator: LinearOperator):
-    """The operations ``(L, R, D, S, P)`` of the weight-one rows."""
+    """The operations ``(L, R, D, S, P)`` of the weight-one row."""
     if algebra.dimension != operator.dimension:
         raise ValueError("operator and algebra dimensions differ")
     return (None, None, algebra.multiply, partial(star_product, algebra, operator), operator.apply)
@@ -172,9 +171,9 @@ def star_product(
 
 
 def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
-    """P(a * b) == P(a) P(b) over all basis pairs."""
+    """P(a * b) == P(a) P(b) over all basis pairs: the weight-one identity."""
     ops = _operator_ops(algebra, operator)
-    return first_failure(_STAR_MORPHISM, ops, algebra.basis(), 2) is None
+    return first_failure(_WEIGHT_ONE, ops, algebra.basis(), 2) is None
 
 
 class DerivedStructure(_Frozen):

@@ -32,18 +32,16 @@ def random_letter(alg: CoeffAlgebraSpec, rng: random.Random, max_degree: int = M
 def random_word(
     alg: CoeffAlgebraSpec,
     rng: random.Random,
-    max_length: int = MAX_WORD_LENGTH,
-    max_letter_degree: int = MAX_LETTER_DEGREE,
     max_total_degree: int | None = None,
 ):
-    length = rng.randint(1, max_length)
+    length = rng.randint(1, MAX_WORD_LENGTH)
     if max_total_degree is not None:
         # every letter costs at least one degree
         length = min(length, max_total_degree)
     letters = []
     budget = max_total_degree
     for position in range(length):
-        cap = max_letter_degree
+        cap = MAX_LETTER_DEGREE
         if budget is not None:
             cap = min(cap, budget - (length - position - 1))
         letter = random_letter(alg, rng, cap)

@@ -113,12 +113,12 @@ class TensorElement(LinearCombination):
             return super()._ordered(terms)
 
     @classmethod
-    def from_word(cls, word, coeff: Scalar = 1) -> "TensorElement":
-        return cls.basis(tuple(word), coeff)
+    def from_word(cls, word) -> "TensorElement":
+        return cls.basis(tuple(word))
 
     @classmethod
-    def from_letter(cls, letter: Letter, coeff: Scalar = 1) -> "TensorElement":
-        return cls.basis((letter,), coeff)
+    def from_letter(cls, letter: Letter) -> "TensorElement":
+        return cls.basis((letter,))
 
     @classmethod
     def unit(cls) -> "TensorElement":
@@ -141,10 +141,6 @@ class TensorSquareElement(LinearCombination):
             return _rank_ordered(terms, pairs=True)
         except ValueError:  # a rank or a word length past the last code point
             return super()._ordered(terms)
-
-    @classmethod
-    def from_pair(cls, left, right, coeff: Scalar = 1) -> "TensorSquareElement":
-        return cls.basis((tuple(left), tuple(right)), coeff)
 
 
 def _check_words(alg: CoeffAlgebraSpec, words) -> None:

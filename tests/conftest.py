@@ -95,7 +95,7 @@ def coradical_degree_oracle(x: TensorElement) -> int:
     the level is one more than the deepest level among the two-sided
     pieces of the reduced part of the coproduct.
     """
-    support = [w for w in x.support() if w]
+    support = [w for w, _ in x.terms() if w]
     if not support:
         return 0
     deepest = 0

@@ -232,7 +232,7 @@ def test_criterion_09_primitive_closure_and_kernel():
         rows = []
         for vector in kernel:
             assert is_primitive(vector)
-            assert all(len(w) == 1 for w in vector.support())
+            assert all(len(w) == 1 for w, _ in vector.terms())
             rows.append({w[0]: c for w, c in vector.items()})
         assert rational_rank(rows) == len(letters)
     assert perf_counter() - start < 30.0

@@ -256,7 +256,7 @@ class TestGroupedSquares:
         for op, word_op in SQUARE_OPS:
             got = op(sym2, a, b)
             assert dict(got.items()) == _reference_square(sym2, word_op, a, b)
-            assert got and not {tail for _, tail in got.support()} & mixed
+            assert got and not {tail for (_, tail), _ in got.terms()} & mixed
 
     def test_all_units_pairing_raises_inside_larger_squares(self, sym2):
         a = sq(((EMPTY_WORD, EMPTY_WORD), 1), ((w(X1), w(X2)), 2), ((EMPTY_WORD, w(X1)), -1))
@@ -465,8 +465,8 @@ class TestFreeCoproduct:
             delta = free_ctd_coproduct(term, n)
             left_iter: dict[tuple, Fraction] = {}
             right_iter: dict[tuple, Fraction] = {}
-            left_end = TensorElement.zero()
-            right_end = TensorElement.zero()
+            left_end = TensorElement()
+            right_end = TensorElement()
             for (u, v), c in delta.items():
                 for (p, q), d in deconcatenate(TensorElement.from_word(u)).items():
                     key = (p, q, v)
@@ -585,7 +585,7 @@ class TestGradedKernel:
         assert len(primitives) == n_letters
         for element in primitives:
             assert is_primitive(element)
-            assert all(len(word) == 1 for word in element.support())
+            assert all(len(word) == 1 for word, _ in element.terms())
 
     def test_rejects_degree_zero(self, sym2):
         with pytest.raises(ValueError):
@@ -655,7 +655,7 @@ WRONG_PROJECTIONS = {
     # not a section of the inclusion, already on the empty word
     "twice-the-projection": (lambda x: 2 * generator_projection(x), EMPTY_WORD, 0),
     # kills the generator words too, the empty word first
-    "kills-every-word": (lambda x: TensorElement.zero(), EMPTY_WORD, 0),
+    "kills-every-word": (lambda x: TensorElement(), EMPTY_WORD, 0),
     # puts a word outside the domain of the inclusion into every image: a
     # failed row, not a DomainError
     "adds-a-fat-word": (

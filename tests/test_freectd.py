@@ -27,6 +27,7 @@ from qshuffle import (
     dot,
     eval_ctd,
     eval_itd,
+    free_ctd_coproduct,
     fubini,
     fubini_egf_series,
     gen,
@@ -57,7 +58,7 @@ from qshuffle.freectd import (
     dimension_flavor,
 )
 from qshuffle.laws import LETTER_PRODUCT, first_failure, tensor_ops
-from qshuffle import freectd
+from qshuffle import coeff, freectd
 from qshuffle.sampling import random_ctd_term, random_td_term
 
 from conftest import rational_rank
@@ -157,6 +158,14 @@ class TestEvalCtd:
             eval_ctd(G3, 2)
         assert str(refused.value) == "generator index 3 exceeds the generator count of sym2"
 
+    def test_a_refused_generator_interns_no_letter(self):
+        before = len(coeff._LETTERS)
+        for i in range(3, 1003):
+            for evaluate in (eval_ctd, eval_itd, free_ctd_coproduct):
+                with pytest.raises(DomainError, match=f"generator index {i} exceeds"):
+                    evaluate(gen(i), 2)
+        assert len(coeff._LETTERS) == before
+
     def test_relations_hold_under_evaluation(self):
         # In the image, each defining relation becomes an identity of elements.
         rng = random.Random(41)
@@ -208,7 +217,7 @@ class TestEvalItd:
         ev = lambda t: eval_itd(t, n)  # noqa: E731
 
         def ev_sum(terms):
-            total = TensorElement.zero()
+            total = TensorElement()
             for t in terms:
                 total = total + ev(t)
             return total
@@ -350,8 +359,8 @@ class TestNormalForm:
         for _ in range(60):
             term = random_ctd_term(rng, rng.randint(1, 5))
             nf = normal_form(term)
-            again = NormalForm.zero()
-            for comb, coeff in nf.to_free_terms():
+            again = NormalForm()
+            for comb, coeff in [(comb_term(seq), c) for seq, c in nf.terms()]:
                 again = again + coeff * normal_form(comb)
             assert again == nf
 
@@ -568,7 +577,7 @@ class TestMultilinearSpan:
         seen_blocks = set()
         for term in multilinear_terms(n):
             nf = normal_form(term)
-            support = set(nf.support())
+            support = {seq for seq, _ in nf.terms()}
             assert support <= partitions
             seen_blocks |= support
             rows.append(dict(nf.items()))

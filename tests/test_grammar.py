@@ -256,7 +256,7 @@ class TestRendering:
     def test_elements(self, sym2):
         x1 = TensorElement.from_letter(mono_letter((1,)))
         x2 = TensorElement.from_letter(mono_letter((2,)))
-        assert render_element(TensorElement.zero()) == "0"
+        assert render_element(TensorElement()) == "0"
         assert render_element(TensorElement.unit()) == "1"
         assert render_element(3 * TensorElement.unit()) == "3"
         assert render_element(-x1) == "-x1"
@@ -277,7 +277,7 @@ class TestRendering:
     def test_normal_forms(self):
         nf = normal_form(prec(prec(gen(1), gen(2)), gen(3)))
         assert render_normal_form(nf) == "(v1)(v2)(v3) + (v1)(v2 v3) + (v1)(v3)(v2)"
-        assert render_normal_form(NormalForm.zero()) == "0"
+        assert render_normal_form(NormalForm()) == "0"
 
     @staticmethod
     def _sampled_normal_forms():
@@ -337,7 +337,7 @@ class TestRendering:
             calls.append(terms)
             return ordered(terms)
 
-        fresh = element + TensorElement.zero()
+        fresh = element + TensorElement()
         monkeypatch.setattr(TensorElement, "_ordered", classmethod(counted))
         assert (render_element(fresh), element_to_json(fresh)) == (text, data)
         assert len(calls) == 1
@@ -387,6 +387,23 @@ class TestRoundTrips:
             data = element_to_json(x)
             assert element_from_json(word2, data) == x
 
+    def test_json_refuses_a_float_coefficient(self, stuffle_alg):
+        data = {"terms": [{"coeff": 0.1, "word": ["y1"]}]}
+        with pytest.raises(TypeError, match="exact rational scalar required, got float"):
+            element_from_json(stuffle_alg, data)
+
+    def test_json_refuses_a_zero_denominator(self, stuffle_alg):
+        data = {"terms": [{"coeff": "1/0", "word": ["y1"]}]}
+        with pytest.raises(ValueError, match="zero denominator"):
+            element_from_json(stuffle_alg, data)
+
+    def test_json_reads_ints_and_rational_strings(self, stuffle_alg):
+        y1 = (weight_letter(1),)
+        data = {"terms": [{"coeff": 2, "word": ["y1"]}, {"coeff": "-3/6", "word": []}]}
+        assert element_from_json(stuffle_alg, data) == TensorElement(
+            [(y1, 2), ((), Fraction(-1, 2))]
+        )
+
     def test_json_coefficients_are_exact_strings(self, sym2):
         x = TensorElement([((mono_letter((1,)),), Fraction(1, 3))])
         data = element_to_json(x)
@@ -416,7 +433,7 @@ class TestGoldenForms:
     def test_element(self):
         y1, y2, y3 = (weight_letter(k) for k in (1, 2, 3))
         half = Fraction(1, 2)
-        word = TensorElement.from_word
+        word = TensorElement.basis
         element = (
             word((), Fraction(-3, 7))
             + word((y1,), half) + word((y1,), half)  # an integral Fraction, 1
@@ -442,7 +459,7 @@ class TestGoldenForms:
     def test_square(self):
         y1, y2, y3 = (weight_letter(k) for k in (1, 2, 3))
         half = Fraction(1, 2)
-        word = TensorElement.from_word
+        word = TensorElement.basis
         element = word((), -1) + word((y1, y2), -half) + word((y3,), half) + word((y3,), half)
         square = deconcatenate(element)
         assert render_square_element(square) == (

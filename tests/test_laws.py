@@ -22,7 +22,7 @@ from qshuffle import (
     word_letter,
 )
 from qshuffle.laws import MAX_CASES, SEVEN, failed_relations, first_failure, tensor_ops
-from qshuffle.sampling import random_element, random_word
+from qshuffle.sampling import MAX_LETTER_DEGREE, random_element, random_word
 
 
 class TestSampling:
@@ -38,16 +38,17 @@ class TestSampling:
         for _ in range(60):
             x = random_element(word2, rng, max_total_degree=3)
             assert not x.coefficient(())
-            for word in x.support():
+            for word, _ in x.terms():
                 assert sum(letter.degree for letter in word) <= 3
 
     def test_letter_degree_cap_still_applies(self, sym3):
+        # a budget of 9 would allow a letter of degree 7 without the cap
         rng = random.Random(137)
+        degrees = set()
         for _ in range(60):
-            word = random_word(
-                sym3, rng, max_letter_degree=1, max_total_degree=3
-            )
-            assert all(letter.degree == 1 for letter in word)
+            word = random_word(sym3, rng, max_total_degree=9)
+            degrees.update(letter.degree for letter in word)
+        assert degrees == set(range(1, MAX_LETTER_DEGREE + 1))
 
 
 class TestSuitesPass:
@@ -67,7 +68,7 @@ class TestSuitesPass:
 
     def test_involution_where_available(self, stuffle_alg, sym2, word2, word3):
         for alg in (stuffle_alg, sym2, word2, word3):
-            assert alg.has_involution
+            assert alg.involution_rule is not None
             assert run_suite("involution", alg, cases=10, seed=3).ok
 
     def test_compat_suite(self, sym2, stuffle_alg):

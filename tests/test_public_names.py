@@ -1,16 +1,21 @@
-"""Every public function has a caller outside the tests, or a stated reason.
+"""Every public function has a caller outside the tests, or a stated reason,
+and every public member of a public class has a reader outside the tests.
 
 The package modules (``cli.py`` among them) and the files under ``bench/``
 are read as source. A function counts as reached when one of them reads its
 name, as a name or an attribute, outside the function's own definition, or
 when ``bench/tracing.py`` names it in ``SPANS``. A function nothing reaches
 is on ``ALLOWED``, and its module docstring names it with the reason it
-stays. ``bench/test_checks.py`` is a test and does not count.
+stays. A member (a method, classmethod, staticmethod or property whose name
+does not start with ``_``) counts as reached in the same way, and there is
+no list of exceptions for members. ``bench/test_checks.py`` is a test and
+does not count.
 """
 
 import ast
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import qshuffle
 
@@ -23,6 +28,7 @@ BENCH = ROOT / "bench"
 ALLOWED = {
     "builtin_algebras",
     "check_compatibility",
+    "comb_term",
     "coradical_degree",
     "eval_itd",
     "involute_term",
@@ -96,3 +102,22 @@ def test_allowed_names_have_no_caller_and_a_stated_reason():
         function = getattr(qshuffle, name)
         docstring = sys.modules[function.__module__].__doc__
         assert f"``{name}``" in docstring, name
+
+
+def _public_members():
+    """``Class.member`` for each public method, classmethod, staticmethod
+    and property a class of ``qshuffle.__all__`` defines itself."""
+    kinds = (FunctionType, classmethod, staticmethod, property)
+    return {
+        f"{name}.{member}"
+        for name in qshuffle.__all__
+        if isinstance(cls := getattr(qshuffle, name), type)
+        for member, value in vars(cls).items()
+        if not member.startswith("_") and isinstance(value, kinds)
+    }
+
+
+def test_every_public_member_is_reached():
+    called = _called()
+    unreached = {member for member in _public_members() if member.split(".")[1] not in called}
+    assert sorted(unreached) == []

@@ -176,7 +176,7 @@ class TestLatticePaths:
 
     def test_full_diagonal_gives_length_one_word(self, stuffle_alg):
         result = quasi_shuffle_paths(stuffle_alg, word_of(Y1, Y1), word_of(Y1, Y2))
-        lengths = {len(w) for w in result.support()}
+        lengths = {len(w) for w, _ in result.terms()}
         assert 2 in lengths  # the all-diagonal path merges both positions
         assert result.coefficient(word_of(Y2, Y3)) == 1
 
@@ -288,7 +288,7 @@ def _letter_part(x):
 def _letter_product(alg, u, v):
     from qshuffle import CoeffCombination, multiply_letters
 
-    acc = CoeffCombination.zero()
+    acc = CoeffCombination()
     for a, ca in u.items():
         for b, cb in v.items():
             acc = acc + (ca * cb) * multiply_letters(alg, a, b)
@@ -308,16 +308,16 @@ class TestCoproduct:
         assert result == expected
 
     def test_unit_coproduct(self):
-        assert deconcatenate(TensorElement.unit()) == TensorSquareElement.from_pair(
-            EMPTY_WORD, EMPTY_WORD
+        assert deconcatenate(TensorElement.unit()) == TensorSquareElement.basis(
+            (EMPTY_WORD, EMPTY_WORD)
         )
 
     def test_counit(self, stuffle_alg):
         rng = random.Random(7)
         for _ in range(15):
             x = random_element(stuffle_alg, rng)
-            left = TensorElement.zero()
-            right = TensorElement.zero()
+            left = TensorElement()
+            right = TensorElement()
             for (u, v), c in deconcatenate(x).items():
                 if not u:
                     right = right + TensorElement.basis(v, c)
@@ -336,7 +336,7 @@ class TestCoproduct:
 
     def test_reduced_coproduct(self, zero_alg):
         red = reduced_coproduct(element_of(A, B))
-        assert red == TensorSquareElement.from_pair(word_of(A), word_of(B))
+        assert red == TensorSquareElement.basis((word_of(A), word_of(B)))
 
     def test_reduced_requires_no_constant_term(self, zero_alg):
         with pytest.raises(DomainError):
@@ -363,7 +363,7 @@ class TestCoproduct:
 
 class TestCoradicalDegree:
     def test_stated_values(self, zero_alg):
-        assert coradical_degree(TensorElement.zero()) == 0
+        assert coradical_degree(TensorElement()) == 0
         assert coradical_degree(TensorElement.unit()) == 0
         assert coradical_degree(3 * TensorElement.unit()) == 0
         assert coradical_degree(element_of(A)) == 1
@@ -466,7 +466,7 @@ class TestMemoOwnership:
                 assert all(result._terms is not image for image in memo.values())
                 # arithmetic on a result must leave every memo entry as it was
                 result + result, result - x, -result, 2 * result, Fraction(1, 3) * result
-                result + TensorElement.zero()
+                result + TensorElement()
             assert stored == memo
 
 
@@ -483,7 +483,7 @@ class TestRankOrder:
             x = TensorElement([(w, rng.choice(self.COEFFICIENTS)) for w in words])
             y = random_element(alg, rng, max_total_degree=3)
             for element in (x, quasi_shuffle(alg, x, y)):
-                fresh = element + TensorElement.zero()
+                fresh = element + TensorElement()
                 by_key = sorted(element.items(), key=lambda kv: tensorq.word_sort_key(kv[0]))
                 assert fresh.terms() == by_key
             square = deconcatenate(x)
@@ -517,7 +517,7 @@ class TestRankOrder:
         x = TensorElement([(long, 1), ((Y2,), 2), ((), 3), ((Y1, Y1), -1)])
         assert x.terms() == [((), 3), ((Y2,), 2), ((Y1, Y1), -1), (long, 1)]
         square = TensorSquareElement([((long, ()), 1), (((), (Y2,)), 2), (((Y1,), ()), 3)])
-        assert square.support() == [((), (Y2,)), ((Y1,), ()), (long, ())]
+        assert [key for key, _ in square.terms()] == [((), (Y2,)), ((Y1,), ()), (long, ())]
 
 
 class TestOracleIndependence:
@@ -730,7 +730,7 @@ class TestMemos:
             product_rule=lambda a, b: CoeffCombination(products.get((a, b), [])),
         )
         got = quasi_shuffle_paths(alg, (A,), (B, C))
-        assert (B, C) not in got.support()
+        assert (B, C) not in got
         assert got == TensorElement(
             [((A, B, C), 1), ((B, A, C), 1), ((B, C, A), 1)]
         )
@@ -778,7 +778,7 @@ class TestMemos:
                 assert quasi_shuffle_paths(fresh, u, v) == quasi_shuffle_paths(spec, u, v)
                 if u or v:
                     assert op_left(fresh, x, y) == op_left(spec, x, y)
-                if fresh.has_involution:
+                if fresh.involution_rule is not None:
                     assert involute_element(fresh, x + y) == involute_element(spec, x + y)
         assert set(calls) == set(letters) and set(calls.values()) == {1}
         assert fresh.cache["member"] == set(letters)
