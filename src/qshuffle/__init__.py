@@ -84,7 +84,6 @@ from .rota import (
     derived_structure,
     example_by_name,
     pointwise_function_algebra,
-    star_product,
     summation_operator,
     verify_rota_baxter,
 )

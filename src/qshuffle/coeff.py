@@ -199,7 +199,6 @@ class CoeffAlgebraSpec:
     """
 
     name: str
-    is_commutative: bool
     letter_style: str  # which Letter kind this algebra's basis uses
     product_rule: Callable[[Letter, Letter], CoeffCombination]
     member_rule: Callable[[Letter], bool]
@@ -277,7 +276,6 @@ def zero_algebra() -> CoeffAlgebraSpec:
 
     return CoeffAlgebraSpec(
         name="zero",
-        is_commutative=True,
         letter_style="atom",
         product_rule=product,
         member_rule=member,
@@ -302,7 +300,6 @@ def stuffle_y_algebra() -> CoeffAlgebraSpec:
 
     return CoeffAlgebraSpec(
         name="stuffle-y",
-        is_commutative=True,
         letter_style="weight",
         product_rule=product,
         member_rule=member,
@@ -350,7 +347,6 @@ def _generated_algebra(kind: str, n: int) -> CoeffAlgebraSpec:
 
     return CoeffAlgebraSpec(
         name=f"{family}{n}",
-        is_commutative=sym or n == 1,
         letter_style=kind,
         product_rule=product,
         member_rule=member,
@@ -371,7 +367,7 @@ def builtin_algebras() -> list[CoeffAlgebraSpec]:
     ]
 
 
-_NAME_RE = re.compile(r"^(sym|word)([1-9]\d*)$")
+_NAME_RE = re.compile(r"^(sym|word)([1-9]\d*)$", re.ASCII)  # \d alone takes any Unicode digit
 
 # Samplers and exhaustive checks build every letter of degree <= 2 first,
 # about n**2 of them, so a named symN or wordN has at most this many

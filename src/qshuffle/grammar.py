@@ -30,7 +30,7 @@ from .coeff import (
     word_letter,
 )
 from .freectd import _OP_SYMBOL, MAX_TERM_DEPTH, FreeTerm, NormalForm, gen
-from .lincomb import Scalar, as_scalar
+from .lincomb import Scalar
 from .tensorq import EMPTY_WORD, TensorElement, TensorSquareElement, Word
 
 
@@ -45,12 +45,13 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # parsing
 
-_WEIGHT_RE = re.compile(r"y([1-9]\d*)")
-_SINGLETON_RE = re.compile(r"x([1-9]\d*)")
-_ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
-_RATIONAL_RE = re.compile(r"\d+(?:/[1-9]\d*)?")
-_GENERATOR_RE = re.compile(r"g([1-9]\d*)")
-_TOKEN_RE = re.compile(r"\S+")
+# ASCII: a bare \d or \s matches every Unicode digit or space, and int() reads the digits
+_WEIGHT_RE = re.compile(r"y([1-9]\d*)", re.ASCII)
+_SINGLETON_RE = re.compile(r"x([1-9]\d*)", re.ASCII)
+_ATOM_RE = re.compile(r"[a-z][a-z0-9]*", re.ASCII)
+_RATIONAL_RE = re.compile(r"\d+(?:/[1-9]\d*)?", re.ASCII)
+_GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
+_TOKEN_RE = re.compile(r"\S+", re.ASCII)
 
 
 def _generator_indices(body: str, position: int) -> tuple[int, ...]:
@@ -219,7 +220,7 @@ def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
             raise ParseError("malformed generator", sc.pos)
         sc.pos = m.end()
         return gen(int(m.group(1)))
-    if ch.isalpha() and ch.islower():
+    if "a" <= ch <= "z":
         after = sc.text[sc.pos + 1] if sc.pos + 1 < len(sc.text) else ""
         if after.isalnum():
             raise ParseError("generators are single letters a..z or g<i>", sc.pos)
@@ -306,15 +307,20 @@ def element_to_json(element: TensorElement) -> dict:
 
 
 def element_from_json(alg: CoeffAlgebraSpec, data: dict) -> TensorElement:
+    """Read what ``element_to_json`` writes: each coefficient an int or ``p/q``
+    text with an optional ``-``; ``TensorElement`` refuses a float or a bool."""
     terms = []
     for entry in data["terms"]:
-        coeff = entry["coeff"]
-        try:  # "p/q" as element_to_json writes it, or an int; as_scalar refuses a float
-            coeff = Fraction(coeff) if isinstance(coeff, str) else as_scalar(coeff)
-        except ZeroDivisionError:
-            raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
-        word = tuple(parse_letter(alg, token) for token in entry["word"])
-        terms.append((word, coeff))
+        coeff, word = entry.get("coeff"), entry.get("word")
+        if coeff is None or not isinstance(word, list):
+            raise ValueError(f"term {entry!r} needs a \"coeff\" and a \"word\" list")
+        if isinstance(coeff, str):
+            sign, body = (-1, coeff[1:]) if coeff.startswith("-") else (1, coeff)
+            if not _RATIONAL_RE.fullmatch(body):
+                message = f"coefficient {coeff!r} is not an int or p/q with a nonzero denominator"
+                raise ValueError(message)
+            coeff = sign * _parse_rational(body, 0)
+        terms.append((tuple(parse_letter(alg, token) for token in word), coeff))
     return TensorElement(terms)
 
 

@@ -29,7 +29,7 @@ may be memoised and shared) and adds the rest through ``add_into``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 
@@ -100,13 +100,11 @@ def kernel(vectors: list[dict]) -> list[dict[int, Scalar]]:
 
 
 def as_scalar(value: object) -> Scalar:
-    """Keep an int, reduce an integral Fraction to int; reject anything inexact."""
+    """Keep an int, reduce an integral Fraction to int; reject anything else, bool too."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
     raise TypeError(f"exact rational scalar required, got {type(value).__name__}")
 
 
@@ -167,18 +165,11 @@ class LinearCombination:
             ordered = self._sorted = type(self)._ordered(self._terms)
         return ordered.copy()
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.terms())
 
     def __contains__(self, key) -> bool:
         return key in self._terms

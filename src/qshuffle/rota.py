@@ -10,7 +10,8 @@ the dot yields a tridendriform structure (the seven relations hold), a
 commutative one when R is commutative. With a * b = a<b + a>b + a.b the
 identity above says exactly that P is an algebra map from (R, *) to (R, .),
 so ``check_star_morphism`` and ``verify_rota_baxter`` check the same
-row, ``_WEIGHT_ONE``.
+row, ``_WEIGHT_ONE``. ``DerivedStructure`` is the one place where <, >, .
+and * are defined; the weight-one row reads its . and *.
 
 Everything here is finite dimensional over exact rationals: an algebra is
 a table of structure constants, an operator is a matrix, and a vector is a
@@ -34,7 +35,7 @@ from .laws import SEVEN, first_failure
 from .lincomb import LinearCombination, Scalar, add_into, as_scalar, bilinear
 
 # The weight-one row takes the operator P after (L, R, D, S), where D is
-# the algebra product and S is star_product; it uses only D, S and P.
+# the algebra product and S the combined product; it uses only D, S and P.
 _WEIGHT_ONE = (("P(x)P(y) = P(x*y)", lambda L, R, D, S, P, x, y: (D(P(x), P(y)), P(S(x, y)))),)
 
 _COMMUTATIVE = (
@@ -65,8 +66,9 @@ class FiniteAlgebra(_Frozen):
 
     ``structure[i][j][k]`` is the coefficient of basis vector k in the
     product e_i e_j. Associativity is validated exhaustively on
-    construction; ``dimension`` is capped at 5 to keep exhaustive law
-    checks cheap.
+    construction, and ``is_commutative`` is computed there, from the same
+    products; ``dimension`` is capped at 5 to keep exhaustive law checks
+    cheap.
     """
 
     __slots__ = ("name", "basis_labels", "structure", "is_commutative", "_product", "_indices")
@@ -76,7 +78,6 @@ class FiniteAlgebra(_Frozen):
         name: str,
         basis_labels: tuple[str, ...],
         structure: tuple[tuple[tuple[Scalar, ...], ...], ...],
-        is_commutative: bool,
     ) -> None:
         m = len(basis_labels)
         if not 1 <= m <= 5:
@@ -88,9 +89,10 @@ class FiniteAlgebra(_Frozen):
         # e_i e_j as zero-free dicts, made once: the basis rule of ``multiply``
         table = tuple(tuple(_sparse(v) for v in row) for row in structure)
         product, indices = (lambda i, j: table[i][j]), frozenset(range(m))
-        self._set_slots(name, basis_labels, structure, is_commutative, product, indices)
-        # associativity is SEVEN's last row, with the algebra product as D
-        ops, basis = (None, None, self.multiply, None), self.basis()
+        # associativity is SEVEN's last row and commutativity _COMMUTATIVE's,
+        # with the algebra product as D
+        ops = (None, None, partial(bilinear, product), None)
+        basis = [LinearCombination.basis(k) for k in range(m)]
         failure = first_failure(SEVEN[6:], ops, basis, 3)
         if failure:
             i, j, k = failure[0]
@@ -98,8 +100,8 @@ class FiniteAlgebra(_Frozen):
                 f"structure constants are not associative at basis "
                 f"triple ({i + 1}, {j + 1}, {k + 1})"
             )
-        if self.is_commutative and first_failure(_COMMUTATIVE[1:], ops, basis, 2):
-            raise ValueError("algebra flagged commutative is not")
+        commutative = first_failure(_COMMUTATIVE[1:], ops, basis, 2) is None
+        self._set_slots(name, basis_labels, structure, commutative, product, indices)
 
     @property
     def dimension(self) -> int:
@@ -149,39 +151,14 @@ class LinearOperator(_Frozen):
         return LinearCombination._raw(acc)
 
 
-def _operator_ops(algebra: FiniteAlgebra, operator: LinearOperator):
-    """The operations ``(L, R, D, S, P)`` of the weight-one row."""
-    if algebra.dimension != operator.dimension:
-        raise ValueError("operator and algebra dimensions differ")
-    return (None, None, algebra.multiply, partial(star_product, algebra, operator), operator.apply)
-
-
-def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
-    """Weight-one identity over all basis pairs (bilinear, so complete)."""
-    ops = _operator_ops(algebra, operator)
-    return first_failure(_WEIGHT_ONE, ops, algebra.basis(), 2) is None
-
-
-def star_product(
-    algebra: FiniteAlgebra, operator: LinearOperator, a: LinearCombination, b: LinearCombination
-) -> LinearCombination:
-    """a * b = a P(b) + P(a) b + a b, the combined product."""
-    mul = algebra.multiply
-    return mul(a, operator.apply(b)) + mul(operator.apply(a), b) + mul(a, b)
-
-
-def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
-    """P(a * b) == P(a) P(b) over all basis pairs: the weight-one identity."""
-    ops = _operator_ops(algebra, operator)
-    return first_failure(_WEIGHT_ONE, ops, algebra.basis(), 2) is None
-
-
 class DerivedStructure(_Frozen):
     """The three derived operations of a weight-one operator, and their sum."""
 
     __slots__ = ("algebra", "operator")
 
     def __init__(self, algebra: FiniteAlgebra, operator: LinearOperator) -> None:
+        if algebra.dimension != operator.dimension:
+            raise ValueError("operator and algebra dimensions differ")
         self._set_slots(algebra, operator)
 
     def left(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
@@ -194,7 +171,24 @@ class DerivedStructure(_Frozen):
         return self.algebra.multiply(u, v)
 
     def star(self, u: LinearCombination, v: LinearCombination) -> LinearCombination:
-        return star_product(self.algebra, self.operator, u, v)
+        """a * b = a P(b) + P(a) b + a b, the combined product."""
+        return self.left(u, v) + self.right(u, v) + self.dot(u, v)
+
+
+def _weight_one_failure(structure: DerivedStructure):
+    """``first_failure`` of ``_WEIGHT_ONE`` over all basis pairs."""
+    ops = (None, None, structure.dot, structure.star, structure.operator.apply)
+    return first_failure(_WEIGHT_ONE, ops, structure.algebra.basis(), 2)
+
+
+def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
+    """Weight-one identity over all basis pairs (bilinear, so complete)."""
+    return _weight_one_failure(DerivedStructure(algebra, operator)) is None
+
+
+def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
+    """P(a * b) == P(a) P(b) over all basis pairs: the weight-one identity."""
+    return _weight_one_failure(DerivedStructure(algebra, operator)) is None
 
 
 def derived_structure(
@@ -207,8 +201,8 @@ def derived_structure(
     exhaustively over basis triples, and the commuted forms x>y = y<x,
     x.y = y.x when the algebra is commutative.
     """
-    basis = algebra.basis()
-    failure = first_failure(_WEIGHT_ONE, _operator_ops(algebra, operator), basis, 2)
+    structure = DerivedStructure(algebra, operator)
+    failure = _weight_one_failure(structure)
     if failure:
         (i, j), _, lhs, rhs = failure
         raise RotaBaxterError(
@@ -216,7 +210,7 @@ def derived_structure(
             f"({algebra.basis_labels[i]}, {algebra.basis_labels[j]}): "
             f"defect {algebra.render(lhs - rhs)}"
         )
-    structure = DerivedStructure(algebra, operator)
+    basis = algebra.basis()
     ops = (structure.left, structure.right, structure.dot, structure.star)
     failure = first_failure(SEVEN, ops, basis, 3)
     if failure:
@@ -250,7 +244,6 @@ def pointwise_function_algebra(points: int) -> FiniteAlgebra:
         name=f"functions on {points} points",
         basis_labels=tuple(f"e{i + 1}" for i in range(points)),
         structure=structure,
-        is_commutative=True,
     )
 
 

@@ -405,7 +405,7 @@ def reduced_coproduct(x: TensorElement) -> TensorSquareElement:
 
 def is_primitive(x: TensorElement) -> bool:
     """True when the reduced coproduct vanishes (zero counts as primitive)."""
-    return reduced_coproduct(x).is_zero
+    return not reduced_coproduct(x)
 
 
 def coradical_degree(x: TensorElement) -> int:

@@ -53,6 +53,12 @@ def word3():
     return word_algebra(3)
 
 
+def letter_product_commutes(alg) -> bool:
+    """Whether a builtin algebra's letter product is commutative, written out
+    here: zero, stuffle-y, every symN and word1 commute; wordN for N >= 2 not."""
+    return alg.name in ("zero", "stuffle-y", "word1") or alg.name.startswith("sym")
+
+
 def shuffle_oracle(u, v):
     """Interleavings of two words with multiplicity, via position choices.
 

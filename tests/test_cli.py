@@ -502,6 +502,28 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, ["product", "y1", "--", "-y2"])
         assert (code, out) == (0, "-y3 - y1.y2 - y2.y1\n")
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["product", "y1\u0663", "y2"],
+                "parse error at position 0: cannot read 'y1\u0663' as a letter of stuffle-y\n",
+            ),
+            (
+                ["product", "\u0663*y1", "y2"],
+                "parse error at position 0: expected a rational coefficient, got '\u0663'\n",
+            ),
+            (["normalize", "(\u00e9 < a)"], "parse error at position 1: expected a generator or (\n"),
+            (
+                ["product", "--alg", "sym1\u0662", "x1", "x12"],
+                "error: unknown algebra 'sym1\u0662'; expected zero, stuffle-y, sym<n> or word<n>\n",
+            ),
+        ],
+        ids=["letter", "coefficient", "generator", "algebra-name"],
+    )
+    def test_non_ascii_input_is_refused(self, capsys, argv, err):
+        assert run_cli(capsys, argv) == (2, "", err)
+
     def test_a_bad_generator_is_reported_at_itself(self, capsys):
         code, out, err = run_cli(capsys, ["product", "--alg", "sym2", "[x1 x0] . x1", "x1"])
         assert (code, out) == (2, "")

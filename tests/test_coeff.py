@@ -39,6 +39,8 @@ from qshuffle import (
     zero_algebra,
 )
 
+from conftest import letter_product_commutes
+
 
 class TestLetter:
     def test_degree_by_kind(self):
@@ -214,7 +216,7 @@ class TestBuiltinPools:
 class TestProducts:
     def test_zero_product(self, zero_alg):
         result = multiply_letters(zero_alg, atom_letter("a"), atom_letter("b"))
-        assert result.is_zero
+        assert not result
 
     def test_weight_addition(self, stuffle_alg):
         result = multiply_letters(stuffle_alg, weight_letter(2), weight_letter(3))
@@ -244,17 +246,22 @@ class TestProducts:
 
     def test_commutative_flags(self):
         for alg in builtin_algebras():
-            letters = alg.letters_up_to_degree(3)
-            flips_equal = all(
-                multiply_letters(alg, a, b) == multiply_letters(alg, b, a)
-                for a in letters
-                for b in letters
-            )
-            assert flips_equal == alg.is_commutative, alg.name
+            assert _flips_equal(alg, 3) == letter_product_commutes(alg), alg.name
 
     def test_word1_is_commutative(self):
-        assert word_algebra(1).is_commutative
-        assert not word_algebra(2).is_commutative
+        assert _flips_equal(word_algebra(1), 3) and letter_product_commutes(word_algebra(1))
+        assert not _flips_equal(word_algebra(2), 3)
+        assert not letter_product_commutes(word_algebra(2))
+
+
+def _flips_equal(alg, degree):
+    """Whether ab = ba for all letters a, b of degree at most ``degree``."""
+    letters = alg.letters_up_to_degree(degree)
+    return all(
+        multiply_letters(alg, a, b) == multiply_letters(alg, b, a)
+        for a in letters
+        for b in letters
+    )
 
 
 def _combine(alg, combination, letter, letter_on_left):

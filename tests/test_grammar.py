@@ -41,6 +41,7 @@ from qshuffle import (
     weight_letter,
     word_letter,
 )
+from qshuffle import coeff, grammar
 from qshuffle.cli import main
 from qshuffle.grammar import MAX_TERM_DEPTH
 from qshuffle.sampling import random_ctd_term, random_element, random_td_term
@@ -128,12 +129,12 @@ class TestParseElement:
     def test_bare_rational_is_a_unit_multiple(self, stuffle_alg):
         assert parse_element(stuffle_alg, "3") == 3 * TensorElement.unit()
         assert parse_element(stuffle_alg, "-1") == -TensorElement.unit()
-        assert parse_element(stuffle_alg, "0").is_zero
+        assert not parse_element(stuffle_alg, "0")
 
     def test_unary_signs(self, stuffle_alg):
         y1 = TensorElement.from_letter(weight_letter(1))
         assert parse_element(stuffle_alg, "-y1") == -y1
-        assert parse_element(stuffle_alg, "- y1 + y1").is_zero
+        assert not parse_element(stuffle_alg, "- y1 + y1")
         assert parse_element(stuffle_alg, "--y1") == y1
 
     def test_coefficient_must_precede_star(self, stuffle_alg):
@@ -352,6 +353,25 @@ class TestRendering:
         assert element.coefficient(EMPTY_WORD) == -1 and len(element) == 2
 
 
+class TestAsciiOnly:
+    @pytest.mark.parametrize("module", [grammar, coeff])
+    def test_every_pattern_is_ascii(self, module):
+        patterns = {n: v for n, v in vars(module).items() if isinstance(v, re.Pattern)}
+        assert patterns
+        for name, pattern in patterns.items():
+            assert pattern.flags & re.ASCII, f"{module.__name__}.{name}"
+
+    def test_unicode_space_in_a_bracketed_letter_is_refused(self, sym2):
+        with pytest.raises(ParseError, match="expected a generator like x1") as refused:
+            parse_letter(sym2, "[x1\u00a0x2]")
+        assert refused.value.position == 1
+
+    def test_a_generator_index_needs_ascii_digits(self):
+        with pytest.raises(ParseError, match="^expected an operation") as refused:
+            parse_free_term("(g1\u0663 < a)")
+        assert refused.value.position == 3
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("alg_name", sorted(ALGEBRAS))
     def test_parse_render_identity_sampled(self, alg_name):
@@ -395,6 +415,28 @@ class TestRoundTrips:
     def test_json_refuses_a_zero_denominator(self, stuffle_alg):
         data = {"terms": [{"coeff": "1/0", "word": ["y1"]}]}
         with pytest.raises(ValueError, match="zero denominator"):
+            element_from_json(stuffle_alg, data)
+
+    def test_json_refuses_a_bool_coefficient(self, stuffle_alg):
+        data = {"terms": [{"coeff": True, "word": ["y1"]}]}
+        with pytest.raises(TypeError, match="exact rational scalar required, got bool"):
+            element_from_json(stuffle_alg, data)
+
+    @pytest.mark.parametrize("coeff", ["1e-3", "1_000", " 3 ", "+3", "--1", "-", "٣"])
+    def test_json_reads_strings_as_the_text_grammar_does(self, stuffle_alg, coeff):
+        data = {"terms": [{"coeff": coeff, "word": ["y1"]}]}
+        with pytest.raises(ValueError, match=f"^coefficient {re.escape(repr(coeff))} is not"):
+            element_from_json(stuffle_alg, data)
+
+    @pytest.mark.parametrize("entry", [{"word": ["y1"]}, {"coeff": 1}])
+    def test_json_names_an_entry_without_a_key(self, stuffle_alg, entry):
+        message = f"^term {re.escape(repr(entry))} needs a \"coeff\" and a \"word\" list$"
+        with pytest.raises(ValueError, match=message):
+            element_from_json(stuffle_alg, {"terms": [entry]})
+
+    def test_json_refuses_a_word_that_is_not_a_list(self, stuffle_alg):
+        data = {"terms": [{"coeff": 1, "word": "y1"}]}
+        with pytest.raises(ValueError, match="^term .* needs a \"coeff\" and a \"word\" list$"):
             element_from_json(stuffle_alg, data)
 
     def test_json_reads_ints_and_rational_strings(self, stuffle_alg):

@@ -159,7 +159,6 @@ def _sum_product_algebra() -> CoeffAlgebraSpec:
 
     return CoeffAlgebraSpec(
         name="sum-product",
-        is_commutative=True,
         letter_style="atom",
         product_rule=product,
         member_rule=lambda l: l.kind == "atom" and l.payload in names,
@@ -195,7 +194,6 @@ def _frozen_involution_algebra() -> CoeffAlgebraSpec:
 
     return CoeffAlgebraSpec(
         name="frozen-involution",
-        is_commutative=False,
         letter_style="word",
         product_rule=product,
         member_rule=member,

@@ -15,12 +15,11 @@ from qshuffle import (
     derived_structure,
     example_by_name,
     pointwise_function_algebra,
-    star_product,
     summation_operator,
     verify_rota_baxter,
 )
 from qshuffle import rota
-from qshuffle.laws import SEVEN, failed_relations
+from qshuffle.laws import SEVEN, failed_relations, first_failure
 from qshuffle.lincomb import LinearCombination
 
 F0 = Fraction(0)
@@ -45,7 +44,7 @@ def vec(*entries):
 def defect(algebra, operator, a, b):
     """P(a)P(b) - P(aP(b) + P(a)b + ab); zero exactly when the identity holds."""
     p = operator.apply
-    return algebra.multiply(p(a), p(b)) - p(star_product(algebra, operator, a, b))
+    return algebra.multiply(p(a), p(b)) - p(DerivedStructure(algebra, operator).star(a, b))
 
 
 @pytest.fixture(scope="module")
@@ -74,26 +73,40 @@ class TestFiniteAlgebra:
             ((F0, F0), (F0, F0)),
         )
         with pytest.raises(ValueError) as refused:
-            FiniteAlgebra("bad", ("e1", "e2"), structure, is_commutative=False)
+            FiniteAlgebra("bad", ("e1", "e2"), structure)
         assert str(refused.value) == (
             "structure constants are not associative at basis triple (1, 1, 1)"
         )
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
-            FiniteAlgebra("empty", (), (), is_commutative=True)
+            FiniteAlgebra("empty", (), ())
 
     def test_misshapen_table_rejected(self):
         structure = (((F1,),),)
-        FiniteAlgebra("ok", ("e1",), structure, is_commutative=True)
+        FiniteAlgebra("ok", ("e1",), structure)
         with pytest.raises(ValueError):
-            FiniteAlgebra("ragged", ("e1", "e2"), structure, is_commutative=True)
+            FiniteAlgebra("ragged", ("e1", "e2"), structure)
 
     def test_commutativity_flag_is_checked(self):
-        FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE, is_commutative=False)
-        with pytest.raises(ValueError) as refused:
-            FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE, is_commutative=True)
-        assert str(refused.value) == "algebra flagged commutative is not"
+        assert not FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE).is_commutative
+        assert pointwise_function_algebra(3).is_commutative
+
+    def test_commutativity_is_computed_and_read(self, monkeypatch):
+        # the dual numbers: e1 is the unit and e2 e2 = 0
+        structure = (((F1, F0), (F0, F1)), ((F0, F1), (F0, F0)))
+        dual = FiniteAlgebra("dual", ("e1", "e2"), structure)
+        assert dual.is_commutative
+        tables = []
+
+        def recording(table, *args):
+            tables.append(table)
+            return first_failure(table, *args)
+
+        monkeypatch.setattr(rota, "first_failure", recording)
+        # -1 times the identity is Rota-Baxter of weight one on any algebra
+        derived_structure(dual, LinearOperator(((-F1, F0), (F0, -F1))))
+        assert rota._COMMUTATIVE in tables
 
     def test_render(self, fun3):
         assert fun3.render(vec(0, 0, 0)) == "0"
@@ -137,6 +150,10 @@ class TestLinearOperator:
     def test_dimension_mismatch_raises(self, fun3):
         with pytest.raises(ValueError):
             verify_rota_baxter(fun3, summation_operator(4))
+
+    def test_derived_structure_refuses_a_dimension_mismatch(self, fun3):
+        with pytest.raises(ValueError, match="^operator and algebra dimensions differ$"):
+            DerivedStructure(fun3, summation_operator(4))
 
     @pytest.mark.parametrize("key", [-2, -1, 3])
     def test_apply_refuses_keys_outside_the_basis(self, sum3, key):
@@ -234,7 +251,7 @@ class TestStarMorphism:
     def test_star_product_example(self, fun3, sum3):
         e1 = fun3.basis_vector(0)
         # e1 * e1 = e1 P(e1) + P(e1) e1 + e1 e1 = 0 + 0 + e1
-        assert star_product(fun3, sum3, e1, e1) == e1
+        assert DerivedStructure(fun3, sum3).star(e1, e1) == e1
 
     def test_equivalence_with_the_identity_check(self, fun3):
         operators = [
@@ -312,7 +329,7 @@ class TestIndependentOracle:
     def test_random_rational_vectors(self, case):
         rng = random.Random(f"rota-oracle:{case}")
         if case == "noncommutative-dense":
-            algebra = FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE, is_commutative=False)
+            algebra = FiniteAlgebra("nc", ("e1", "e2"), NONCOMMUTATIVE)
         else:
             algebra = pointwise_function_algebra(3)
         m = algebra.dimension
@@ -332,7 +349,6 @@ class TestIndependentOracle:
             star = [x + y + z for x, y, z in zip(left, right, dot)]
             assert self.dense(operator.apply(u), m) == pa
             assert self.dense(algebra.multiply(u, v), m) == dot
-            assert self.dense(star_product(algebra, operator, u, v), m) == star
             assert self.dense(derived.left(u, v), m) == left
             assert self.dense(derived.right(u, v), m) == right
             assert self.dense(derived.dot(u, v), m) == dot
