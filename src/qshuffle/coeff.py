@@ -151,6 +151,16 @@ class Letter(_Frozen):
         return f"Letter(kind={self.kind!r}, payload={self.payload!r})"
 
 
+def _interned_letter(kind: str, payload) -> Letter:
+    """``Letter(kind, payload)`` for a payload the caller has already
+    validated: the interned letter is looked up, and the constructor runs
+    only on a miss. ``Letter`` itself validates before its lookup, since a
+    bool payload hashes equal to its int twin, so a lookup first would
+    accept ``weight_letter(True)`` once ``y1`` exists."""
+    letter = _LETTERS.get((kind, payload))
+    return Letter(kind, payload) if letter is None else letter
+
+
 def atom_letter(name: str) -> Letter:
     return Letter("atom", name)
 

@@ -2,7 +2,9 @@
 
 Terms are binary trees over generators with node operations left (<),
 right (>) and dot (.); a node's depth, degree, signature and text are
-built once, when it is built. The term algebra is free, so ``fold_term``,
+built once, when it is built. Generator leaves are shared: ``gen`` returns
+one leaf per index from a cache bounded by ``_GEN_CACHE_SIZE``, since a
+term's text can name any ``g<i>``. The term algebra is free, so ``fold_term``,
 fixed by where the generators go, is the one map out of it: evaluation,
 the free coproduct, the involution and the generator list are folds.
 The commutative signature (CTD) uses < and . only; a term containing > is
@@ -58,8 +60,8 @@ from .coeff import (
     DomainError,
     Letter,
     _Frozen,
+    _interned_letter,
     _positive_int,
-    mono_letter,
     sym_algebra,
     word_algebra,
 )
@@ -144,6 +146,13 @@ class FreeTerm(_Frozen):
         return fold_term(self, lambda i: (i,), _CONCATENATE)
 
 
+# Shared generator leaves, at most this many. Typed, so ``gen(True)`` and
+# ``gen(2.0)`` still reach the constructor's refusal after ``gen(1)`` and
+# ``gen(2)`` are cached: ``True == 1`` and ``2.0 == 2``.
+_GEN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_GEN_CACHE_SIZE, typed=True)
 def gen(index: int) -> FreeTerm:
     return FreeTerm("gen", index=index)
 
@@ -199,11 +208,14 @@ class NormalForm(LinearCombination):
         return (sum(map(len, key)), key)
 
     def to_element(self) -> TensorElement:
-        """The tensor-module element the combs evaluate to: one word per comb."""
+        """The tensor-module element the combs evaluate to: one word per comb.
+        Each distinct block's letter is looked up once; the constructor made
+        every block a sorted tuple of positive ints, so distinct combs give
+        distinct words and nothing is summed."""
         blocks = dict.fromkeys(chain.from_iterable(self._terms))
-        letter = {block: mono_letter(block) for block in blocks}
-        return TensorElement(
-            (tuple([letter[block] for block in seq]), c) for seq, c in self.items()
+        letter = {block: _interned_letter("mono", block) for block in blocks}
+        return TensorElement._raw(
+            {tuple([letter[block] for block in seq]): c for seq, c in self.items()}
         )
 
 
@@ -360,7 +372,7 @@ def _generator_letter(alg: CoeffAlgebraSpec, n: int, index: int) -> Letter:
     is refused before its letter is built, so it interns nothing."""
     if index > n:
         raise DomainError(f"generator index {index} exceeds the generator count of {alg.name}")
-    return Letter(alg.letter_style, (index,))
+    return _interned_letter(alg.letter_style, (index,))
 
 
 def _fold_in(term: FreeTerm, n: int, algebra, leaf, ops):

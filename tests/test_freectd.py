@@ -77,6 +77,16 @@ class TestFreeTerm:
         with pytest.raises(ValueError):
             gen(0)
 
+    def test_generator_leaves_are_shared_from_a_bounded_cache(self):
+        assert gen(3) is gen(3)
+        assert gen.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("index", [True, 0, 2.0], ids=repr)
+    def test_a_cached_leaf_does_not_admit_an_equal_index(self, index):
+        gen(1), gen(2)
+        with pytest.raises(ValueError, match="positive index"):
+            gen(index)
+
     def test_degree_counts_leaves(self):
         assert G1.degree == 1
         assert prec(G1, dot(G2, G3)).degree == 3
@@ -165,6 +175,25 @@ class TestEvalCtd:
                 with pytest.raises(DomainError, match=f"generator index {i} exceeds"):
                     evaluate(gen(i), 2)
         assert len(coeff._LETTERS) == before
+
+    def test_warm_maps_build_and_validate_no_letter(self, monkeypatch):
+        term = prec(dot(G1, G2), prec(G3, dot(G1, G3)))
+
+        def run():
+            return eval_ctd(term, 3), free_ctd_coproduct(term, 3), normal_form(term).to_element()
+
+        cold = run()
+        before = len(coeff._LETTERS)
+        calls = Counter()
+        validate = coeff._validate
+
+        def counted(kind, payload):
+            calls[kind] += 1
+            return validate(kind, payload)
+
+        monkeypatch.setattr(coeff, "_validate", counted)
+        assert run() == cold
+        assert len(coeff._LETTERS) == before and not calls
 
     def test_relations_hold_under_evaluation(self):
         # In the image, each defining relation becomes an identity of elements.
@@ -306,13 +335,13 @@ class TestNormalForm:
         nf = normal_form(term)
         expected = nf.to_element()
         calls = Counter()
-        build = freectd.mono_letter
+        build = freectd._interned_letter
 
-        def counted(block):
+        def counted(kind, block):
             calls[block] += 1
-            return build(block)
+            return build(kind, block)
 
-        monkeypatch.setattr(freectd, "mono_letter", counted)
+        monkeypatch.setattr(freectd, "_interned_letter", counted)
         assert nf.to_element() == expected
         blocks = {block for seq, _ in nf.items() for block in seq}
         assert len(nf) > len(blocks) and set(calls) == blocks

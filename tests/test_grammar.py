@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import string
 from fractions import Fraction
 
 import pytest
@@ -366,6 +367,43 @@ class TestAsciiOnly:
             parse_letter(sym2, "[x1\u00a0x2]")
         assert refused.value.position == 1
 
+    @pytest.mark.parametrize(
+        ("alg_name", "text", "position"),
+        [("stuffle-y", "y1 +\u3000y2", 4), ("sym2", "\u3000x1.[x1 x2]", 0)],
+    )
+    def test_unicode_space_in_an_element_is_refused_where_it_stands(
+        self, alg_name, text, position
+    ):
+        with pytest.raises(ParseError, match="^cannot read") as refused:
+            parse_element(algebra_by_name(alg_name), text)
+        assert refused.value.position == position
+
+    def test_unicode_space_in_a_word_is_refused_where_it_stands(self, stuffle_alg):
+        with pytest.raises(ParseError, match="^cannot read") as refused:
+            parse_word(stuffle_alg, "y1.\u00a0y2")
+        assert refused.value.position == 3
+
+    def test_unicode_space_around_a_letter_is_refused(self, stuffle_alg):
+        with pytest.raises(ParseError, match="^cannot read") as refused:
+            parse_letter(stuffle_alg, "\u00a0y1", 5)
+        assert refused.value.position == 5
+
+    def test_unicode_space_in_a_free_term_is_refused(self):
+        with pytest.raises(ParseError, match="^expected a generator or \\(") as refused:
+            parse_free_term("(a <\u3000b)")
+        assert refused.value.position == 4
+
+    def test_the_blanks_are_the_ascii_whitespace(self):
+        assert sorted(grammar._BLANK) == sorted(string.whitespace)
+
+    @pytest.mark.parametrize("blank", list(string.whitespace), ids=repr)
+    def test_every_ascii_blank_still_separates(self, stuffle_alg, blank):
+        y1, y2 = weight_letter(1), weight_letter(2)
+        element = parse_element(stuffle_alg, f"{blank}y1{blank}+{blank}y2{blank}")
+        assert element == TensorElement([((y1,), 1), ((y2,), 1)])
+        assert parse_word(stuffle_alg, f"y1{blank}.{blank}y2") == (y1, y2)
+        assert parse_free_term(f"({blank}a{blank}<{blank}b{blank})") == prec(gen(1), gen(2))
+
     def test_a_generator_index_needs_ascii_digits(self):
         with pytest.raises(ParseError, match="^expected an operation") as refused:
             parse_free_term("(g1\u0663 < a)")
@@ -438,6 +476,27 @@ class TestRoundTrips:
         data = {"terms": [{"coeff": 1, "word": "y1"}]}
         with pytest.raises(ValueError, match="^term .* needs a \"coeff\" and a \"word\" list$"):
             element_from_json(stuffle_alg, data)
+
+    @pytest.mark.parametrize("entry", [1, "y1", ["y1"], None], ids=repr)
+    def test_json_names_an_entry_that_is_not_an_object(self, stuffle_alg, entry):
+        message = f"^term {re.escape(repr(entry))} needs a \"coeff\" and a \"word\" list$"
+        with pytest.raises(ValueError, match=message):
+            element_from_json(stuffle_alg, {"terms": [entry]})
+
+    def test_json_refuses_terms_that_are_an_object(self, stuffle_alg):
+        with pytest.raises(ValueError, match='^element data needs a "terms" list$'):
+            element_from_json(stuffle_alg, {"terms": {"a": 1}})
+
+    @pytest.mark.parametrize("data", [{}, {"term": []}, [], None], ids=repr)
+    def test_json_refuses_data_without_terms(self, stuffle_alg, data):
+        with pytest.raises(ValueError, match='^element data needs a "terms" list$'):
+            element_from_json(stuffle_alg, data)
+
+    def test_json_refuses_a_word_of_non_strings(self, stuffle_alg):
+        entry = {"coeff": 1, "word": [1]}
+        message = f"^term {re.escape(repr(entry))} needs a \"coeff\" and a \"word\" list$"
+        with pytest.raises(ValueError, match=message):
+            element_from_json(stuffle_alg, {"terms": [entry]})
 
     def test_json_reads_ints_and_rational_strings(self, stuffle_alg):
         y1 = (weight_letter(1),)
