@@ -261,8 +261,6 @@ def _rdot(parts) -> tuple:
     if block:
         rest.append(("b", block))
     rest.sort()
-    if len(rest) == 1:
-        return rest[0]
     return ("d", tuple(rest))
 
 

@@ -182,66 +182,51 @@ def parse_element(alg: CoeffAlgebraSpec, text: str) -> TensorElement:
     return TensorElement(terms)
 
 
-class _TermScanner:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in _BLANK:
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-
 _OP_NAME = {symbol: op for op, symbol in _OP_SYMBOL.items()}
 
 
-def _parse_term_node(sc: _TermScanner, depth: int = 0) -> FreeTerm:
-    sc.skip_ws()
-    ch = sc.peek()
+def _skip_blanks(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos] in _BLANK:  # ``"" in _BLANK`` holds
+        pos += 1
+    return pos
+
+
+def _parse_term_node(text: str, pos: int, depth: int = 0) -> tuple[FreeTerm, int]:
+    """The term at ``pos``, after blanks, and the position just past it."""
+    pos = _skip_blanks(text, pos)
+    ch = text[pos : pos + 1]
     if ch == "(":
         # refused before recursing, since parsing recurses once per level too
         if depth == MAX_TERM_DEPTH:
-            raise ParseError(f"terms nest deeper than {MAX_TERM_DEPTH} levels", sc.pos)
-        sc.pos += 1
-        left = _parse_term_node(sc, depth + 1)
-        sc.skip_ws()
-        op_ch = sc.peek()
-        if op_ch not in _OP_NAME:
-            raise ParseError("expected an operation: < > or .", sc.pos)
-        sc.pos += 1
-        right = _parse_term_node(sc, depth + 1)
-        sc.skip_ws()
-        if sc.peek() != ")":
-            raise ParseError("expected )", sc.pos)
-        sc.pos += 1
-        return FreeTerm(_OP_NAME[op_ch], left=left, right=right)
-    if ch == "g" and sc.pos + 1 < len(sc.text) and sc.text[sc.pos + 1].isdigit():
-        m = _GENERATOR_RE.match(sc.text, sc.pos)
+            raise ParseError(f"terms nest deeper than {MAX_TERM_DEPTH} levels", pos)
+        left, pos = _parse_term_node(text, pos + 1, depth + 1)
+        pos = _skip_blanks(text, pos)
+        op = _OP_NAME.get(text[pos : pos + 1])
+        if op is None:
+            raise ParseError("expected an operation: < > or .", pos)
+        right, pos = _parse_term_node(text, pos + 1, depth + 1)
+        pos = _skip_blanks(text, pos)
+        if text[pos : pos + 1] != ")":
+            raise ParseError("expected )", pos)
+        return FreeTerm(op, left=left, right=right), pos + 1
+    if ch == "g" and text[pos + 1 : pos + 2].isdigit():
+        m = _GENERATOR_RE.match(text, pos)
         if not m:
-            raise ParseError("malformed generator", sc.pos)
-        sc.pos = m.end()
-        return gen(int(m.group(1)))
+            raise ParseError("malformed generator", pos)
+        return gen(int(m.group(1))), m.end()
     if "a" <= ch <= "z":
-        after = sc.text[sc.pos + 1] if sc.pos + 1 < len(sc.text) else ""
-        if after.isalnum():
-            raise ParseError("generators are single letters a..z or g<i>", sc.pos)
-        sc.pos += 1
-        return gen(ord(ch) - ord("a") + 1)
-    raise ParseError("expected a generator or (", sc.pos)
+        if text[pos + 1 : pos + 2].isalnum():
+            raise ParseError("generators are single letters a..z or g<i>", pos)
+        return gen(ord(ch) - ord("a") + 1), pos + 1
+    raise ParseError("expected a generator or (", pos)
 
 
 def parse_free_term(text: str) -> FreeTerm:
     """Parse a fully parenthesized term over generators a..z or g<i>."""
-    sc = _TermScanner(text)
-    term = _parse_term_node(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise ParseError("unexpected trailing input", sc.pos)
+    term, pos = _parse_term_node(text, 0)
+    pos = _skip_blanks(text, pos)
+    if pos != len(text):
+        raise ParseError("unexpected trailing input", pos)
     return term
 
 

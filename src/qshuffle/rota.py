@@ -9,8 +9,8 @@ Setting a < b = a P(b), a > b = P(a) b and keeping the algebra product as
 the dot yields a tridendriform structure (the seven relations hold), a
 commutative one when R is commutative. With a * b = a<b + a>b + a.b the
 identity above says exactly that P is an algebra map from (R, *) to (R, .),
-so ``check_star_morphism`` and ``verify_rota_baxter`` check the same
-row, ``_WEIGHT_ONE``. ``DerivedStructure`` is the one place where <, >, .
+so ``check_star_morphism`` is ``verify_rota_baxter``, one check of the
+row ``_WEIGHT_ONE``. ``DerivedStructure`` is the one place where <, >, .
 and * are defined; the weight-one row reads its . and *.
 
 Everything here is finite dimensional over exact rationals: an algebra is
@@ -182,13 +182,12 @@ def _weight_one_failure(structure: DerivedStructure):
 
 
 def verify_rota_baxter(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
-    """Weight-one identity over all basis pairs (bilinear, so complete)."""
+    """Weight-one identity over all basis pairs (bilinear, so complete), which
+    is P(a * b) == P(a) P(b): so it is also ``check_star_morphism``."""
     return _weight_one_failure(DerivedStructure(algebra, operator)) is None
 
 
-def check_star_morphism(algebra: FiniteAlgebra, operator: LinearOperator) -> bool:
-    """P(a * b) == P(a) P(b) over all basis pairs: the weight-one identity."""
-    return _weight_one_failure(DerivedStructure(algebra, operator)) is None
+check_star_morphism = verify_rota_baxter
 
 
 def derived_structure(
