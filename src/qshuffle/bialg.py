@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
-from .freectd import FreeTerm, SignatureError, _fold_in
+from .freectd import FreeTerm, SignatureError, _check_budget, _comb_lengths, _encode, _fold_in
 from .lincomb import Scalar, kernel
 from .tensorq import (
     EMPTY_WORD,
@@ -116,10 +116,18 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
     Generators are primitive; the coproduct of a node applies the matching
     tensor-square operation to the children's coproducts. Components are
     words over sym(n), i.e. the images of free elements in the tensor
-    module, where the identification is one word per comb.
+    module, where the identification is one word per comb. A term of
+    distinct generators is refused up front when its comb count says the
+    result would have more than ``MAX_OUTPUT_TERMS`` pairs: a comb of
+    length l splits l + 1 ways. A repeated generator is not counted.
     """
     if not term.is_ctd:
         raise SignatureError("the free coproduct is defined for CTD terms only")
+    labels: dict[int, int] = {}
+    shape = _encode(term, labels)
+    if len(labels) == term.degree:  # distinct generators: the count is exact
+        lengths = _comb_lengths(shape)
+        _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
     ops = {"prec": square_left, "dot": square_dot}
     return _fold_in(term, n_generators, sym_algebra, _primitive_square, ops)
 

@@ -12,7 +12,9 @@ again. The quasi-shuffle product is defined by the recursion
     (a x) * (b y) = (a.b)(x * y) + a(x * (b y)) + b((a x) * y),
 
 with the empty word as unit, where a.b is the letter product in the
-coefficient algebra. Sums are taken only where keys can collide: each
+coefficient algebra. It recurses once per letter, so a pair of words of
+more than ``MAX_SHUFFLE_LETTERS`` letters together is refused with
+``DomainError`` before it recurses. Sums are taken only where keys can collide: each
 branch puts its own head letter in front of distinct tails, so a branch
 is inserted as it is unless its head is already there (b is a, or a
 letter of a.b is a or b), and only such a branch goes through
@@ -199,8 +201,15 @@ def _prefixed(head, terms: Mapping[Word, Scalar], scale: Scalar = 1) -> dict[Wor
     return {(head,) + w: scale * c for w, c in terms.items()}
 
 
+# Most letters the two words of one product recursion may have together: it
+# recurses once per letter, and its memo keeps the product of every pair of
+# suffixes, so memory grows with the cube of the length (361 MB at 400).
+MAX_SHUFFLE_LETTERS = 256
+
+
 def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Scalar]:
     """Word-level quasi-shuffle as a zero-free dict. Cached per algebra.
+    A pair of more than ``MAX_SHUFFLE_LETTERS`` letters is refused.
 
     Cached dicts are shared and must never be mutated by callers.
     """
@@ -215,6 +224,11 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
     hit = cache.get(key)
     if hit is not None:
         return hit
+    if len(u) + len(v) > MAX_SHUFFLE_LETTERS:
+        raise DomainError(
+            f"the product of words of {len(u) + len(v)} letters together is over the "
+            f"limit of {MAX_SHUFFLE_LETTERS}"
+        )
     a, x = u[0], u[1:]
     b, y = v[0], v[1:]
     # Each branch puts its own head letter in front of distinct tails, so

@@ -14,8 +14,12 @@ from itertools import combinations
 import pytest
 
 from qshuffle import (
+    CoeffAlgebraSpec,
+    CoeffCombination,
     TensorElement,
+    atom_letter,
     deconcatenate,
+    pointwise_function_algebra,
     stuffle_y_algebra,
     sym_algebra,
     word_algebra,
@@ -51,6 +55,31 @@ def word2():
 @pytest.fixture(scope="session")
 def word3():
     return word_algebra(3)
+
+
+@pytest.fixture(scope="session")
+def fun3_spec():
+    """Letters e1, e2, e3, the basis of the functions on 3 points, with the
+    pointwise product e_i.e_j = [i = j] e_i read from ``rota``'s structure
+    constants: a letter product that repeats a factor, e_i.e_i = e_i."""
+    functions = pointwise_function_algebra(3)
+    letters = tuple(map(atom_letter, functions.basis_labels))
+    index = {letter: k for k, letter in enumerate(letters)}
+
+    def product(a, b):
+        image = functions.multiply(
+            functions.basis_vector(index[a]), functions.basis_vector(index[b])
+        )
+        return CoeffCombination((letters[k], c) for k, c in image.items())
+
+    return CoeffAlgebraSpec(
+        name="fun3",
+        letter_style="atom",
+        product_rule=product,
+        member_rule=index.__contains__,
+        degree_slice=lambda degree: letters if degree == 1 else (),
+        involution_rule=lambda letter: letter,  # the product commutes
+    )
 
 
 def letter_product_commutes(alg) -> bool:

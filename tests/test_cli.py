@@ -627,6 +627,53 @@ def test_readme_cli_examples(capsys):
             assert out == comment + "\n", argv
 
 
+# Runs ``main`` on its arguments in an address space capped at 2 GB, set in
+# this child only, and prints [exit code, stdout, stderr, seconds in main].
+CAPPED_MAIN = """
+import contextlib, io, json, resource, sys, time
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 * 10**9 if hard == resource.RLIM_INFINITY else min(hard, 2 * 10**9)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from qshuffle.cli import main
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]))
+"""
+
+TEN_GENERATOR_CHAIN = "(((((((((a < b) < c) < d) < e) < f) < g) < h) < i) < j)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["normalize", TEN_GENERATOR_CHAIN], "the output would have more than 1000000 terms"),
+        (["coproduct", TEN_GENERATOR_CHAIN], "the output would have more than 1000000 terms"),
+        (
+            ["product", ".".join(["y1"] * 1000), "y2"],
+            "the product of words of 1001 letters together is over the limit of 256",
+        ),
+    ],
+    ids=["normalize", "coproduct", "product"],
+)
+def test_oversized_work_is_refused_in_a_capped_process(argv, message):
+    """Each of these ended in a MemoryError or RecursionError traceback
+    with exit 1; each is now refused in one line, before the work."""
+    src = str(Path(qshuffle.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, seconds = json.loads(proc.stdout)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert seconds < 1.0
+
+
 def test_console_script_is_installed(tmp_path):
     """Run the [project.scripts] launcher, and the installed script if on PATH."""
     tomllib = pytest.importorskip("tomllib")

@@ -53,6 +53,7 @@ from qshuffle import (
 from qshuffle.freectd import (
     MAX_CTD_ENUMERATION,
     MAX_ITD_ENUMERATION,
+    MAX_OUTPUT_TERMS,
     MAX_SERIES_ORDER,
     MAX_TERM_DEPTH,
     dimension_flavor,
@@ -492,10 +493,14 @@ class TestRewritingIndependence:
     def tree(self):
         return ast.parse(Path(freectd.__file__).read_text())
 
-    def test_normal_form_reaches_nothing_of_evaluation(self, tree):
+    @staticmethod
+    def _reached(tree, start):
+        """Every name read from ``start`` on, through the module's functions."""
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        assert self.EVALUATION - {"op_left", "op_right", "op_dot"} <= set(functions)
-        seen, todo = set(), ["normal_form"]
+        assert TestRewritingIndependence.EVALUATION - {"op_left", "op_right", "op_dot"} <= set(
+            functions
+        )
+        seen, todo = set(), [start]
         while todo:
             name = todo.pop()
             if name not in seen:
@@ -504,8 +509,18 @@ class TestRewritingIndependence:
                     todo.extend(
                         node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
                     )
-        assert {"_encode", "_rdot", "_norm", "_pull_prec"} <= seen
+        return seen
+
+    def test_normal_form_reaches_nothing_of_evaluation(self, tree):
+        seen = self._reached(tree, "normal_form")
+        assert {"_encode", "_rdot", "_norm", "_pull_prec", "_comb_lengths"} <= seen
         assert not seen & self.EVALUATION
+
+    def test_the_comb_count_reaches_no_rewriting_and_no_evaluation(self, tree):
+        # it counts the encoded shape; the encoder is not its to call
+        seen = self._reached(tree, "_comb_lengths")
+        assert {"_combine_lengths", "_check_budget"} <= seen
+        assert not seen & (self.EVALUATION | {"_encode", "_rdot", "_norm", "_pull_prec"})
 
     @staticmethod
     def _child_reads(node, where="<module>"):
@@ -582,6 +597,70 @@ class TestRewritingDepth:
         # the left chain has the most pairs and the fewest blocks to the right
         chain = freectd._encode(_chain(tuple(range(1, 33))), {})
         assert freectd._norm_depth(chain) == 1 + 32 * 31 // 2
+
+
+def _multilinear_ctd_term(rng, degree):
+    """A random CTD term with ``degree`` distinct generators, drawn from 1..3*degree."""
+
+    def build(leaves):
+        if len(leaves) == 1:
+            return gen(leaves[0])
+        split = rng.randint(1, len(leaves) - 1)
+        return rng.choice((prec, dot))(build(leaves[:split]), build(leaves[split:]))
+
+    return build(rng.sample(range(1, 3 * degree + 1), degree))
+
+
+class TestOutputBudget:
+    """A normal form or free coproduct of more than ``MAX_OUTPUT_TERMS`` terms
+    is refused: up front by the comb count on distinct generators, while
+    rewriting with a repeated one."""
+
+    def test_the_count_is_the_normal_form_and_coproduct_size(self):
+        rng = random.Random(26)
+        for degree in range(2, 8):
+            for _ in range(25):
+                term = _multilinear_ctd_term(rng, degree)
+                lengths = freectd._comb_lengths(freectd._encode(term, {}))
+                assert lengths == Counter(map(len, normal_form(term)._terms)), term
+                if degree <= 5:
+                    pairs = len(free_ctd_coproduct(term, max(term.generators())))
+                    assert sum(c * (n + 1) for n, c in lengths.items()) == pairs, term
+
+    def test_the_count_of_a_left_chain_is_fubini(self):
+        for n in range(2, 11):
+            shape = freectd._encode(_chain(tuple(range(1, n + 1))), {})
+            if fubini(n - 1) <= MAX_OUTPUT_TERMS:
+                assert sum(freectd._comb_lengths(shape).values()) == fubini(n - 1)
+            else:
+                with pytest.raises(DomainError):
+                    freectd._comb_lengths(shape)
+
+    def test_the_ten_generator_chain_is_refused_before_rewriting(self, monkeypatch):
+        def unreached(rt):
+            raise AssertionError("rewrote a term over the budget")
+
+        monkeypatch.setattr(freectd, "_norm", unreached)
+        monkeypatch.setattr(freectd, "_fold_in", unreached)
+        monkeypatch.setattr("qshuffle.bialg._fold_in", unreached)
+        chain = _chain(tuple(range(1, 11)))
+        message = f"^the output would have more than {MAX_OUTPUT_TERMS} terms$"
+        with pytest.raises(DomainError, match=message):
+            normal_form(chain)
+        with pytest.raises(DomainError, match=message):
+            free_ctd_coproduct(chain, 10)
+
+    def test_a_repeated_generator_stops_rewriting_at_the_budget(self, monkeypatch):
+        # 176 combs, where the count of distinct generators would give 541
+        term = _chain((1, 2, 2, 3, 3, 4))
+        size = len(normal_form(term))
+        assert size == 176 < sum(freectd._comb_lengths(freectd._encode(term, {})).values())
+        monkeypatch.setattr(freectd, "_NF_CACHE", {})
+        monkeypatch.setattr(freectd, "MAX_OUTPUT_TERMS", size - 1)
+        with pytest.raises(DomainError, match=f"more than {size - 1} terms"):
+            normal_form(term)
+        monkeypatch.setattr(freectd, "MAX_OUTPUT_TERMS", size)
+        assert normal_form(term).to_element() == eval_ctd(term, 4)
 
 
 class TestMultilinearSpan:

@@ -209,7 +209,78 @@ class TestParseElement:
         assert got == TensorElement([((weight_letter(1),), 3)])
 
 
+# Every kind of refusal of the term parser, with its message and position
+# pinned: blanks before, between and after, Unicode spaces and digits, bad
+# generators, missing and stray brackets and operations, trailing input.
+MALFORMED_TERMS = [
+    ('', 'expected a generator or (', 0),
+    ('   ', 'expected a generator or (', 3),
+    ('\t\n', 'expected a generator or (', 2),
+    ('(', 'expected a generator or (', 1),
+    ('( ', 'expected a generator or (', 2),
+    ('(a', 'expected an operation: < > or .', 2),
+    ('(a <', 'expected a generator or (', 4),
+    ('(a < ', 'expected a generator or (', 5),
+    ('(a < b', 'expected )', 6),
+    ('(a < b]', 'expected )', 6),
+    ('a b', 'unexpected trailing input', 2),
+    ('(a < b) c', 'unexpected trailing input', 8),
+    ('(a ? b)', 'expected an operation: < > or .', 3),
+    ('(a<b)x', 'unexpected trailing input', 5),
+    ('ab', 'generators are single letters a..z or g<i>', 0),
+    ('a1', 'generators are single letters a..z or g<i>', 0),
+    ('g0', 'malformed generator', 0),
+    ('g01', 'malformed generator', 0),
+    ('g٣', 'malformed generator', 0),
+    ('gx', 'generators are single letters a..z or g<i>', 0),
+    ('gé', 'generators are single letters a..z or g<i>', 0),
+    ('g10x', 'unexpected trailing input', 3),
+    ('g1g2', 'unexpected trailing input', 2),
+    ('A', 'expected a generator or (', 0),
+    ('é', 'expected a generator or (', 0),
+    ('\u3000a', 'expected a generator or (', 0),
+    ('(a\u3000< b)', 'expected an operation: < > or .', 2),
+    ('((a < b) . (c > d)', 'expected )', 18),
+    ('(a < b))', 'unexpected trailing input', 7),
+    ('()', 'expected a generator or (', 1),
+    ('(a . )', 'expected a generator or (', 5),
+    ('(a<(b', 'expected an operation: < > or .', 5),
+    ('1', 'expected a generator or (', 0),
+    ('(1 < a)', 'expected a generator or (', 1),
+    ('(a << b)', 'expected a generator or (', 4),
+    ('(a < b c)', 'expected )', 7),
+    ('(a . b . c)', 'expected )', 7),
+    ('((a < b)', 'expected an operation: < > or .', 8),
+    ('zz', 'generators are single letters a..z or g<i>', 0),
+    ('(z < gé)', 'generators are single letters a..z or g<i>', 5),
+    ('(a > )', 'expected a generator or (', 5),
+    ('(a\x1c< b)', 'expected an operation: < > or .', 2),
+    ('(ab < c)', 'generators are single letters a..z or g<i>', 1),
+    ('(g1٣ < a)', 'expected an operation: < > or .', 3),
+    (')', 'expected a generator or (', 0),
+    ('a)', 'unexpected trailing input', 1),
+    ('(a < b) (c < d)', 'unexpected trailing input', 8),
+    ('(a - b)', 'expected an operation: < > or .', 3),
+    ('(g < h1)', 'generators are single letters a..z or g<i>', 5),
+    ('(a <b>c)', 'expected )', 5),
+]
+
+
 class TestParseFreeTerm:
+    @pytest.mark.parametrize("text, message, position", MALFORMED_TERMS)
+    def test_malformed_terms_keep_their_messages_and_positions(self, text, message, position):
+        with pytest.raises(ParseError) as refused:
+            parse_free_term(text)
+        assert (str(refused.value), refused.value.position) == (message, position)
+
+    def test_ctd_and_td_terms_round_trip_with_and_without_blanks(self):
+        rng = random.Random(26)
+        for sample in (random_ctd_term, random_td_term):
+            for _ in range(200):
+                term = sample(rng, rng.randint(1, 9), rng.randint(1, 30))
+                assert parse_free_term(str(term)) == term
+                assert parse_free_term(str(term).replace(" ", "")) == term
+
     def test_letters_and_indexed_generators(self):
         assert parse_free_term("a") == gen(1)
         assert parse_free_term("g12") == gen(12)

@@ -2,6 +2,7 @@
 
 import random
 from functools import partial
+from itertools import product as word_tuples
 
 import pytest
 
@@ -17,11 +18,12 @@ from qshuffle import (
     op_right,
     parse_element,
     quasi_shuffle,
+    quasi_shuffle_paths,
     run_suite,
     weight_letter,
     word_letter,
 )
-from qshuffle.laws import MAX_CASES, SEVEN, failed_relations, first_failure, tensor_ops
+from qshuffle.laws import MAX_CASES, SEVEN, SUITES, failed_relations, first_failure, tensor_ops
 from qshuffle.sampling import MAX_LETTER_DEGREE, random_element, random_word
 
 
@@ -256,3 +258,24 @@ class TestArgumentValidation:
     def test_degree_must_be_positive(self, sym2):
         with pytest.raises(ValueError):
             run_suite("seven", sym2, cases=5, seed=0, max_degree=0)
+
+
+class TestLettersWithARepeatedFactor:
+    """Letters whose product repeats a factor, e_i.e_i = e_i, over the
+    functions on 3 points; no builtin algebra's product does."""
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_suite_passes(self, fun3_spec, suite):
+        report = run_suite(suite, fun3_spec, cases=100, seed=26)
+        assert report.ok and report.cases == 100, report.violations[:1]
+
+    def test_the_recursion_matches_the_path_oracle(self, fun3_spec):
+        letters = fun3_spec.letters_of_degree(1)
+        words = [w for n in range(6) for w in word_tuples(letters, repeat=n)]
+        pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 5]
+        assert len(pairs) == 2005
+        for u, v in pairs:
+            recursion = quasi_shuffle(
+                fun3_spec, TensorElement.from_word(u), TensorElement.from_word(v)
+            )
+            assert recursion == quasi_shuffle_paths(fun3_spec, u, v), (u, v)

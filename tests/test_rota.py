@@ -19,6 +19,7 @@ from qshuffle import (
     verify_rota_baxter,
 )
 from qshuffle import rota
+from qshuffle.cli import main
 from qshuffle.laws import SEVEN, failed_relations, first_failure
 from qshuffle.lincomb import LinearCombination
 
@@ -247,6 +248,30 @@ class TestDerivedStructure:
 class TestStarMorphism:
     def test_summation_star_morphism(self, fun3, sum3):
         assert check_star_morphism(fun3, sum3)
+
+    def test_the_star_morphism_is_the_weight_one_check(self):
+        assert check_star_morphism is verify_rota_baxter
+
+    def test_rota_verify_searches_the_identity_once_before_the_relations(
+        self, monkeypatch, capsys
+    ):
+        # once for the three verdict lines, once inside derived_structure
+        calls = []
+
+        def counted(structure):
+            calls.append(structure)
+            return failure(structure)
+
+        failure = rota._weight_one_failure
+        monkeypatch.setattr(rota, "_weight_one_failure", counted)
+        assert main(["rota", "verify", "--example", "summation4"]) == 0
+        assert len(calls) == 2
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "weight-one identity: PASS",
+            "star morphism: PASS",
+            "derived relations: PASS",
+            "PASS",
+        ]
 
     def test_star_product_example(self, fun3, sum3):
         e1 = fun3.basis_vector(0)

@@ -843,3 +843,24 @@ class TestMemos:
         quasi_shuffle(sym2, element_of(X1), element_of(X2))
         with pytest.raises(LetterDomainError, match="is not in the basis family of sym2"):
             quasi_shuffle_paths(sym2, (X1,), (X2, item))
+
+
+class TestWordLengthCap:
+    """The product recursion refuses a pair of words of more than
+    ``MAX_SHUFFLE_LETTERS`` letters together before it recurses."""
+
+    def test_a_pair_at_the_cap_multiplies_and_one_more_letter_is_refused(self):
+        alg = dataclasses.replace(algebra_by_name("zero"), cache={})  # a memo of its own
+        cap = tensorq.MAX_SHUFFLE_LETTERS
+        u = (A,) * (cap - 1)
+        product = quasi_shuffle(alg, TensorElement.from_word(u), element_of(B))
+        assert len(product) == cap and all(c == 1 for _, c in product.items())
+        message = f"^the product of words of {cap + 1} letters together is over the limit of {cap}$"
+        with pytest.raises(DomainError, match=message):
+            quasi_shuffle(alg, TensorElement.from_word(u + (A,)), element_of(B))
+
+    def test_a_thousand_letters_are_refused_before_recursing(self, stuffle_alg):
+        word = (weight_letter(1),) * 1000
+        with pytest.raises(DomainError, match="^the product of words of 1001 letters"):
+            quasi_shuffle(stuffle_alg, TensorElement.from_word(word), element_of(weight_letter(2)))
+        assert (word, (weight_letter(2),)) not in stuffle_alg.cache.get("shuffle", {})
