@@ -40,7 +40,16 @@ from __future__ import annotations
 from itertools import chain
 
 from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
-from .freectd import FreeTerm, SignatureError, _check_budget, _comb_lengths, _encode, _fold_in
+from .freectd import (
+    MAX_OUTPUT_TERMS,
+    FreeTerm,
+    SignatureError,
+    _check_budget,
+    _comb_lengths,
+    _encode,
+    _fold_in,
+    fubini,
+)
 from .lincomb import Scalar, kernel
 from .tensorq import (
     EMPTY_WORD,
@@ -110,6 +119,11 @@ def square_dot(
 # coproduct on free CTD terms
 
 
+# d distinct generators give at most Fubini(d) combs of at most d blocks, so
+# at most Fubini(d) * (d + 1) pairs: up to this degree no term is counted.
+_UNCOUNTED_DEGREE = max(d for d in range(1, 16) if fubini(d) * (d + 1) <= MAX_OUTPUT_TERMS)
+
+
 def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement:
     """Coproduct of a CTD term, with components as quasi-shuffle images.
 
@@ -123,11 +137,12 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
     """
     if not term.is_ctd:
         raise SignatureError("the free coproduct is defined for CTD terms only")
-    labels: dict[int, int] = {}
-    shape = _encode(term, labels)
-    if len(labels) == term.degree:  # distinct generators: the count is exact
-        lengths = _comb_lengths(shape)
-        _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
+    if term.degree > _UNCOUNTED_DEGREE:
+        labels: dict[int, int] = {}
+        shape = _encode(term, labels)
+        if len(labels) == term.degree:  # distinct generators: the count is exact
+            lengths = _comb_lengths(shape)
+            _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
     ops = {"prec": square_left, "dot": square_dot}
     return _fold_in(term, n_generators, sym_algebra, _primitive_square, ops)
 

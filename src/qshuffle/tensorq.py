@@ -14,10 +14,10 @@ again. The quasi-shuffle product is defined by the recursion
 with the empty word as unit, where a.b is the letter product in the
 coefficient algebra. It recurses once per letter, so a pair of words of
 more than ``MAX_SHUFFLE_LETTERS`` letters together is refused with
-``DomainError`` before it recurses. Sums are taken only where keys can collide: each
-branch puts its own head letter in front of distinct tails, so a branch
-is inserted as it is unless its head is already there (b is a, or a
-letter of a.b is a or b), and only such a branch goes through
+``DomainError`` before it recurses. Sums are taken only where keys can
+collide: each branch puts its own head letter in front of distinct tails,
+so a branch is inserted as it is unless its head is already there (b is
+a, or a letter of a.b is a or b), and only such a branch goes through
 ``add_into``. An independent evaluator expands the same product as a sum
 over lattice paths with unit steps right, up, and diagonal, where a
 diagonal step multiplies the two letters it consumes; the two routes are

@@ -59,7 +59,7 @@ from qshuffle.freectd import (
     dimension_flavor,
 )
 from qshuffle.laws import LETTER_PRODUCT, first_failure, tensor_ops
-from qshuffle import coeff, freectd
+from qshuffle import bialg, coeff, freectd
 from qshuffle.sampling import random_ctd_term, random_td_term
 
 from conftest import rational_rank
@@ -635,6 +635,22 @@ class TestOutputBudget:
             else:
                 with pytest.raises(DomainError):
                     freectd._comb_lengths(shape)
+
+    def test_the_coproduct_counts_only_a_term_that_could_pass_the_budget(self, monkeypatch):
+        # d distinct generators give at most Fubini(d) * (d + 1) pairs
+        assert fubini(7) * 8 <= MAX_OUTPUT_TERMS < fubini(8) * 9
+        assert bialg._UNCOUNTED_DEGREE == 7
+        counted = []
+
+        def count(rt):
+            counted.append(rt)
+            return freectd._comb_lengths(rt)
+
+        monkeypatch.setattr(bialg, "_comb_lengths", count)
+        for degree in (7, 8):
+            comb = comb_term(tuple((i,) for i in range(1, degree + 1)))
+            assert len(free_ctd_coproduct(comb, degree)) == degree + 1
+        assert counted == [freectd._encode(comb, {})]
 
     def test_the_ten_generator_chain_is_refused_before_rewriting(self, monkeypatch):
         def unreached(rt):
