@@ -493,13 +493,10 @@ class TestRewritingIndependence:
     def tree(self):
         return ast.parse(Path(freectd.__file__).read_text())
 
-    @staticmethod
-    def _reached(tree, start):
+    def _reached(self, tree, start):
         """Every name read from ``start`` on, through the module's functions."""
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        assert TestRewritingIndependence.EVALUATION - {"op_left", "op_right", "op_dot"} <= set(
-            functions
-        )
+        assert self.EVALUATION - {"op_left", "op_right", "op_dot"} <= set(functions)
         seen, todo = set(), [start]
         while todo:
             name = todo.pop()
