@@ -53,6 +53,7 @@ from .freectd import (
     dot,
     eval_ctd,
     eval_itd,
+    free_ctd_coproduct,
     fubini,
     fubini_egf_series,
     gen,
@@ -67,7 +68,6 @@ from .freectd import (
     succ,
 )
 from .bialg import (
-    free_ctd_coproduct,
     generator_inclusion,
     generator_projection,
     graded_basis_words,

@@ -1,4 +1,4 @@
-"""Bialgebra structure: tensor-square operations, coproducts, primitives.
+"""Bialgebra structure: tensor-square operations, primitives, projection.
 
 The two-fold tensor of the tensor module carries the componentwise
 quasi-shuffle, and partial operations acting on the left factors with the
@@ -18,9 +18,10 @@ and only the all-four-units pairing stays undefined. ``square_left`` and
 ``square_dot`` are one grouped pass, ``_square``: the pairs of the first
 argument are grouped by left word, each left word meets each pair of the
 second argument once, in one head image (skipped when zero), and each head
-times each quasi-shuffle of right words is summed straight into one dict.
-With this structure the deconcatenation coproduct is compatible with the
-partial operations:
+times each quasi-shuffle of right words is summed straight into one dict,
+refused once a left word's group takes it past ``tensorq.MAX_OUTPUT_TERMS``
+pairs. With this structure the deconcatenation coproduct is compatible
+with the partial operations:
 
     coproduct(x < y) = coproduct(x) < coproduct(y)
     coproduct(x . y) = coproduct(x) . coproduct(y)
@@ -39,23 +40,14 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .coeff import CoeffAlgebraSpec, DomainError, sym_algebra
-from .freectd import (
-    MAX_OUTPUT_TERMS,
-    FreeTerm,
-    SignatureError,
-    _check_budget,
-    _comb_lengths,
-    _encode,
-    _fold_in,
-    fubini,
-)
+from .coeff import CoeffAlgebraSpec, DomainError
 from .lincomb import Scalar, kernel
 from .tensorq import (
     EMPTY_WORD,
     TensorElement,
     TensorSquareElement,
     Word,
+    _check_budget,
     _check_words,
     _shuffle_words,
     _word_op_dot,
@@ -98,6 +90,7 @@ def _square(alg, word_op, a, b) -> TensorSquareElement:
                             acc[key] = total
                         else:
                             del acc[key]
+        _check_budget(len(acc))
     return TensorSquareElement._raw(acc)
 
 
@@ -113,43 +106,6 @@ def square_dot(
 ) -> TensorSquareElement:
     """. on two-fold tensors; undefined only on the all-units pairing."""
     return _square(alg, _word_op_dot, a, b)
-
-
-# ---------------------------------------------------------------------------
-# coproduct on free CTD terms
-
-
-# d distinct generators give at most Fubini(d) combs of at most d blocks, so
-# at most Fubini(d) * (d + 1) pairs: up to this degree no term is counted.
-_UNCOUNTED_DEGREE = max(d for d in range(1, 16) if fubini(d) * (d + 1) <= MAX_OUTPUT_TERMS)
-
-
-def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement:
-    """Coproduct of a CTD term, with components as quasi-shuffle images.
-
-    Generators are primitive; the coproduct of a node applies the matching
-    tensor-square operation to the children's coproducts. Components are
-    words over sym(n), i.e. the images of free elements in the tensor
-    module, where the identification is one word per comb. A term of
-    distinct generators is refused up front when its comb count says the
-    result would have more than ``MAX_OUTPUT_TERMS`` pairs: a comb of
-    length l splits l + 1 ways. A repeated generator is not counted.
-    """
-    if not term.is_ctd:
-        raise SignatureError("the free coproduct is defined for CTD terms only")
-    if term.degree > _UNCOUNTED_DEGREE:
-        labels: dict[int, int] = {}
-        shape = _encode(term, labels)
-        if len(labels) == term.degree:  # distinct generators: the count is exact
-            lengths = _comb_lengths(shape)
-            _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
-    ops = {"prec": square_left, "dot": square_dot}
-    return _fold_in(term, n_generators, sym_algebra, _primitive_square, ops)
-
-
-def _primitive_square(letter) -> TensorSquareElement:
-    word = (letter,)
-    return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,11 @@ import argparse
 import sys
 from functools import partial
 
-from .bialg import free_ctd_coproduct
 from .coeff import algebra_by_name
 from .freectd import (
     DIMENSION_FLAVORS,
     MAX_SERIES_ORDER,
-    dimension_flavor,
+    free_ctd_coproduct,
     fubini,
     fubini_egf_series,
     generating_series_check,
@@ -71,7 +70,7 @@ def _laws(args):
 
 
 def _dims(args):
-    limit, enumerate_flavor, closed_form = dimension_flavor(args.flavor)
+    limit, enumerate_flavor, closed_form = DIMENSION_FLAVORS[args.flavor]
     if not 1 <= args.n <= limit:
         raise ValueError(
             f"dims --n must satisfy 1 <= n <= {limit} for {args.flavor}, got {args.n}"

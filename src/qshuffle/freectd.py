@@ -1,4 +1,4 @@
-"""Free tridendriform terms, normal-form rewriting, and dimension counts.
+"""Free tridendriform terms, the maps out of them, and dimension counts.
 
 Terms are binary trees over generators with node operations left (<),
 right (>) and dot (.); a node's depth, degree, signature and text are
@@ -34,20 +34,20 @@ is replaced by its rank 1, 2, ... in first-occurrence leaf order. Shapes
 are rewritten once each and kept in ``_NF_CACHE``, and ``normal_form`` maps
 a cached form back to the term's own generators, each distinct block once.
 
-No output may have more than ``MAX_OUTPUT_TERMS`` terms. For a term of
-distinct generators ``_comb_lengths`` counts its combs of each length
-exactly, without rewriting, so ``normal_form`` (on a shape not cached yet)
-and ``free_ctd_coproduct`` refuse an oversized result with ``DomainError``
-before any work. With a repeated generator the count can overshoot by
-orders of magnitude, so rewriting itself stops once an accumulator passes
-the budget.
+No output may have more than ``tensorq.MAX_OUTPUT_TERMS`` terms. For a
+term of distinct generators ``_comb_lengths`` counts its combs of each
+length exactly, without rewriting, so ``normal_form`` (on a shape not cached
+yet) and ``free_ctd_coproduct`` refuse an oversized result with
+``DomainError`` before any work. With a repeated generator the count can
+overshoot by orders of magnitude, so rewriting and each tensor square stop
+once their accumulator passes the budget.
 
 Multilinear block sequences are the ordered set partitions counted by the
 Fubini numbers 1, 3, 13, 75, 541, 4683, ...; the module also verifies
 their exponential generating function (exp(x) - 1)/(2 - exp(x)) by exact
-truncated series arithmetic. ``dimension_flavor`` gives a flavour's
-partition enumerator and counts. That ``eval_ctd`` of a dot of generators
-is their letter product is the row ``laws.LETTER_PRODUCT``.
+truncated series arithmetic. ``DIMENSION_FLAVORS`` gives each flavour's
+partition enumerator and closed-form count. That ``eval_ctd`` of a dot of
+generators is their letter product is the row ``laws.LETTER_PRODUCT``.
 
 No package code calls ``eval_itd``, ``involute_term`` or ``multilinear_terms``:
 they are the tridendriform side and the free-term involution law. Nor does
@@ -73,8 +73,18 @@ from .coeff import (
     sym_algebra,
     word_algebra,
 )
+from .bialg import square_dot, square_left
 from .lincomb import LinearCombination, Scalar, add_into
-from .tensorq import TensorElement, op_dot, op_left, op_right
+from .tensorq import (
+    EMPTY_WORD,
+    MAX_OUTPUT_TERMS,
+    TensorElement,
+    TensorSquareElement,
+    _check_budget,
+    op_dot,
+    op_left,
+    op_right,
+)
 
 
 class SignatureError(ValueError):
@@ -88,11 +98,6 @@ _CONCATENATE = dict.fromkeys(_OP_SYMBOL, add)  # a node's generators are its chi
 # built. ``fold_term`` (so every map out of a term) and ``_encode`` recurse
 # once per level; rewriting that could recurse deeper is refused (``_norm_depth``).
 MAX_TERM_DEPTH = 500
-
-# Most terms one output may have: the combs of a normal form, the pairs of a
-# free coproduct. Tier-1's degree-8 chain has 47,293 combs and the
-# 9-generator chain 545,835; the 10-generator chain's 7,087,261 are refused.
-MAX_OUTPUT_TERMS = 10**6
 
 
 class FreeTerm(_Frozen):
@@ -296,11 +301,6 @@ def _pull_prec(factors) -> tuple:
     rest = list(factors)
     rest.remove(w)
     return ("p", _rdot([w[1]] + rest), w[2])
-
-
-def _check_budget(count: int) -> None:
-    if count > MAX_OUTPUT_TERMS:
-        raise DomainError(f"the output would have more than {MAX_OUTPUT_TERMS} terms")
 
 
 def _comb_lengths(rt: tuple) -> dict[int, int]:
@@ -518,9 +518,8 @@ def fubini(n: int) -> int:
     """Number of ordered set partitions of an n-set, by the binomial recurrence."""
     if n < 0:
         raise ValueError("fubini is defined for n >= 0")
-    if n == 0:
-        return 1
-    return sum(binomial(n, k) * fubini(n - k) for k in range(1, n + 1))
+    counts = [fubini(m) for m in range(n)]  # ascending: each call finds the smaller ones cached
+    return sum(binomial(n, k) * counts[n - k] for k in range(1, n + 1)) if n else 1
 
 
 def itd_dimension(n: int) -> int:
@@ -528,6 +527,42 @@ def itd_dimension(n: int) -> int:
     if n < 1:
         raise ValueError("itd_dimension is defined for n >= 1")
     return (1 << (n - 1)) * factorial(n)
+
+
+# ---------------------------------------------------------------------------
+# coproduct on free CTD terms
+
+# d distinct generators give at most Fubini(d) combs of at most d blocks, so
+# at most Fubini(d) * (d + 1) pairs: up to this degree no term is counted.
+_UNCOUNTED_DEGREE = max(d for d in range(1, 16) if fubini(d) * (d + 1) <= MAX_OUTPUT_TERMS)
+
+
+def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement:
+    """Coproduct of a CTD term, with components as quasi-shuffle images.
+
+    Generators are primitive; a node applies the matching tensor-square
+    operation to its children's coproducts. Components are words over
+    sym(n), the images of free elements in the tensor module, one word per
+    comb. A term of distinct generators is refused up front when its comb
+    count says the result would have more than ``MAX_OUTPUT_TERMS`` pairs:
+    a comb of length l splits l + 1 ways. With a repeated generator each
+    tensor square stops at the budget instead.
+    """
+    if not term.is_ctd:
+        raise SignatureError("the free coproduct is defined for CTD terms only")
+    if term.degree > _UNCOUNTED_DEGREE:
+        labels: dict[int, int] = {}
+        shape = _encode(term, labels)
+        if len(labels) == term.degree:  # distinct generators: the count is exact
+            lengths = _comb_lengths(shape)
+            _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
+    ops = {"prec": square_left, "dot": square_dot}
+    return _fold_in(term, n_generators, sym_algebra, _primitive_square, ops)
+
+
+def _primitive_square(letter) -> TensorSquareElement:
+    word = (letter,)
+    return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +667,3 @@ DIMENSION_FLAVORS = {
     "ctd": (MAX_CTD_ENUMERATION, ordered_unordered_partitions, fubini),
     "itd": (MAX_ITD_ENUMERATION, ordered_ordered_partitions, itd_dimension),
 }
-
-
-def dimension_flavor(flavor: str):
-    """The ``(limit, enumerator, closed_form)`` row of a flavour, any case."""
-    row = DIMENSION_FLAVORS.get(flavor.lower())
-    if row is None:
-        raise ValueError(f"unknown flavor {flavor!r}; known: {', '.join(DIMENSION_FLAVORS)}")
-    return row

@@ -14,21 +14,22 @@ again. The quasi-shuffle product is defined by the recursion
 with the empty word as unit, where a.b is the letter product in the
 coefficient algebra. It recurses once per letter, so a pair of words of
 more than ``MAX_SHUFFLE_LETTERS`` letters together is refused with
-``DomainError`` before it recurses. Sums are taken only where keys can
-collide: each branch puts its own head letter in front of distinct tails,
-so a branch is inserted as it is unless its head is already there (b is
-a, or a letter of a.b is a or b), and only such a branch goes through
-``add_into``. An independent evaluator expands the same product as a sum
-over lattice paths with unit steps right, up, and diagonal, where a
-diagonal step multiplies the two letters it consumes; the two routes are
-cross-checked in the test suite. A call lays its pair out in one table:
-u + v, then the (letter, coefficient) entries of each letter product,
-padded with zero entries to the length t of the longest. Each Delannoy
-path of the (p, q) shape, with one entry chosen per product it crosses,
-is compiled once per (p, q, t) into two ``itemgetter`` gathers, of its
-word and of its coefficients; when every product is zero (t = 0) the
-diagonal paths are dropped when compiled. The two routes share only
-the letter product, which both read from the per-algebra memo
+``DomainError`` before it recurses, and ``_check_budget`` refuses a normal
+form or tensor square of more than ``MAX_OUTPUT_TERMS`` terms. Sums are
+taken only where keys can collide: each branch puts its own head letter in
+front of distinct tails, so a branch is inserted as it is unless its head
+is already there (b is a, or a letter of a.b is a or b), and only such a
+branch goes through ``add_into``. An independent evaluator expands the
+same product as a sum over lattice paths with unit steps right, up, and
+diagonal, where a diagonal step multiplies the two letters it consumes;
+the two routes are cross-checked in the test suite. A call lays its pair
+out in one table: u + v, then the (letter, coefficient) entries of each
+letter product, padded with zero entries to the length t of the longest.
+Each Delannoy path of the (p, q) shape, with one entry chosen per product
+it crosses, is compiled once per (p, q, t) into two ``itemgetter``
+gathers, of its word and of its coefficients; when every product is zero
+(t = 0) the diagonal paths are dropped when compiled. The two routes share
+only the letter product, which both read from the per-algebra memo
 ``_letter_product``: it is input data, not the rule under test. Neither
 route calls the other's code, and the oracle calls neither ``add_into``
 nor ``bilinear`` (a test reads this module's source to keep it so).
@@ -205,6 +206,15 @@ def _prefixed(head, terms: Mapping[Word, Scalar], scale: Scalar = 1) -> dict[Wor
 # recurses once per letter, and its memo keeps the product of every pair of
 # suffixes, so memory grows with the cube of the length (361 MB at 400).
 MAX_SHUFFLE_LETTERS = 256
+
+# Most terms a normal form or tensor square may have: the 9-generator chain's
+# 545,835 combs pass, the 10-generator chain's 7,087,261 are refused.
+MAX_OUTPUT_TERMS = 10**6
+
+
+def _check_budget(count: int) -> None:
+    if count > MAX_OUTPUT_TERMS:
+        raise DomainError(f"the output would have more than {MAX_OUTPUT_TERMS} terms")
 
 
 def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Scalar]:

@@ -117,6 +117,16 @@ class TestDimsCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flavor", ["CTD", "dendriform"])
+    def test_a_flavor_outside_the_table_is_a_usage_error(self, capsys, flavor):
+        # argparse's choices are the table's keys, matched by case
+        code, out, err = run_cli(capsys, ["dims", "--flavor", flavor])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"qshuffle dims: error: argument --flavor: invalid choice: {flavor!r}"
+            " (choose from 'ctd', 'itd')\n"
+        )
+
     @pytest.mark.parametrize("flavor, n", [("ctd", 9), ("itd", 7)])
     def test_too_large_is_refused_before_enumerating(self, capsys, monkeypatch, flavor, n):
         calls = []

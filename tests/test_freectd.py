@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -51,15 +51,15 @@ from qshuffle import (
     word_letter,
 )
 from qshuffle.freectd import (
+    DIMENSION_FLAVORS,
     MAX_CTD_ENUMERATION,
     MAX_ITD_ENUMERATION,
     MAX_OUTPUT_TERMS,
     MAX_SERIES_ORDER,
     MAX_TERM_DEPTH,
-    dimension_flavor,
 )
 from qshuffle.laws import LETTER_PRODUCT, first_failure, tensor_ops
-from qshuffle import bialg, coeff, freectd
+from qshuffle import coeff, freectd, tensorq
 from qshuffle.sampling import random_ctd_term, random_td_term
 
 from conftest import rational_rank
@@ -636,18 +636,21 @@ class TestOutputBudget:
     def test_the_coproduct_counts_only_a_term_that_could_pass_the_budget(self, monkeypatch):
         # d distinct generators give at most Fubini(d) * (d + 1) pairs
         assert fubini(7) * 8 <= MAX_OUTPUT_TERMS < fubini(8) * 9
-        assert bialg._UNCOUNTED_DEGREE == 7
+        assert freectd._UNCOUNTED_DEGREE == 7
         counted = []
+        comb_lengths = freectd._comb_lengths
 
         def count(rt):
             counted.append(rt)
-            return freectd._comb_lengths(rt)
+            return comb_lengths(rt)
 
-        monkeypatch.setattr(bialg, "_comb_lengths", count)
+        # the count recurses through the patched name, so the first shape it
+        # counts is the whole term's
+        monkeypatch.setattr(freectd, "_comb_lengths", count)
         for degree in (7, 8):
             comb = comb_term(tuple((i,) for i in range(1, degree + 1)))
             assert len(free_ctd_coproduct(comb, degree)) == degree + 1
-        assert counted == [freectd._encode(comb, {})]
+        assert counted[0] == freectd._encode(comb, {})
 
     def test_the_ten_generator_chain_is_refused_before_rewriting(self, monkeypatch):
         def unreached(rt):
@@ -655,7 +658,6 @@ class TestOutputBudget:
 
         monkeypatch.setattr(freectd, "_norm", unreached)
         monkeypatch.setattr(freectd, "_fold_in", unreached)
-        monkeypatch.setattr("qshuffle.bialg._fold_in", unreached)
         chain = _chain(tuple(range(1, 11)))
         message = f"^the output would have more than {MAX_OUTPUT_TERMS} terms$"
         with pytest.raises(DomainError, match=message):
@@ -669,11 +671,22 @@ class TestOutputBudget:
         size = len(normal_form(term))
         assert size == 176 < sum(freectd._comb_lengths(freectd._encode(term, {})).values())
         monkeypatch.setattr(freectd, "_NF_CACHE", {})
-        monkeypatch.setattr(freectd, "MAX_OUTPUT_TERMS", size - 1)
+        monkeypatch.setattr(tensorq, "MAX_OUTPUT_TERMS", size - 1)
         with pytest.raises(DomainError, match=f"more than {size - 1} terms"):
             normal_form(term)
-        monkeypatch.setattr(freectd, "MAX_OUTPUT_TERMS", size)
+        monkeypatch.setattr(tensorq, "MAX_OUTPUT_TERMS", size)
         assert normal_form(term).to_element() == eval_ctd(term, 4)
+
+    def test_a_repeated_generator_stops_the_coproduct_at_the_budget(self, monkeypatch):
+        # no term is counted up front, so each tensor square checks its pairs
+        term = _chain((1, 2, 2, 3, 3, 4))
+        expected = free_ctd_coproduct(term, 4)
+        assert len(expected) == 994
+        monkeypatch.setattr(tensorq, "MAX_OUTPUT_TERMS", 993)
+        with pytest.raises(DomainError, match="more than 993 terms"):
+            free_ctd_coproduct(term, 4)
+        monkeypatch.setattr(tensorq, "MAX_OUTPUT_TERMS", 994)
+        assert free_ctd_coproduct(term, 4) == expected
 
 
 class TestMultilinearSpan:
@@ -716,11 +729,11 @@ class TestEnumeration:
             assert len(ordered_ordered_partitions(n)) == itd_dimension(n)
 
     def test_ctd_two_element_census(self):
-        got = set(dimension_flavor("ctd")[1](2))
+        got = set(DIMENSION_FLAVORS["ctd"][1](2))
         assert got == {((1, 2),), ((1,), (2,)), ((2,), (1,))}
 
     def test_itd_two_element_census(self):
-        got = set(dimension_flavor("itd")[1](2))
+        got = set(DIMENSION_FLAVORS["itd"][1](2))
         assert got == {((1, 2),), ((2, 1),), ((1,), (2,)), ((2,), (1,))}
 
     def test_no_duplicates(self):
@@ -740,12 +753,6 @@ class TestEnumeration:
         for seq in ordered_ordered_partitions(4):
             assert all(seq) and sorted(i for block in seq for i in block) == [1, 2, 3, 4]
 
-    def test_flavor_dispatch(self):
-        assert dimension_flavor("CTD")[1](3) == ordered_unordered_partitions(3)
-        assert dimension_flavor("ITD")[1](3) == ordered_ordered_partitions(3)
-        with pytest.raises(ValueError):
-            dimension_flavor("dendriform")[1](3)
-
     def test_bounds_are_enforced(self):
         with pytest.raises(ValueError):
             ordered_unordered_partitions(0)
@@ -764,6 +771,12 @@ class TestCounting:
     def test_fubini_rejects_negative(self):
         with pytest.raises(ValueError):
             fubini(-1)
+
+    def test_fubini_of_a_large_n_on_a_cold_cache(self):
+        # past the interpreter's recursion limit were it one call per n
+        fubini.cache_clear()
+        top = fubini(600)
+        assert top == sum(comb(600, k) * fubini(600 - k) for k in range(1, 601))
 
     def test_itd_dimension_values(self):
         assert [itd_dimension(n) for n in range(1, 6)] == [1, 4, 24, 192, 1920]

@@ -279,25 +279,31 @@ class TestStarMorphism:
         assert DerivedStructure(fun3, sum3).star(e1, e1) == e1
 
     def test_equivalence_with_the_identity_check(self, fun3):
-        operators = [
-            summation_operator(3),
-            ZERO3,
-            IDENTITY3,
-            LinearOperator(
-                tuple(
-                    tuple(Fraction(i * j + 1, 2) for j in range(3)) for i in range(3)
-                )
-            ),
-            LinearOperator(
-                (
-                    (F0, F1, F0),
-                    (F0, F0, F1),
-                    (F1, F0, F0),
-                )
-            ),
-        ]
-        for op in operators:
-            assert verify_rota_baxter(fun3, op) == check_star_morphism(fun3, op)
+        # each verdict against the identity computed on dense vectors, with a
+        # basis pair where it fails for each operator that is refused
+        def apply(matrix, v):
+            return [sum(row[j] * v[j] for j in range(3)) for row in matrix]
+
+        def times(u, v):  # the pointwise product of fun3
+            return [a * b for a, b in zip(u, v)]
+
+        def dense_defect(matrix, i, j):
+            a, b = ([F1 if k == m else F0 for k in range(3)] for m in (i, j))
+            pa, pb = apply(matrix, a), apply(matrix, b)
+            star = [x + y + z for x, y, z in zip(times(a, pb), times(pa, b), times(a, b))]
+            return [x - y for x, y in zip(times(pa, pb), apply(matrix, star))]
+
+        half = tuple(tuple(Fraction(i * j + 1, 2) for j in range(3)) for i in range(3))
+        cyclic = ((F0, F1, F0), (F0, F0, F1), (F1, F0, F0))
+        operators = [summation_operator(3), ZERO3, IDENTITY3, LinearOperator(half),
+                     LinearOperator(cyclic)]
+        verdicts = [verify_rota_baxter(fun3, op) for op in operators]
+        assert verdicts == [True, True, False, False, False]
+        for op in operators[:2]:
+            pairs = product(range(3), repeat=2)
+            assert not any(any(dense_defect(op.matrix, i, j)) for i, j in pairs)
+        for op, (i, j) in zip(operators[2:], [(0, 0), (0, 1), (0, 2)]):
+            assert any(dense_defect(op.matrix, i, j)), (op, i, j)
 
 
 class TestExamples:
