@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when every requested check passes, 1 when a checked law or
-count comparison fails, 2 on usage, parse, or domain errors. With ``--json``
-each command prints one object ``{"command": ..., "seed": ..., "result": ...}``.
+count comparison fails, 2 on usage, parse, domain, or out-of-memory errors.
+With ``--json`` each command prints one object ``{"command": ..., "seed": ..., "result": ...}``.
 
 There is no programmatic layer here: library callers use the package's own
 functions. Each handler reads the parsed arguments, calls the library, and
@@ -290,6 +290,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -582,26 +582,20 @@ def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fracti
 
 
 def _series_div(num: list[Fraction], den: list[Fraction], order: int) -> list[Fraction]:
-    if den[0] != 1:
-        raise ValueError("series division requires a denominator with constant term 1")
     out = [Fraction(0)] * (order + 1)
     for k in range(order + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
+        acc = num[k]
         for j in range(1, k + 1):
-            dj = den[j] if j < len(den) else Fraction(0)
-            acc -= dj * out[k - j]
+            acc -= den[j] * out[k - j]
         out[k] = acc
     return out
 
 
 def _series_compose(outer: list[Fraction], inner: list[Fraction], order: int) -> list[Fraction]:
-    if inner[0] != 0:
-        raise ValueError("series composition requires a zero constant term inside")
     acc = [Fraction(0)] * (order + 1)
     for k in range(order, -1, -1):
         acc = _series_mul(acc, inner, order)
-        if k < len(outer):
-            acc[0] += outer[k]
+        acc[0] += outer[k]
     return acc
 
 

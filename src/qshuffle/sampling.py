@@ -4,8 +4,10 @@ All samplers take an explicit :class:`random.Random` so every run is
 reproducible from a seed. Elements are kept small on purpose: letters of
 degree at most two, words of length at most three, integer coefficients in
 ``[-3, -1] + [1, 3]``. That keeps exhaustive law checks fast while still
-exercising the non-commutative and composite-letter paths. No package code
-calls ``random_ctd_term`` or ``random_td_term``: they draw the tests' terms.
+exercising the non-commutative and composite-letter paths. A word has
+degree at most six, the default ``max_total_degree``, so the default cap
+changes no draw. No package code calls ``random_ctd_term`` or
+``random_td_term``: they draw the tests' terms.
 """
 
 from __future__ import annotations
@@ -32,22 +34,15 @@ def random_letter(alg: CoeffAlgebraSpec, rng: random.Random, max_degree: int = M
 def random_word(
     alg: CoeffAlgebraSpec,
     rng: random.Random,
-    max_total_degree: int | None = None,
+    max_total_degree: int = MAX_WORD_LENGTH * MAX_LETTER_DEGREE,
 ):
-    length = rng.randint(1, MAX_WORD_LENGTH)
-    if max_total_degree is not None:
-        # every letter costs at least one degree
-        length = min(length, max_total_degree)
+    # every letter costs at least one degree; spare is the degree left over
+    length = min(rng.randint(1, MAX_WORD_LENGTH), max_total_degree)
+    spare = max_total_degree - length
     letters = []
-    budget = max_total_degree
-    for position in range(length):
-        cap = MAX_LETTER_DEGREE
-        if budget is not None:
-            cap = min(cap, budget - (length - position - 1))
-        letter = random_letter(alg, rng, cap)
-        letters.append(letter)
-        if budget is not None:
-            budget -= letter.degree
+    for _ in range(length):
+        letters.append(random_letter(alg, rng, min(MAX_LETTER_DEGREE, 1 + spare)))
+        spare -= letters[-1].degree - 1
     return tuple(letters)
 
 
@@ -59,7 +54,7 @@ def random_coefficient(rng: random.Random) -> int:
 def random_element(
     alg: CoeffAlgebraSpec,
     rng: random.Random,
-    max_total_degree: int | None = None,
+    max_total_degree: int = MAX_WORD_LENGTH * MAX_LETTER_DEGREE,
 ) -> TensorElement:
     """A small element of the augmentation ideal (no empty-word part)."""
     n_terms = rng.randint(1, MAX_TERMS)

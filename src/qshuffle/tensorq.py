@@ -73,31 +73,32 @@ def word_sort_key(word: Word):
     return (len(word), tuple([letter.sort_key for letter in word]))
 
 
-def _rank_ordered(terms: dict, pairs: bool) -> list:
-    """``terms.items()`` in ``sort_key`` order, for keys that are words or,
-    with ``pairs``, pairs of words.
+def _rank_ordered(cls, terms: dict) -> list:
+    """The ``_ordered`` of both tensor classes: ``terms.items()`` in ``sort_key``
+    order, for keys that are words or, for pair elements, pairs of words.
 
     The distinct letters of all keys are ranked once by ``Letter.sort_key``.
     A word's sort key is one ``str``, its length and then its ranks, one
     code point each, so C compares the keys, and ``str`` order is
     ``(len, *ranks)`` order, which is ``word_sort_key`` order; a pair's key
     joins its two words' keys. A rank or a length above 1,114,111 has no
-    code point, and ``chr`` raises ``ValueError``; the callers then sort
-    by ``sort_key``.
+    code point, so ``chr`` raises ``ValueError``; ``sort_key`` then sorts.
     """
-    ranked = sorted(
-        set().union(*(chain.from_iterable(terms) if pairs else terms)),
-        key=attrgetter("sort_key"),
-    )
-    code = dict(zip(ranked, map(chr, range(len(ranked))))).__getitem__
-    if pairs:
-        def key(kv):
-            u, v = kv[0]
-            return chr(len(u)) + "".join(map(code, u)) + chr(len(v)) + "".join(map(code, v))
-    else:
-        def key(kv):
-            return chr(len(kv[0])) + "".join(map(code, kv[0]))
-    return sorted(terms.items(), key=key)
+    pairs = issubclass(cls, TensorSquareElement)
+    letters = set().union(*(chain.from_iterable(terms) if pairs else terms))
+    ranked = sorted(letters, key=attrgetter("sort_key"))
+    try:
+        code = dict(zip(ranked, map(chr, range(len(ranked))))).__getitem__
+        if pairs:
+            def key(kv):
+                u, v = kv[0]
+                return chr(len(u)) + "".join(map(code, u)) + chr(len(v)) + "".join(map(code, v))
+        else:
+            def key(kv):
+                return chr(len(kv[0])) + "".join(map(code, kv[0]))
+        return sorted(terms.items(), key=key)
+    except ValueError:  # a rank or a word length past the last code point
+        return LinearCombination._ordered.__func__(cls, terms)
 
 
 class TensorElement(LinearCombination):
@@ -108,12 +109,7 @@ class TensorElement(LinearCombination):
 
     sort_key = staticmethod(word_sort_key)
 
-    @classmethod
-    def _ordered(cls, terms: dict) -> list:
-        try:
-            return _rank_ordered(terms, pairs=False)
-        except ValueError:  # a rank or a word length past the last code point
-            return super()._ordered(terms)
+    _ordered = classmethod(_rank_ordered)
 
     @classmethod
     def from_word(cls, word) -> "TensorElement":
@@ -138,12 +134,7 @@ class TensorSquareElement(LinearCombination):
     def sort_key(key: tuple[Word, Word]):
         return (word_sort_key(key[0]), word_sort_key(key[1]))
 
-    @classmethod
-    def _ordered(cls, terms: dict) -> list:
-        try:
-            return _rank_ordered(terms, pairs=True)
-        except ValueError:  # a rank or a word length past the last code point
-            return super()._ordered(terms)
+    _ordered = classmethod(_rank_ordered)
 
 
 def _check_words(alg: CoeffAlgebraSpec, words) -> None:
@@ -348,8 +339,6 @@ def _word_op_left(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]
 
 def _word_op_right(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
     if not v:
-        if not u:
-            raise UnitPairingError("1 > 1 is not defined")
         return {}
     if not u:
         return {v: 1}

@@ -460,6 +460,14 @@ class TestRotaCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_a_failed_derived_relation_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "qshuffle.rota.SEVEN", (("x = x + x", lambda L, R, D, S, x, y, z: (x, x + x)),)
+        )
+        code, out, err = run_cli(capsys, ["rota", "table"])
+        assert (code, out) == (1, "")
+        assert err == "FAIL: derived relation x = x + x fails\n"
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, capsys):
@@ -478,6 +486,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["product", "--alg", "tropical", "a", "b"])
         assert code == 2
         assert "error:" in err
+
+    def test_out_of_memory_is_two_in_one_line(self, capsys, monkeypatch):
+        def exhausted(term):
+            raise MemoryError
+
+        monkeypatch.setattr("qshuffle.cli.normal_form", exhausted)
+        code, out, err = run_cli(capsys, ["normalize", "(a < b)"])
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_usage_error_is_two(self, capsys):
         assert main(["definitely-not-a-command"]) == 2

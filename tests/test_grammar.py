@@ -168,6 +168,13 @@ class TestParseElement:
         with pytest.raises(ParseError):
             parse_element(sym2, "")
 
+    @pytest.mark.parametrize(("text", "position"), [("y1)", 2), ("y1 + (y2", 8)])
+    def test_an_unbalanced_bracket_is_reported_where_it_shows(self, stuffle_alg, text, position):
+        """A stray closing bracket at itself; an unclosed one at the end."""
+        with pytest.raises(ParseError, match="^unbalanced bracket$") as exc:
+            parse_element(stuffle_alg, text)
+        assert exc.value.position == position
+
     def test_dangling_sign_is_refused_before_any_term_is_read(self, stuffle_alg):
         """x1 is no stuffle-y letter, but the sign is refused before it is read."""
         with pytest.raises(ParseError, match="dangling sign") as exc:

@@ -237,6 +237,20 @@ class TestDerivedStructure:
             assert structure.right(x, y) == vec(0, 0, 0)
             assert structure.star(x, y) == fun3.multiply(x, y)
 
+    # a row whose sides differ on every nonzero basis vector, for either arity
+    BROKEN = (("x = x + x", lambda L, R, D, S, x, *rest: (x, x + x)),)
+
+    def test_a_failed_derived_relation_is_refused(self, fun3, sum3, monkeypatch):
+        monkeypatch.setattr(rota, "SEVEN", self.BROKEN)
+        with pytest.raises(RotaBaxterError, match=r"^derived relation x = x \+ x fails$"):
+            derived_structure(fun3, sum3)
+
+    def test_a_failed_commuted_form_is_refused(self, fun3, sum3, monkeypatch):
+        assert fun3.is_commutative
+        monkeypatch.setattr(rota, "_COMMUTATIVE", self.BROKEN)
+        with pytest.raises(RotaBaxterError, match=r"^x = x \+ x fails$"):
+            derived_structure(fun3, sum3)
+
     def test_identity_operator_refused_with_witness(self, fun3):
         with pytest.raises(RotaBaxterError) as refused:
             derived_structure(fun3, IDENTITY3)
