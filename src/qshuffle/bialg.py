@@ -15,13 +15,15 @@ the undefined head operation is pushed to the right factors,
     (1 (x) b) . (1 (x) b')  =  1 (x) (b . b')
 
 and only the all-four-units pairing stays undefined. ``square_left`` and
-``square_dot`` are one grouped pass, ``_square``: the pairs of the first
-argument are grouped by left word, each left word meets each pair of the
-second argument once, in one head image (skipped when zero), and each head
-times each quasi-shuffle of right words is summed straight into one dict,
-refused once a left word's group takes it past ``tensorq.MAX_OUTPUT_TERMS``
-pairs. With this structure the deconcatenation coproduct is compatible
-with the partial operations:
+``square_dot`` are one grouped pass, ``_square``. It checks the letters of
+both arguments, but not of one that ``freectd``'s fold built in ``alg``
+(its ``_checked_in`` is ``alg``): that is not walked again. Then the pairs
+of the first argument are grouped by left word, each left word meets each
+pair of the second argument once, in one head image (skipped when zero),
+and each head times each quasi-shuffle of right words is summed straight
+into one dict, refused once a left word's group takes it past
+``tensorq.MAX_OUTPUT_TERMS`` pairs. With this structure the
+deconcatenation coproduct is compatible with the partial operations:
 
     coproduct(x < y) = coproduct(x) < coproduct(y)
     coproduct(x . y) = coproduct(x) . coproduct(y)
@@ -61,7 +63,8 @@ def _square(alg, word_op, a, b) -> TensorSquareElement:
     for x in (a, b):
         if not isinstance(x, TensorSquareElement):
             raise TypeError(f"TensorSquareElement expected, got {type(x).__name__}")
-        _check_words(alg, chain.from_iterable(x._terms))
+        if x._checked_in is not alg:
+            _check_words(alg, chain.from_iterable(x._terms))
     rows: dict[Word, list] = {}
     for (u1, v1), c1 in a._terms.items():
         rows.setdefault(u1, []).append((v1, c1))

@@ -390,14 +390,15 @@ def normal_form(term: FreeTerm) -> NormalForm:
         raise SignatureError("normal-form rewriting is defined for CTD terms only")
     labels: dict[int, int] = {}
     encoded = _encode(term, labels)
-    if encoded not in _NF_CACHE:
+    shape = _NF_CACHE.get(encoded)  # one probe: a nested shape rehashes each time
+    if shape is None:
         if (depth := _norm_depth(encoded)) > MAX_TERM_DEPTH + 1:
             raise ValueError(
                 f"rewriting could recurse {depth} levels deep, over {MAX_TERM_DEPTH + 1}"
             )
         if len(labels) == term.degree:  # distinct generators: the count is exact
             _comb_lengths(encoded)
-    shape = _norm(encoded)
+        shape = _norm(encoded)
     # each distinct block of the shape's form mapped back once, then every
     # comb, into a new dict: the cached one is shared
     back = (0, *labels)
@@ -430,13 +431,21 @@ def _fold_in(term: FreeTerm, n: int, algebra, leaf, ops):
     node to ``ops[op](alg, left, right)``. ``ops`` is read when called, so a
     later rebinding takes effect."""
     alg = algebra(n)
-    ops = {op: partial(f, alg) for op, f in ops.items()}
+    # Every image lies in alg: a leaf's letter has index <= n, and sym(n) and
+    # word(n) are closed under their letter products. So each image is marked
+    # as checked in alg, and the operations do not walk its letters again.
+    def checked(x):
+        x._checked_in = alg
+        return x
+    ops = {op: lambda x, y, f=f: checked(f(alg, x, y)) for op, f in ops.items()}
     leaves = {}
     def image(i):
         if i not in leaves:
-            leaves[i] = leaf(_generator_letter(alg, n, i))
+            leaves[i] = checked(leaf(_generator_letter(alg, n, i)))
         return leaves[i]
-    return fold_term(term, image, ops)
+    result = fold_term(term, image, ops)
+    del result._checked_in  # returned unmarked: a pickle or copy holds no algebra
+    return result
 
 
 def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:

@@ -7,7 +7,9 @@ sort ranks the element's distinct letters, and each word is sorted on one
 ``str``, its length and then its ranks as code points. Every operation
 first checks that the letters of its arguments belong to the algebra; a
 letter accepted once is kept in ``alg.cache["member"]`` and not checked
-again. The quasi-shuffle product is defined by the recursion
+again, and an argument that ``freectd``'s fold built in the algebra (its
+``_checked_in`` is the algebra) is not walked again. The quasi-shuffle
+product is defined by the recursion
 
     (a x) * (b y) = (a.b)(x * y) + a(x * (b y)) + b((a x) * y),
 
@@ -107,6 +109,8 @@ class TensorElement(LinearCombination):
     Terms are ordered by ``word_sort_key``, computed from letter ranks.
     """
 
+    _checked_in = None  # the algebra ``freectd``'s fold built it in, if any
+
     sort_key = staticmethod(word_sort_key)
 
     _ordered = classmethod(_rank_ordered)
@@ -129,6 +133,8 @@ class TensorSquareElement(LinearCombination):
 
     Terms are ordered by ``sort_key``, computed from letter ranks.
     """
+
+    _checked_in = None  # as on TensorElement
 
     @staticmethod
     def sort_key(key: tuple[Word, Word]):
@@ -159,7 +165,8 @@ def _check_words(alg: CoeffAlgebraSpec, words) -> None:
 def _check_element(alg: CoeffAlgebraSpec, element: TensorElement) -> None:
     if not isinstance(element, TensorElement):
         raise TypeError(f"TensorElement expected, got {type(element).__name__}")
-    _check_words(alg, element._terms)
+    if element._checked_in is not alg:
+        _check_words(alg, element._terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the coproduct-based definition of the coradical degree step by step.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from qshuffle import (
     word_algebra,
     zero_algebra,
 )
+from qshuffle import bialg, tensorq
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +82,22 @@ def fun3_spec():
         degree_slice=lambda degree: letters if degree == 1 else (),
         involution_rule=lambda letter: letter,  # the product commutes
     )
+
+
+@pytest.fixture
+def letter_walks(monkeypatch):
+    """Calls of ``_check_words``, the walk over an argument's letters, by the
+    module that made them: ``qshuffle.tensorq`` (products and partial
+    operations) or ``qshuffle.bialg`` (tensor squares)."""
+    calls = Counter()
+    for module in (tensorq, bialg):
+
+        def counted(alg, words, walk=module._check_words, name=module.__name__):
+            calls[name] += 1
+            return walk(alg, words)
+
+        monkeypatch.setattr(module, "_check_words", counted)
+    return calls
 
 
 def letter_product_commutes(alg) -> bool:

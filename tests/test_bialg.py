@@ -458,6 +458,54 @@ class TestFreeCoproduct:
             term = random_ctd_term(rng, rng.randint(1, 5))
             assert free_ctd_coproduct(term, 3) == deconcatenate(eval_ctd(term, 3))
 
+    @staticmethod
+    def _fold_arguments(monkeypatch):
+        """The squares that ``free_ctd_coproduct`` of (g1 < g3) < g2 gives to
+        <: those of the leaves x1 and x3, then of x1 x3 and of the leaf x2."""
+        seen = []
+
+        def recording(alg, a, b):
+            seen.extend((a, b))
+            return square_left(alg, a, b)
+
+        monkeypatch.setattr(freectd, "square_left", recording)
+        free_ctd_coproduct(prec(prec(G1, G3), G2), 3)
+        return seen
+
+    def test_the_fold_walks_no_letter(self, letter_walks):
+        chain = G1
+        for i in range(2, 7):
+            chain = prec(chain, gen(i))
+        # the degree-6 left chain and a seeded degree-6 term over 3 generators
+        for term, n in ((chain, 6), (random_ctd_term(random.Random(29), 6), 3)):
+            assert free_ctd_coproduct(term, n) == deconcatenate(eval_ctd(term, n))
+        assert not letter_walks
+
+    def test_a_marked_square_is_walked_in_another_algebra(self, monkeypatch, sym2, sym3):
+        square = self._fold_arguments(monkeypatch)[2]
+        x3 = mono_letter((3,))
+        assert square._checked_in is sym3
+        assert square == deconcatenate(TensorElement.from_word(w(X1, x3)))
+        plain, other = TensorSquareElement(square.items()), sq(((w(X1), EMPTY_WORD), 1))
+        orders = (((square, other), (plain, other)), ((other, square), (other, plain)))
+        for op in (square_left, square_dot):
+            for marked, unmarked in orders:
+                with pytest.raises(LetterDomainError) as refused:
+                    op(sym2, *marked)
+                with pytest.raises(LetterDomainError) as refused_unmarked:
+                    op(sym2, *unmarked)
+                message = "letter x3 is not in the basis family of sym2"
+                assert str(refused.value) == str(refused_unmarked.value) == message
+
+    def test_arithmetic_on_a_marked_square_is_walked_again(self, monkeypatch, sym3, letter_walks):
+        _, _, square, leaf = self._fold_arguments(monkeypatch)
+        expected = square_left(sym3, square, leaf)
+        assert not letter_walks
+        rebuilt = ((square + square, 2), (-square, -1), (2 * square, 2))
+        for walks, (a, scale) in enumerate(rebuilt, 1):
+            assert square_left(sym3, a, leaf) == scale * expected
+            assert letter_walks == {"qshuffle.bialg": walks}
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_coassociative_and_counital_on_multilinear_terms(self, n):
         for term in multilinear_terms(n):

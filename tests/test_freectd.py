@@ -20,6 +20,7 @@ from qshuffle import (
     OPERATIONS,
     DomainError,
     FreeTerm,
+    LetterDomainError,
     NormalForm,
     SignatureError,
     TensorElement,
@@ -40,9 +41,12 @@ from qshuffle import (
     multiply_letters,
     normal_form,
     normal_form_to_json,
+    op_dot,
+    op_left,
     ordered_ordered_partitions,
     ordered_unordered_partitions,
     prec,
+    quasi_shuffle,
     render_normal_form,
     succ,
     sym_algebra,
@@ -216,6 +220,71 @@ class TestEvalCtd:
             )
             assert eval_ctd(dot(dot(x, y), z), n) == eval_ctd(dot(x, dot(y, z)), n)
             assert eval_ctd(dot(x, y), n) == eval_ctd(dot(y, x), n)
+
+
+class TestFoldMarks:
+    """``eval_ctd`` marks each image it builds in sym(n) as checked there, so
+    the partial operations do not walk its letters again. Everything else,
+    and a marked image in another algebra, is walked as before."""
+
+    @staticmethod
+    def _fold_arguments(monkeypatch):
+        """The images that ``eval_ctd`` of (g1 < g3) < g2 gives to <: the
+        leaves x1 and x3, then x1 x3 and the leaf x2."""
+        seen = []
+
+        def recording(alg, x, y):
+            seen.extend((x, y))
+            return op_left(alg, x, y)
+
+        monkeypatch.setitem(freectd._CTD_OPS, "prec", recording)
+        eval_ctd(prec(prec(G1, G3), G2), 3)
+        return seen
+
+    def test_evaluation_walks_no_letter(self, letter_walks):
+        rng = random.Random(29)
+        # the degree-6 left chain and a seeded degree-6 term over 18 generators
+        for term, n in ((_chain([1, 2, 3, 4, 5, 6]), 6), (_multilinear_ctd_term(rng, 6), 18)):
+            assert eval_ctd(term, n) == normal_form(term).to_element()
+        assert not letter_walks
+
+    def test_a_marked_image_is_walked_in_another_algebra(self, monkeypatch, sym2, sym3):
+        image = self._fold_arguments(monkeypatch)[2]
+        x1, x3 = mono_letter((1,)), mono_letter((3,))
+        assert image._checked_in is sym3 and image == TensorElement.from_word((x1, x3))
+        plain, other = TensorElement(image.items()), TensorElement.from_letter(x1)
+        orders = (((image, other), (plain, other)), ((other, image), (other, plain)))
+        for op in (op_left, op_dot, quasi_shuffle):
+            for marked, unmarked in orders:
+                with pytest.raises(LetterDomainError) as refused:
+                    op(sym2, *marked)
+                with pytest.raises(LetterDomainError) as refused_unmarked:
+                    op(sym2, *unmarked)
+                message = "letter x3 is not in the basis family of sym2"
+                assert str(refused.value) == str(refused_unmarked.value) == message
+
+    def test_arithmetic_on_a_marked_image_is_walked_again(self, monkeypatch, sym3, letter_walks):
+        _, _, image, leaf = self._fold_arguments(monkeypatch)
+        expected = op_left(sym3, image, leaf)
+        assert not letter_walks
+        rebuilt = ((image + image, 2), (-image, -1), (2 * image, 2))
+        for walks, (x, scale) in enumerate(rebuilt, 1):
+            assert op_left(sym3, x, leaf) == scale * expected
+            assert letter_walks == {"qshuffle.tensorq": walks}
+
+    def test_results_pickle_and_copy_without_the_mark(self, sym3):
+        term = prec(prec(G1, G3), dot(G2, G1))
+        for result in (eval_ctd(term, 3), free_ctd_coproduct(term, 3)):
+            memo = {}
+            clones = (
+                pickle.loads(pickle.dumps(result)),
+                copy.copy(result),
+                copy.deepcopy(result, memo),
+            )
+            for clone in clones:
+                assert type(clone) is type(result) and clone == result
+                assert "_checked_in" not in vars(clone)
+            assert id(sym3) not in memo  # deepcopy copied no algebra
 
 
 class TestEvalItd:
