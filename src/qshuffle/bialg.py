@@ -67,7 +67,11 @@ def _square(alg, word_op, a, b) -> TensorSquareElement:
             _check_words(alg, chain.from_iterable(x._terms))
     rows: dict[Word, list] = {}
     for (u1, v1), c1 in a._terms.items():
-        rows.setdefault(u1, []).append((v1, c1))
+        group = rows.get(u1)
+        if group is None:  # only a row's first pair needs a list
+            rows[u1] = [(v1, c1)]
+        else:
+            group.append((v1, c1))
     acc: dict[tuple[Word, Word], Scalar] = {}
     get = acc.get
     for u1, group in rows.items():

@@ -204,8 +204,9 @@ class CoeffAlgebraSpec:
     runs once per distinct letter and a guard over many letters is one set
     test; ``"shuffle"`` maps a word pair to its quasi-shuffle and
     ``"letter"`` a letter pair to its product as (letter, coefficient)
-    pairs. Results stored there are never mutated, so concurrent readers at
-    worst recompute an identical value.
+    pairs; ``"generator"`` and ``"primitive"`` map a generator index to the
+    image ``freectd``'s fold gives it. Results stored there are never
+    mutated, so concurrent readers at worst recompute an identical value.
     """
 
     name: str

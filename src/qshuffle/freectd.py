@@ -7,6 +7,9 @@ one leaf per index from a cache bounded by ``_GEN_CACHE_SIZE``, since a
 term's text can name any ``g<i>``. The term algebra is free, so ``fold_term``,
 fixed by where the generators go, is the one map out of it: evaluation,
 the free coproduct, the involution and the generator list are folds.
+Evaluation and the coproduct fold into sym(n) or word(n), and build each
+generator's image there once per algebra: ``_fold_in`` keeps it in the
+algebra's ``cache``, at most n images per leaf kind.
 The commutative signature (CTD) uses < and . only; a term containing > is
 rejected by the CTD entry points with ``SignatureError``.
 
@@ -350,7 +353,8 @@ def _norm(rt: tuple) -> dict[BlockSequence, Scalar]:
         out = {(rt[1],): 1}
     elif rt[1][0] == "b":
         # prepending a block keeps distinct sequences distinct
-        out = {(rt[1][1],) + seq: c for seq, c in _norm(rt[2]).items()}
+        head = (rt[1][1],)
+        out = {head + seq: c for seq, c in _norm(rt[2]).items()}
     else:
         # (x1 < x2) < y = x1 < (x2 < y) + x1 < (y < x2) + x1 < (x2 . y)
         (_, x1, x2), y = rt[1], rt[2]
@@ -425,26 +429,55 @@ def _generator_letter(alg: CoeffAlgebraSpec, n: int, index: int) -> Letter:
     return _interned_letter(alg.letter_style, (index,))
 
 
-def _fold_in(term: FreeTerm, n: int, algebra, leaf, ops):
-    """``fold_term`` into ``alg = algebra(n)``, sym(n) or word(n): a generator
-    goes to ``leaf`` of its letter, made once per distinct generator, and a
-    node to ``ops[op](alg, left, right)``. ``ops`` is read when called, so a
-    later rebinding takes effect."""
-    alg = algebra(n)
-    # Every image lies in alg: a leaf's letter has index <= n, and sym(n) and
-    # word(n) are closed under their letter products. So each image is marked
-    # as checked in alg, and the operations do not walk its letters again.
-    def checked(x):
-        x._checked_in = alg
-        return x
-    ops = {op: lambda x, y, f=f: checked(f(alg, x, y)) for op, f in ops.items()}
-    leaves = {}
+def _primitive_square(letter) -> TensorSquareElement:
+    word = (letter,)
+    return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
+
+
+# the fold's leaf kinds, each by the name of its image table in ``alg.cache``:
+# a generator's length-one word, and its primitive square
+_LEAVES = {"generator": TensorElement.from_letter, "primitive": _primitive_square}
+
+
+def _fold_in(term: FreeTerm, n: int, algebra, table: str, ops):
+    """``fold_term`` into ``alg = algebra(n)``, sym(n) or word(n): generator
+    ``i`` goes to ``_LEAVES[table]`` of its letter, and a node to
+    ``ops[op](alg, left, right)``. ``ops`` is read when called, so a later
+    rebinding takes effect.
+
+    Each generator's image is built once per algebra, on first use, and kept
+    in ``alg.cache[table]``: at most n entries, one per index. Every image
+    the fold builds lies in alg: a leaf's letter has index <= n, and sym(n)
+    and word(n) are closed under their letter products. So each is marked
+    as checked in alg (``_checked_in``), and the operations do not walk its
+    letters again. A copy sharing alg's cache finds images marked for alg,
+    not for itself, and walks them. No cached image reaches a caller, and
+    the result is returned unmarked, so a pickle or copy holds no algebra.
+    """
+    alg, leaf = algebra(n), _LEAVES[table]
+    if term.op == "gen":  # a new image, not the cached one
+        return leaf(_generator_letter(alg, n, term.index))
+    images = alg.cache.get(table)
+    if images is None:  # setdefault: two threads making the table keep one
+        images = alg.cache.setdefault(table, {})
+
     def image(i):
-        if i not in leaves:
-            leaves[i] = checked(leaf(_generator_letter(alg, n, i)))
-        return leaves[i]
-    result = fold_term(term, image, ops)
-    del result._checked_in  # returned unmarked: a pickle or copy holds no algebra
+        x = images.get(i)
+        if x is None:
+            x = leaf(_generator_letter(alg, n, i))
+            x._checked_in = alg
+            images[i] = x
+        return x
+
+    def marking(f):
+        def node(x, y):
+            z = f(alg, x, y)
+            z._checked_in = alg
+            return z
+        return node
+
+    result = fold_term(term, image, {op: marking(f) for op, f in ops.items()})
+    del result._checked_in
     return result
 
 
@@ -457,12 +490,12 @@ def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
     """
     if not term.is_ctd:
         raise SignatureError("eval_ctd is defined for CTD terms only")
-    return _fold_in(term, n_generators, sym_algebra, TensorElement.from_letter, _CTD_OPS)
+    return _fold_in(term, n_generators, sym_algebra, "generator", _CTD_OPS)
 
 
 def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
     """Evaluate a tridendriform term in the quasi-shuffle algebra over word(n)."""
-    return _fold_in(term, n_generators, word_algebra, TensorElement.from_letter, _ITD_OPS)
+    return _fold_in(term, n_generators, word_algebra, "generator", _ITD_OPS)
 
 
 _INVOLUTE = {
@@ -566,12 +599,7 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
             lengths = _comb_lengths(shape)
             _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
     ops = {"prec": square_left, "dot": square_dot}
-    return _fold_in(term, n_generators, sym_algebra, _primitive_square, ops)
-
-
-def _primitive_square(letter) -> TensorSquareElement:
-    word = (letter,)
-    return TensorSquareElement._raw({(word, EMPTY_WORD): 1, (EMPTY_WORD, word): 1})
+    return _fold_in(term, n_generators, sym_algebra, "primitive", ops)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ sort ranks the element's distinct letters, and each word is sorted on one
 first checks that the letters of its arguments belong to the algebra; a
 letter accepted once is kept in ``alg.cache["member"]`` and not checked
 again, and an argument that ``freectd``'s fold built in the algebra (its
-``_checked_in`` is the algebra) is not walked again. The quasi-shuffle
-product is defined by the recursion
+``_checked_in`` is the algebra) is not walked again. That includes the
+generator images the fold keeps in the algebra's ``cache``; a copy of the
+algebra that shares its cache finds them marked for the original, and
+walks them. The quasi-shuffle product is defined by the recursion
 
     (a x) * (b y) = (a.b)(x * y) + a(x * (b y)) + b((a x) * y),
 
@@ -195,9 +197,10 @@ def _letter_product(
 def _prefixed(head, terms: Mapping[Word, Scalar], scale: Scalar = 1) -> dict[Word, Scalar]:
     """``scale * terms`` with ``head`` put in front of every word, as a new
     dict; distinct words stay distinct."""
+    head = (head,)  # one 1-tuple per call, not per word
     if scale == 1:
-        return {(head,) + w: c for w, c in terms.items()}
-    return {(head,) + w: scale * c for w, c in terms.items()}
+        return {head + w: c for w, c in terms.items()}
+    return {head + w: scale * c for w, c in terms.items()}
 
 
 # Most letters the two words of one product recursion may have together: it
@@ -361,8 +364,14 @@ def _word_op_dot(alg: CoeffAlgebraSpec, u: Word, v: Word) -> dict[Word, Scalar]:
     if not merged:
         return {}
     tails = _shuffle_words(alg, u[1:], v[1:])
-    # distinct (head letter, tail word) pairs give distinct words
-    return {(letter,) + w: cl * c for letter, cl in merged for w, c in tails.items()}
+    # distinct (head letter, tail word) pairs give distinct words; one 1-tuple
+    # per head letter (``for head in [...]`` compiles to an assignment)
+    return {
+        head + w: cl * c
+        for letter, cl in merged
+        for head in [(letter,)]
+        for w, c in tails.items()
+    }
 
 
 def _bilinear(alg, word_op, x: TensorElement, y: TensorElement) -> TensorElement:

@@ -24,7 +24,9 @@ from qshuffle import (
     NormalForm,
     SignatureError,
     TensorElement,
+    TensorSquareElement,
     comb_term,
+    deconcatenate,
     dot,
     eval_ctd,
     eval_itd,
@@ -48,6 +50,7 @@ from qshuffle import (
     prec,
     quasi_shuffle,
     render_normal_form,
+    square_dot,
     succ,
     sym_algebra,
     weight_letter,
@@ -285,6 +288,103 @@ class TestFoldMarks:
                 assert type(clone) is type(result) and clone == result
                 assert "_checked_in" not in vars(clone)
             assert id(sym3) not in memo  # deepcopy copied no algebra
+
+
+class TestImageTable:
+    """The fold builds each generator's image once per algebra, on first use,
+    and keeps it in that algebra's ``cache``: the length-one word under
+    "generator" and the primitive square under "primitive". No cached image
+    reaches a caller, and one marked for another algebra is walked."""
+
+    TERM = prec(prec(G1, G3), dot(G2, G1))
+
+    @staticmethod
+    def _folding_in(monkeypatch, spec):
+        """Make ``eval_ctd`` and ``free_ctd_coproduct`` fold into ``spec``
+        whenever they ask for sym(n) of its generator count."""
+        n = int(spec.name.removeprefix("sym"))
+        original = freectd.sym_algebra
+        monkeypatch.setattr(freectd, "sym_algebra", lambda k: spec if k == n else original(k))
+
+    @staticmethod
+    def _maps(term, n):
+        return eval_ctd(term, n), free_ctd_coproduct(term, n)
+
+    def test_a_one_generator_term_gives_a_new_unmarked_image(self, sym3):
+        self._maps(self.TERM, 3)  # both tables now hold generator 1
+        word = (mono_letter((1,)),)
+        # as an unmarked fold built them, down to the insertion order and the
+        # one shared word, which pickle keeps
+        expected = (
+            TensorElement.from_word(word),
+            TensorSquareElement._raw({(word, ()): 1, ((), word): 1}),
+        )
+        first, second = self._maps(G1, 3), self._maps(G1, 3)
+        tables = (sym3.cache["generator"], sym3.cache["primitive"])
+        for result, again, reference, table in zip(first, second, expected, tables):
+            assert result == reference and result is not again and result is not table[1]
+            assert result._checked_in is None and "_checked_in" not in vars(result)
+            assert pickle.dumps(result) == pickle.dumps(reference)
+
+    def test_a_second_call_builds_and_walks_nothing(self, monkeypatch, letter_walks):
+        fresh = dataclasses.replace(sym_algebra(3), cache={})
+        self._folding_in(monkeypatch, fresh)
+        cold = self._maps(self.TERM, 3)
+        built = Counter()
+        letter = freectd._generator_letter
+
+        def counted(alg, n, index):
+            built[index] += 1
+            return letter(alg, n, index)
+
+        monkeypatch.setattr(freectd, "_generator_letter", counted)
+        assert self._maps(self.TERM, 3) == cold
+        assert not built and not letter_walks
+
+    def test_a_cold_memo_copy_builds_its_own_images(self, monkeypatch, sym3):
+        warm = self._maps(self.TERM, 3)
+        fresh = dataclasses.replace(sym3, cache={})
+        self._folding_in(monkeypatch, fresh)
+        assert self._maps(self.TERM, 3) == warm
+        for table in ("generator", "primitive"):
+            assert set(fresh.cache[table]) == {1, 2, 3}
+            for i, image in fresh.cache[table].items():
+                assert image._checked_in is fresh and image is not sym3.cache[table][i]
+
+    def test_a_copy_sharing_the_cache_walks_the_images(self, monkeypatch, sym2, letter_walks):
+        term = prec(dot(G1, G2), G1)
+        warm = self._maps(term, 2)
+        foreign = sym_algebra(3)
+        self._maps(self.TERM, 3)
+        letter_walks.clear()
+        shared = dataclasses.replace(sym2)  # as the tracer's counted copies are
+        assert shared.cache is sym2.cache
+        self._folding_in(monkeypatch, shared)
+        assert self._maps(term, 2) == warm
+        assert letter_walks["qshuffle.tensorq"] and letter_walks["qshuffle.bialg"]
+        assert sym2.cache["generator"][1]._checked_in is sym2
+        with pytest.raises(DomainError, match="^generator index 3 exceeds"):
+            eval_ctd(prec(G1, G3), 2)
+        message = "^letter x3 is not in the basis family of sym2$"
+        x1, x3 = (foreign.cache["generator"][i] for i in (1, 3))
+        with pytest.raises(LetterDomainError, match=message):
+            op_left(shared, x3, x1)
+        s1, s3 = (foreign.cache["primitive"][i] for i in (1, 3))
+        with pytest.raises(LetterDomainError, match=message):
+            square_dot(shared, s1, s3)
+
+    def test_each_table_holds_at_most_one_image_per_generator(self, monkeypatch):
+        rng = random.Random(30)
+        for n in (1, 2, 4):
+            fresh = dataclasses.replace(sym_algebra(n), cache={})
+            self._folding_in(monkeypatch, fresh)
+            for _ in range(40):
+                term = random_ctd_term(rng, rng.randint(2, 5), n)
+                assert free_ctd_coproduct(term, n) == deconcatenate(eval_ctd(term, n))
+                with pytest.raises(DomainError):
+                    self._maps(prec(term, gen(n + 1)), n)
+            assert set(fresh.cache["generator"]) == set(fresh.cache["primitive"])
+            assert set(fresh.cache["generator"]) <= set(range(1, n + 1))
 
 
 class TestEvalItd:
