@@ -15,10 +15,10 @@ the undefined head operation is pushed to the right factors,
     (1 (x) b) . (1 (x) b')  =  1 (x) (b . b')
 
 and only the all-four-units pairing stays undefined. ``square_left`` and
-``square_dot`` are one grouped pass, ``_square``. It checks the letters of
-both arguments, but not of one that ``freectd``'s fold built in ``alg``
-(its ``_checked_in`` is ``alg``): that is not walked again. Then the pairs
-of the first argument are grouped by left word, each left word meets each
+``square_dot`` are one grouped pass, ``_square``. It checks both arguments
+with the element operations' guard, ``tensorq._check_element``, which does
+not walk one that ``freectd``'s fold built in ``alg``. Then the pairs of
+the first argument are grouped by left word, each left word meets each
 pair of the second argument once, in one head image (skipped when zero),
 and each head times each quasi-shuffle of right words is summed straight
 into one dict, refused once a left word's group takes it past
@@ -40,8 +40,6 @@ and ``laws.PROJECTION``.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .coeff import CoeffAlgebraSpec, DomainError
 from .lincomb import Scalar, kernel
 from .tensorq import (
@@ -50,7 +48,7 @@ from .tensorq import (
     TensorSquareElement,
     Word,
     _check_budget,
-    _check_words,
+    _check_element,
     _shuffle_words,
     _word_op_dot,
     _word_op_left,
@@ -60,11 +58,8 @@ from .tensorq import (
 
 def _square(alg, word_op, a, b) -> TensorSquareElement:
     """``word_op`` on left words, quasi-shuffle on right words, extended bilinearly."""
-    for x in (a, b):
-        if not isinstance(x, TensorSquareElement):
-            raise TypeError(f"TensorSquareElement expected, got {type(x).__name__}")
-        if x._checked_in is not alg:
-            _check_words(alg, chain.from_iterable(x._terms))
+    _check_element(alg, a, TensorSquareElement)
+    _check_element(alg, b, TensorSquareElement)
     rows: dict[Word, list] = {}
     for (u1, v1), c1 in a._terms.items():
         group = rows.get(u1)

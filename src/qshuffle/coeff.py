@@ -186,6 +186,10 @@ class CoeffCombination(LinearCombination):
         return key.sort_key
 
 
+# The memo tables of an algebra's ``cache``, by name, with their types.
+_TABLES = {"member": set, "letter": dict, "shuffle": dict, "generator": dict, "primitive": dict}
+
+
 @dataclass(frozen=True, eq=False)
 class CoeffAlgebraSpec:
     """A coefficient algebra described on its distinguished basis.
@@ -199,14 +203,19 @@ class CoeffAlgebraSpec:
     with square one.
 
     ``product_rule`` and ``member_rule`` must be pure functions of their
-    letters: their results are memoised. ``cache`` holds the memo tables:
-    ``"member"`` is the set of letters ``member_rule`` has accepted, so it
-    runs once per distinct letter and a guard over many letters is one set
-    test; ``"shuffle"`` maps a word pair to its quasi-shuffle and
-    ``"letter"`` a letter pair to its product as (letter, coefficient)
-    pairs; ``"generator"`` and ``"primitive"`` map a generator index to the
-    image ``freectd``'s fold gives it. Results stored there are never
-    mutated, so concurrent readers at worst recompute an identical value.
+    letters: their results are memoised. ``cache`` holds one memo table per
+    name of ``_TABLES``, made when the spec is built: ``"member"`` is the
+    set of letters ``member_rule`` has accepted, so it runs once per
+    distinct letter and a guard over many letters is one set test;
+    ``"shuffle"`` maps a word pair to its quasi-shuffle and ``"letter"`` a
+    letter pair to its product as (letter, coefficient) pairs;
+    ``"generator"`` and ``"primitive"`` map a generator index to the image
+    ``freectd``'s fold gives it, marked as built in this algebra. A copy
+    made with ``dataclasses.replace(spec, cache={})`` is cold, with tables
+    of its own; a copy that does not pass ``cache`` shares the original's,
+    and walks the images marked for the original. Results stored there are
+    never mutated, so concurrent readers at worst recompute an identical
+    value.
     """
 
     name: str
@@ -217,12 +226,14 @@ class CoeffAlgebraSpec:
     involution_rule: Callable[[Letter], Letter] | None = None
     cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        for name, table in _TABLES.items():
+            self.cache.setdefault(name, table())
+
     def __contains__(self, letter: Letter) -> bool:
         if not isinstance(letter, Letter):
             return False
-        known = self.cache.get("member")
-        if known is None:  # setdefault: two threads making the set keep one
-            known = self.cache.setdefault("member", set())
+        known = self.cache["member"]
         if letter not in known and self.member_rule(letter):
             known.add(letter)
         return letter in known

@@ -8,8 +8,9 @@ term's text can name any ``g<i>``. The term algebra is free, so ``fold_term``,
 fixed by where the generators go, is the one map out of it: evaluation,
 the free coproduct, the involution and the generator list are folds.
 Evaluation and the coproduct fold into sym(n) or word(n), and build each
-generator's image there once per algebra: ``_fold_in`` keeps it in the
-algebra's ``cache``, at most n images per leaf kind.
+generator's image there once per algebra: ``_fold_in`` keeps it in one of
+the algebra's memo tables (see ``CoeffAlgebraSpec``), at most n images per
+leaf kind.
 The commutative signature (CTD) uses < and . only; a term containing > is
 rejected by the CTD entry points with ``SignatureError``.
 
@@ -40,8 +41,8 @@ a cached form back to the term's own generators, each distinct block once.
 No output may have more than ``tensorq.MAX_OUTPUT_TERMS`` terms. For a
 term of distinct generators ``_comb_lengths`` counts its combs of each
 length exactly, without rewriting, so ``normal_form`` (on a shape not cached
-yet) and ``free_ctd_coproduct`` refuse an oversized result with
-``DomainError`` before any work. With a repeated generator the count can
+yet), ``eval_ctd`` and ``free_ctd_coproduct`` refuse an oversized result
+with ``DomainError`` before any work. With a repeated generator the count can
 overshoot by orders of magnitude, so rewriting and each tensor square stop
 once their accumulator passes the budget.
 
@@ -457,9 +458,7 @@ def _fold_in(term: FreeTerm, n: int, algebra, table: str, ops):
     alg, leaf = algebra(n), _LEAVES[table]
     if term.op == "gen":  # a new image, not the cached one
         return leaf(_generator_letter(alg, n, term.index))
-    images = alg.cache.get(table)
-    if images is None:  # setdefault: two threads making the table keep one
-        images = alg.cache.setdefault(table, {})
+    images = alg.cache[table]
 
     def image(i):
         x = images.get(i)
@@ -486,15 +485,22 @@ def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
 
     Generators map to the length-one words on the degree-one monomial
     letters; < and . map to the partial operations. Equality of free
-    elements is defined as equality of these images.
+    elements is defined as equality of these images. The image has one word
+    per comb of the normal form, so a term of distinct generators is refused
+    up front when it has more than ``MAX_OUTPUT_TERMS`` combs.
     """
     if not term.is_ctd:
         raise SignatureError("eval_ctd is defined for CTD terms only")
+    _distinct_comb_lengths(term)
     return _fold_in(term, n_generators, sym_algebra, "generator", _CTD_OPS)
 
 
 def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
-    """Evaluate a tridendriform term in the quasi-shuffle algebra over word(n)."""
+    """Evaluate a tridendriform term in the quasi-shuffle algebra over word(n).
+
+    Its combs are not counted up front: ``_encode`` reads only < and ., so
+    it would count a > node as a dot.
+    """
     return _fold_in(term, n_generators, word_algebra, "generator", _ITD_OPS)
 
 
@@ -579,6 +585,18 @@ def itd_dimension(n: int) -> int:
 _UNCOUNTED_DEGREE = max(d for d in range(1, 16) if fubini(d) * (d + 1) <= MAX_OUTPUT_TERMS)
 
 
+def _distinct_comb_lengths(term: FreeTerm) -> dict[int, int]:
+    """``_comb_lengths`` of a CTD term of distinct generators above
+    ``_UNCOUNTED_DEGREE``, which refuses an oversized count; ``{}`` for any
+    other term, whose count is skipped."""
+    if term.degree > _UNCOUNTED_DEGREE:
+        labels: dict[int, int] = {}
+        shape = _encode(term, labels)
+        if len(labels) == term.degree:  # distinct generators: the count is exact
+            return _comb_lengths(shape)
+    return {}
+
+
 def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement:
     """Coproduct of a CTD term, with components as quasi-shuffle images.
 
@@ -592,12 +610,8 @@ def free_ctd_coproduct(term: FreeTerm, n_generators: int) -> TensorSquareElement
     """
     if not term.is_ctd:
         raise SignatureError("the free coproduct is defined for CTD terms only")
-    if term.degree > _UNCOUNTED_DEGREE:
-        labels: dict[int, int] = {}
-        shape = _encode(term, labels)
-        if len(labels) == term.degree:  # distinct generators: the count is exact
-            lengths = _comb_lengths(shape)
-            _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
+    lengths = _distinct_comb_lengths(term)
+    _check_budget(sum(count * (length + 1) for length, count in lengths.items()))
     ops = {"prec": square_left, "dot": square_dot}
     return _fold_in(term, n_generators, sym_algebra, "primitive", ops)
 

@@ -5,13 +5,12 @@ tuple is the unit word. ``TensorElement`` is an exact-rational combination
 of words, in ``word_sort_key`` order (length, then letter by letter): one
 sort ranks the element's distinct letters, and each word is sorted on one
 ``str``, its length and then its ranks as code points. Every operation
-first checks that the letters of its arguments belong to the algebra; a
-letter accepted once is kept in ``alg.cache["member"]`` and not checked
-again, and an argument that ``freectd``'s fold built in the algebra (its
-``_checked_in`` is the algebra) is not walked again. That includes the
-generator images the fold keeps in the algebra's ``cache``; a copy of the
-algebra that shares its cache finds them marked for the original, and
-walks them. The quasi-shuffle product is defined by the recursion
+first checks that the letters of its arguments belong to the algebra,
+with ``_check_element``, the one guard of both tensor classes: a letter
+accepted once is not checked again, and an argument that ``freectd``'s
+fold built in the algebra (its ``_checked_in`` is the algebra) is not
+walked again. ``CoeffAlgebraSpec`` describes the memo tables this and the
+products read. The quasi-shuffle product is defined by the recursion
 
     (a x) * (b y) = (a.b)(x * y) + a(x * (b y)) + b((a x) * y),
 
@@ -153,9 +152,8 @@ def _check_words(alg: CoeffAlgebraSpec, words) -> None:
     """
     if iter(words) is words:  # an iterator: the set test would consume it
         words = list(words)
-    known = alg.cache.get("member")
     try:
-        if known is not None and known.issuperset(chain.from_iterable(words)):
+        if alg.cache["member"].issuperset(chain.from_iterable(words)):
             return
     except TypeError:  # an unhashable item, refused below
         pass
@@ -164,11 +162,15 @@ def _check_words(alg: CoeffAlgebraSpec, words) -> None:
             _require_member(alg, letter)
 
 
-def _check_element(alg: CoeffAlgebraSpec, element: TensorElement) -> None:
-    if not isinstance(element, TensorElement):
-        raise TypeError(f"TensorElement expected, got {type(element).__name__}")
+def _check_element(alg: CoeffAlgebraSpec, element, cls=TensorElement) -> None:
+    """Refuse an ``element`` that is not a ``cls``, ``TensorElement`` or
+    ``TensorSquareElement``, or that has a letter outside ``alg``. One that
+    ``freectd``'s fold built in ``alg`` is not walked."""
+    if not isinstance(element, cls):
+        raise TypeError(f"{cls.__name__} expected, got {type(element).__name__}")
     if element._checked_in is not alg:
-        _check_words(alg, element._terms)
+        words = element._terms
+        _check_words(alg, words if cls is TensorElement else chain.from_iterable(words))
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +183,11 @@ def _letter_product(
     """``alg.product_rule(a, b)`` as (letter, coefficient) pairs, memoised
     per algebra in ``alg.cache["letter"]``. Stored tuples are never mutated.
     """
+    memo = alg.cache["letter"]
     try:
-        return alg.cache["letter"][a, b]
+        return memo[a, b]
     except KeyError:
-        pass
-    pairs = tuple(alg.product_rule(a, b).items())
-    alg.cache.setdefault("letter", {})[a, b] = pairs
+        pairs = memo[a, b] = tuple(alg.product_rule(a, b).items())
     return pairs
 
 
@@ -228,11 +229,9 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
         return {v: 1}
     if not v:
         return {u: 1}
-    cache = alg.cache.get("shuffle")
-    if cache is None:  # setdefault: two threads making the table keep one
-        cache = alg.cache.setdefault("shuffle", {})
+    memo = alg.cache["shuffle"]
     key = (u, v)
-    hit = cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if len(u) + len(v) > MAX_SHUFFLE_LETTERS:
@@ -260,7 +259,7 @@ def _shuffle_words(alg: CoeffAlgebraSpec, u: Word, v: Word) -> Mapping[Word, Sca
                 add_into(acc, branch.items())
             else:
                 acc.update(branch)
-    cache[key] = acc
+    memo[key] = acc
     return acc
 
 

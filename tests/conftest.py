@@ -26,7 +26,7 @@ from qshuffle import (
     word_algebra,
     zero_algebra,
 )
-from qshuffle import bialg, tensorq
+from qshuffle import tensorq
 
 
 @pytest.fixture(scope="session")
@@ -86,17 +86,17 @@ def fun3_spec():
 
 @pytest.fixture
 def letter_walks(monkeypatch):
-    """Calls of ``_check_words``, the walk over an argument's letters, by the
-    module that made them: ``qshuffle.tensorq`` (products and partial
-    operations) or ``qshuffle.bialg`` (tensor squares)."""
+    """Calls of ``tensorq._check_words``, the walk over an argument's
+    letters, under the name of its module: the products, the partial
+    operations and the tensor squares all reach it through one guard."""
     calls = Counter()
-    for module in (tensorq, bialg):
+    walk = tensorq._check_words
 
-        def counted(alg, words, walk=module._check_words, name=module.__name__):
-            calls[name] += 1
-            return walk(alg, words)
+    def counted(alg, words):
+        calls[tensorq.__name__] += 1
+        return walk(alg, words)
 
-        monkeypatch.setattr(module, "_check_words", counted)
+    monkeypatch.setattr(tensorq, "_check_words", counted)
     return calls
 
 

@@ -9,6 +9,7 @@ a traced benchmark run.
 
 import ast
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -64,11 +65,36 @@ def test_workload_names_resolve():
 
 def test_algebra_specs_copy_with_a_fresh_memo():
     spec = qshuffle.algebra_by_name("sym2")
+    x1, x2 = (qshuffle.parse_element(spec, text) for text in ("x1", "x2"))
+    qshuffle.quasi_shuffle(spec, x1, x2)  # warm: every table but the fold's is filled
     fresh = dataclasses.replace(spec, cache={})
-    assert fresh.cache == {} and fresh.name == spec.name
+    assert fresh.name == spec.name and set(fresh.cache) == set(spec.cache)
+    for name, table in fresh.cache.items():
+        assert not table and table is not spec.cache[name]
+    # the tracer's counted copies pass product_rule= and share every table
+    counted = dataclasses.replace(spec, product_rule=spec.product_rule)
+    for name, table in counted.cache.items():
+        assert table is spec.cache[name]
     # the tracer swaps sym_algebra in freectd, the one module that builds
     # sym(n) itself, for eval_ctd and free_ctd_coproduct
     assert callable(sys.modules["qshuffle.freectd"].sym_algebra)
+
+
+def test_memo_tables_are_read_by_declared_names():
+    # an algebra's tables are made at construction, one per name of
+    # coeff._TABLES; the tracer reads "shuffle" with .get(..., {}), so a
+    # misspelt name would count an empty table instead of failing
+    read = re.compile(r"\bcache(?:\[|\.get\(|\.setdefault\()\s*([\"'])(\w+)\1")
+    package = Path(qshuffle.__file__).resolve().parent
+    names = {
+        path.name: {m.group(2) for m in read.finditer(path.read_text())}
+        for path in [*package.glob("*.py"), *BENCH.glob("*.py")]
+    }
+    assert {"member", "letter", "shuffle"} <= names["tensorq.py"]
+    assert "shuffle" in names["tracing.py"]
+    tables = set(qshuffle.coeff._TABLES)
+    assert {path: sorted(keys - tables) for path, keys in names.items() if keys - tables} == {}
+    assert set(qshuffle.freectd._LEAVES) <= tables
 
 
 def test_the_traced_cache_count_reads_the_normal_form_cache():

@@ -504,7 +504,7 @@ class TestFreeCoproduct:
         rebuilt = ((square + square, 2), (-square, -1), (2 * square, 2))
         for walks, (a, scale) in enumerate(rebuilt, 1):
             assert square_left(sym3, a, leaf) == scale * expected
-            assert letter_walks == {"qshuffle.bialg": walks}
+            assert letter_walks == {"qshuffle.tensorq": walks}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_coassociative_and_counital_on_multilinear_terms(self, n):

@@ -5,8 +5,11 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -356,12 +359,13 @@ class TestImageTable:
         warm = self._maps(term, 2)
         foreign = sym_algebra(3)
         self._maps(self.TERM, 3)
-        letter_walks.clear()
         shared = dataclasses.replace(sym2)  # as the tracer's counted copies are
         assert shared.cache is sym2.cache
         self._folding_in(monkeypatch, shared)
-        assert self._maps(term, 2) == warm
-        assert letter_walks["qshuffle.tensorq"] and letter_walks["qshuffle.bialg"]
+        for fold, expected in zip((eval_ctd, free_ctd_coproduct), warm):
+            letter_walks.clear()
+            assert fold(term, 2) == expected
+            assert letter_walks["qshuffle.tensorq"]
         assert sym2.cache["generator"][1]._checked_in is sym2
         with pytest.raises(DomainError, match="^generator index 3 exceeds"):
             eval_ctd(prec(G1, G3), 2)
@@ -777,9 +781,30 @@ def _multilinear_ctd_term(rng, degree):
     return build(rng.sample(range(1, 3 * degree + 1), degree))
 
 
+# Evaluates the 10-generator left chain in an address space capped at 2 GB,
+# set in this child only, and prints [error type, message, seconds].
+CAPPED_EVAL = """
+import json, resource, time
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 * 10**9 if hard == resource.RLIM_INFINITY else min(hard, 2 * 10**9)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from qshuffle import eval_ctd, gen, prec
+term = gen(1)
+for i in range(2, 11):
+    term = prec(term, gen(i))
+start = time.perf_counter()
+try:
+    eval_ctd(term, 10)
+    error = [None, None]
+except Exception as exc:
+    error = [type(exc).__name__, str(exc)]
+print(json.dumps([*error, time.perf_counter() - start]))
+"""
+
+
 class TestOutputBudget:
-    """A normal form or free coproduct of more than ``MAX_OUTPUT_TERMS`` terms
-    is refused: up front by the comb count on distinct generators, while
+    """A normal form, evaluation or free coproduct of more than
+    ``MAX_OUTPUT_TERMS`` terms is refused: up front by the comb count on distinct generators, while
     rewriting with a repeated one."""
 
     def test_the_count_is_the_normal_form_and_coproduct_size(self):
@@ -814,12 +839,14 @@ class TestOutputBudget:
             return comb_lengths(rt)
 
         # the count recurses through the patched name, so the first shape it
-        # counts is the whole term's
+        # counts is the whole term's; evaluation skips the same terms
         monkeypatch.setattr(freectd, "_comb_lengths", count)
-        for degree in (7, 8):
-            comb = comb_term(tuple((i,) for i in range(1, degree + 1)))
-            assert len(free_ctd_coproduct(comb, degree)) == degree + 1
-        assert counted[0] == freectd._encode(comb, {})
+        for fold, pieces in ((free_ctd_coproduct, lambda d: d + 1), (eval_ctd, lambda d: 1)):
+            counted.clear()
+            for degree in (7, 8):
+                comb = comb_term(tuple((i,) for i in range(1, degree + 1)))
+                assert len(fold(comb, degree)) == pieces(degree)
+            assert counted[0] == freectd._encode(comb, {})
 
     def test_the_ten_generator_chain_is_refused_before_rewriting(self, monkeypatch):
         def unreached(rt):
@@ -833,6 +860,27 @@ class TestOutputBudget:
             normal_form(chain)
         with pytest.raises(DomainError, match=message):
             free_ctd_coproduct(chain, 10)
+        with pytest.raises(DomainError, match=message):
+            eval_ctd(chain, 10)
+
+    def test_evaluation_of_the_ten_generator_chain_is_refused_in_a_capped_process(self):
+        """It ran about 21 s into a MemoryError under a 2 GB address space,
+        once into CPython's SystemError; the comb count refuses it first."""
+        src = str(Path(freectd.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_EVAL],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        error, message, seconds = json.loads(proc.stdout)
+        assert (error, message) == (
+            "DomainError",
+            f"the output would have more than {MAX_OUTPUT_TERMS} terms",
+        )
+        assert seconds < 1.0
 
     def test_a_repeated_generator_stops_rewriting_at_the_budget(self, monkeypatch):
         # 176 combs, where the count of distinct generators would give 541
