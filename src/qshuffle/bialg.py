@@ -124,12 +124,12 @@ def graded_basis_words(alg: CoeffAlgebraSpec, degree: int) -> list[Word]:
             return [EMPTY_WORD]
         out: list[Word] = []
         for d in range(1, remaining + 1):
-            for letter in alg.letters_of_degree(d):
+            for letter in alg.degree_slice(d):
                 for rest in rec(remaining - d):
                     out.append((letter,) + rest)
         return out
 
-    words = [w for w in rec(degree) if w or degree == 0]
+    words = rec(degree)
     words.sort(key=TensorElement.sort_key)
     return words
 
@@ -166,12 +166,13 @@ def generator_projection(x: TensorElement) -> TensorElement:
     )
 
 
+def _has_fat_letter(x: TensorElement) -> bool:
+    return any(letter.degree != 1 for word, _ in x.items() for letter in word)
+
+
 def generator_inclusion(x: TensorElement) -> TensorElement:
     """Embed an element supported on pure generator words; a section of the
     projection, and a coalgebra map for deconcatenation."""
-    for w, _ in x.items():
-        if any(letter.degree != 1 for letter in w):
-            raise DomainError(
-                "generator_inclusion expects words of degree-one letters only"
-            )
+    if _has_fat_letter(x):
+        raise DomainError("generator_inclusion expects words of degree-one letters only")
     return TensorElement._raw(dict(x.items()))

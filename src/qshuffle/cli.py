@@ -161,7 +161,7 @@ def _rota_table(args):
     algebra, operator = example_by_name(args.example)
     structure = derived_structure(algebra, operator)
     labels = algebra.basis_labels
-    basis = [algebra.basis_vector(i) for i in range(algebra.dimension)]
+    basis = algebra.basis()
     tables = {
         symbol: [
             (labels[i], labels[j], algebra.render(op(a, b)))
@@ -205,6 +205,12 @@ class _Parser(argparse.ArgumentParser):
         if "arguments are required" in message and stray:
             message += f"; put -- before {stray[0]} if it is an operand"
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _check_value(self, action, value):
+        # argparse's own wording up to 3.12: 3.13 no longer quotes the choices
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
 
 def build_parser() -> argparse.ArgumentParser:

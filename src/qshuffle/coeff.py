@@ -238,17 +238,6 @@ class CoeffAlgebraSpec:
             known.add(letter)
         return letter in known
 
-    def letters_of_degree(self, degree: int) -> tuple[Letter, ...]:
-        if degree < 1:
-            return ()
-        return self.degree_slice(degree)
-
-    def letters_up_to_degree(self, degree: int) -> tuple[Letter, ...]:
-        out: list[Letter] = []
-        for d in range(1, degree + 1):
-            out.extend(self.degree_slice(d))
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"CoeffAlgebraSpec({self.name!r})"
 

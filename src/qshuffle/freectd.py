@@ -417,8 +417,8 @@ def normal_form(term: FreeTerm) -> NormalForm:
 # ---------------------------------------------------------------------------
 # evaluation into the tensor module
 
-_CTD_OPS = {"prec": op_left, "dot": op_dot}
-_ITD_OPS = {"prec": op_left, "succ": op_right, "dot": op_dot}
+# the partial operations a node of a term maps to; a CTD term has no succ
+_FOLD_OPS = {"prec": op_left, "succ": op_right, "dot": op_dot}
 
 
 def _generator_letter(alg: CoeffAlgebraSpec, n: int, index: int) -> Letter:
@@ -492,7 +492,7 @@ def eval_ctd(term: FreeTerm, n_generators: int) -> TensorElement:
     if not term.is_ctd:
         raise SignatureError("eval_ctd is defined for CTD terms only")
     _distinct_comb_lengths(term)
-    return _fold_in(term, n_generators, sym_algebra, "generator", _CTD_OPS)
+    return _fold_in(term, n_generators, sym_algebra, "generator", _FOLD_OPS)
 
 
 def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
@@ -501,7 +501,7 @@ def eval_itd(term: FreeTerm, n_generators: int) -> TensorElement:
     Its combs are not counted up front: ``_encode`` reads only < and ., so
     it would count a > node as a dot.
     """
-    return _fold_in(term, n_generators, word_algebra, "generator", _ITD_OPS)
+    return _fold_in(term, n_generators, word_algebra, "generator", _FOLD_OPS)
 
 
 _INVOLUTE = {

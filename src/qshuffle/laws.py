@@ -28,7 +28,7 @@ import random
 from functools import partial
 from itertools import product
 
-from .bialg import generator_inclusion, generator_projection, square_dot, square_left
+from .bialg import _has_fat_letter, generator_inclusion, generator_projection, square_dot, square_left
 from .coeff import CoeffAlgebraSpec, _Frozen
 from .grammar import render_element, render_square_element
 from .lincomb import add_into
@@ -138,10 +138,6 @@ COMPAT = (
 )
 
 
-def _has_fat_letter(x: TensorElement) -> bool:
-    return any(letter.degree != 1 for word, _ in x.items() for letter in word)
-
-
 # Loday's exhaustive facts. PRIMITIVE_DOT takes the reduced coproduct Cbar
 # and holds on pairs of length-one words. LETTER_PRODUCT takes the letter
 # product M (``multiply_letters``: the rule afresh, not the dot's memo) and
@@ -243,12 +239,13 @@ def splitting_failure(alg: CoeffAlgebraSpec, max_word_length: int):
     """``(word, name)`` for the first word on which a ``PROJECTION`` row
     fails, or None when every row holds on every word: the words up to the
     given length over the letters of degree <= 2, by length and then in the
-    order of ``letters_up_to_degree(2)``. Refuses with ``ValueError``, before
-    building any word, when there are more than ``MAX_SPLITTING_WORDS``.
+    order of ``degree_slice(1) + degree_slice(2)``. Refuses with
+    ``ValueError``, before building any word, when there are more than
+    ``MAX_SPLITTING_WORDS``.
     """
     if max_word_length < 0:
         raise ValueError(f"max word length must be nonnegative, got {max_word_length}")
-    letters = alg.letters_up_to_degree(2)
+    letters = alg.degree_slice(1) + alg.degree_slice(2)
     words = total = 1
     for _ in range(max_word_length):
         words *= len(letters)

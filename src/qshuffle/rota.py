@@ -26,7 +26,6 @@ derived operations are that product with P applied to one side or none.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .coeff import _Frozen
@@ -224,11 +223,9 @@ def derived_structure(
 # builtin examples
 
 
-def _indicator_matrix(size: int, holds) -> tuple[tuple[Fraction, ...], ...]:
+def _indicator_matrix(size: int, holds) -> tuple[tuple[int, ...], ...]:
     """The dense 0/1 matrix with entry (i, j) one exactly when ``holds(i, j)``."""
-    return tuple(
-        tuple(Fraction(int(holds(i, j))) for j in range(size)) for i in range(size)
-    )
+    return tuple(tuple(int(holds(i, j)) for j in range(size)) for i in range(size))
 
 
 @lru_cache(maxsize=None)

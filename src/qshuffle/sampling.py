@@ -25,9 +25,9 @@ MAX_TERMS = 3
 
 def random_letter(alg: CoeffAlgebraSpec, rng: random.Random, max_degree: int = MAX_LETTER_DEGREE):
     degree = rng.randint(1, max_degree)
-    pool = alg.letters_of_degree(degree)
+    pool = alg.degree_slice(degree)
     if not pool:
-        pool = alg.letters_of_degree(1)
+        pool = alg.degree_slice(1)
     return rng.choice(pool)
 
 

@@ -215,7 +215,7 @@ def test_criterion_09_primitive_closure_and_kernel():
     start = perf_counter()
     for alg in (sym_algebra(2), stuffle_y_algebra(), word_algebra(2), zero_algebra()):
         pool = [
-            letter for d in (1, 2, 3) for letter in alg.letters_of_degree(d)
+            letter for d in (1, 2, 3) for letter in alg.degree_slice(d)
         ]
         singles = [TensorElement.from_word((letter,)) for letter in pool]
         pairs = [(x, y) for x in singles for y in singles]
@@ -227,7 +227,7 @@ def test_criterion_09_primitive_closure_and_kernel():
     alg = sym_algebra(2)
     for degree in (1, 2, 3):
         kernel = reduced_coproduct_kernel(alg, degree)
-        letters = alg.letters_of_degree(degree)
+        letters = alg.degree_slice(degree)
         assert len(kernel) == len(letters)
         rows = []
         for vector in kernel:
@@ -241,7 +241,7 @@ def test_criterion_09_primitive_closure_and_kernel():
 def test_criterion_10_projection_section_and_filtration():
     start = perf_counter()
     alg = sym_algebra(2)
-    generators = alg.letters_of_degree(1)
+    generators = alg.degree_slice(1)
     assert splitting_failure(alg, 4) is None
     pure_words = _words_up_to(generators, 4)
     assert len(pure_words) == 31
@@ -253,7 +253,7 @@ def test_criterion_10_projection_section_and_filtration():
         assert lhs == _map_square(deconcatenate(x), generator_inclusion)
     # Projection commutes with deconcatenation, fat letters included.
     low_letters = [
-        letter for d in (1, 2) for letter in alg.letters_of_degree(d)
+        letter for d in (1, 2) for letter in alg.degree_slice(d)
     ]
     for w in _words_up_to(low_letters, 3):
         x = TensorElement.from_word(w)

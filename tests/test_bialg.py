@@ -218,7 +218,7 @@ class TestGroupedSquares:
     COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
 
     def _random_square(self, alg, rng, unit_left, all_units):
-        letters = alg.letters_up_to_degree(2)
+        letters = alg.degree_slice(1) + alg.degree_slice(2)
 
         def word():
             return tuple(rng.choice(letters) for _ in range(rng.randint(1, 2)))
@@ -629,7 +629,7 @@ class TestGradedKernel:
         start = perf_counter()
         primitives = reduced_coproduct_kernel(alg, degree)
         assert perf_counter() - start < 0.5
-        n_letters = len(alg.letters_of_degree(degree))
+        n_letters = len(alg.degree_slice(degree))
         assert len(primitives) == n_letters
         for element in primitives:
             assert is_primitive(element)

@@ -518,6 +518,32 @@ class TestExitCodes:
         assert err.startswith("qshuffle") and ": error: " in err
         assert "put --" not in err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["product", "--op", "star2", "y1", "y2"],
+                "qshuffle product: error: argument --op: invalid choice: 'star2'"
+                " (choose from 'dot', 'left', 'right', 'star')\n",
+            ),
+            (
+                ["axioms", "--suite", "nine"],
+                "qshuffle axioms: error: argument --suite: invalid choice: 'nine' (choose from"
+                " 'bialgebra-compat', 'ctd-three', 'involution', 'seven', 'splitting')\n",
+            ),
+            (
+                ["multiply", "y1", "y2"],
+                "qshuffle: error: argument command: invalid choice: 'multiply' (choose from"
+                " 'product', 'axioms', 'compat', 'dims', 'egf', 'normalize', 'coproduct',"
+                " 'splitting', 'rota')\n",
+            ),
+        ],
+        ids=["op", "suite", "command"],
+    )
+    def test_an_invalid_choice_quotes_every_choice(self, capsys, argv, err):
+        # the same line on every Python: 3.13's argparse alone drops the quotes
+        assert run_cli(capsys, argv) == (2, "", err)
+
     def test_a_signed_operand_is_told_to_follow_double_dash(self, capsys):
         code, out, err = run_cli(capsys, ["product", "y1", "-y2"])
         assert (code, out) == (2, "")

@@ -174,8 +174,8 @@ assert sym_algebra(1).name == "sym1" and word_algebra(1).name == "word1"
 
 class TestBuiltinPools:
     def test_sym2_low_degrees(self, sym2):
-        degree1 = list(sym2.letters_of_degree(1))
-        degree2 = list(sym2.letters_of_degree(2))
+        degree1 = list(sym2.degree_slice(1))
+        degree2 = list(sym2.degree_slice(2))
         assert degree1 == [mono_letter((1,)), mono_letter((2,))]
         assert degree2 == [
             mono_letter((1, 1)),
@@ -184,7 +184,7 @@ class TestBuiltinPools:
         ]
 
     def test_word2_degree2(self, word2):
-        assert list(word2.letters_of_degree(2)) == [
+        assert list(word2.degree_slice(2)) == [
             word_letter((1, 1)),
             word_letter((1, 2)),
             word_letter((2, 1)),
@@ -193,18 +193,18 @@ class TestBuiltinPools:
 
     def test_stuffle_one_letter_per_degree(self, stuffle_alg):
         for k in range(1, 7):
-            assert list(stuffle_alg.letters_of_degree(k)) == [weight_letter(k)]
+            assert list(stuffle_alg.degree_slice(k)) == [weight_letter(k)]
 
     def test_zero_letters_are_atoms(self, zero_alg):
-        pool = zero_alg.letters_of_degree(1)
+        pool = zero_alg.degree_slice(1)
         assert atom_letter("a") in pool and atom_letter("z") in pool
         assert len(pool) == 26
-        assert list(zero_alg.letters_of_degree(2)) == []
+        assert list(zero_alg.degree_slice(2)) == []
 
     def test_degree_slices_are_built_once(self):
         for alg in builtin_algebras():
             for degree in (1, 2):
-                assert alg.letters_of_degree(degree) is alg.letters_of_degree(degree)
+                assert alg.degree_slice(degree) is alg.degree_slice(degree)
 
     def test_membership(self, sym2, word2):
         assert mono_letter((1, 2)) in sym2
@@ -236,7 +236,7 @@ class TestProducts:
 
     def test_associativity_exhaustive_small(self):
         for alg in builtin_algebras():
-            letters = alg.letters_up_to_degree(2)[:6]
+            letters = _letters_up_to(alg, 2)[:6]
             for a in letters:
                 for b in letters:
                     for c in letters:
@@ -254,9 +254,13 @@ class TestProducts:
         assert not letter_product_commutes(word_algebra(2))
 
 
+def _letters_up_to(alg, degree):
+    return [letter for d in range(1, degree + 1) for letter in alg.degree_slice(d)]
+
+
 def _flips_equal(alg, degree):
     """Whether ab = ba for all letters a, b of degree at most ``degree``."""
-    letters = alg.letters_up_to_degree(degree)
+    letters = _letters_up_to(alg, degree)
     return all(
         multiply_letters(alg, a, b) == multiply_letters(alg, b, a)
         for a in letters
@@ -281,7 +285,7 @@ class TestInvolutions:
 
     def test_identity_on_commutative(self, sym2, stuffle_alg):
         for alg in (sym2, stuffle_alg):
-            for letter in alg.letters_up_to_degree(3):
+            for letter in _letters_up_to(alg, 3):
                 assert involute_letter(alg, letter) == letter
 
     def test_missing_involution(self, zero_alg):
@@ -290,7 +294,7 @@ class TestInvolutions:
         assert zero_alg.involution_rule is None
 
     def test_antimorphism_exhaustive(self, word2):
-        letters = word2.letters_up_to_degree(3)
+        letters = _letters_up_to(word2, 3)
         for a in letters:
             for b in letters:
                 lhs = CoeffCombination(
@@ -303,7 +307,7 @@ class TestInvolutions:
                 assert lhs == rhs
 
     def test_involutive_exhaustive(self, word3):
-        for letter in word3.letters_up_to_degree(3):
+        for letter in _letters_up_to(word3, 3):
             assert involute_letter(word3, involute_letter(word3, letter)) == letter
 
 

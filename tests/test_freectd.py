@@ -243,7 +243,7 @@ class TestFoldMarks:
             seen.extend((x, y))
             return op_left(alg, x, y)
 
-        monkeypatch.setitem(freectd._CTD_OPS, "prec", recording)
+        monkeypatch.setitem(freectd._FOLD_OPS, "prec", recording)
         eval_ctd(prec(prec(G1, G3), G2), 3)
         return seen
 
@@ -1030,14 +1030,15 @@ class TestUnifiedProduct:
     def test_dot_identifies_letter_products(self):
         for alg in (sym_algebra(2), word_algebra(2)):
             ops = tensor_ops(alg, partial(multiply_letters, alg))
-            assert first_failure(LETTER_PRODUCT, ops, alg.letters_up_to_degree(2), 2) is None
+            letters = alg.degree_slice(1) + alg.degree_slice(2)
+            assert first_failure(LETTER_PRODUCT, ops, letters, 2) is None
 
     def test_letter_row_checks_the_memo_against_the_rule(self):
         alg = dataclasses.replace(sym_algebra(2), cache={})
         x1, x2 = mono_letter((1,)), mono_letter((2,))
         # a wrong memo entry for x2 . x1, which the dot reads
         alg.cache["letter"] = {(x2, x1): ((mono_letter((1, 1)), 1),)}
-        letters = alg.letters_up_to_degree(2)
+        letters = alg.degree_slice(1) + alg.degree_slice(2)
         ops = tensor_ops(alg, partial(multiply_letters, alg))
         indices, name, lhs, rhs = first_failure(LETTER_PRODUCT, ops, letters, 2)
         assert ([letters[i] for i in indices], name) == ([x2, x1], "a.b = ab")

@@ -270,7 +270,7 @@ class TestLettersWithARepeatedFactor:
         assert report.ok and report.cases == 100, report.violations[:1]
 
     def test_the_recursion_matches_the_path_oracle(self, fun3_spec):
-        letters = fun3_spec.letters_of_degree(1)
+        letters = fun3_spec.degree_slice(1)
         words = [w for n in range(6) for w in word_tuples(letters, repeat=n)]
         pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 5]
         assert len(pairs) == 2005

@@ -460,7 +460,7 @@ class TestMemoOwnership:
     )
     def test_a_product_never_owns_a_memo_dict(self, alg):
         fresh = dataclasses.replace(alg, cache={})
-        letters = fresh.letters_up_to_degree(2)[:3]
+        letters = (fresh.degree_slice(1) + fresh.degree_slice(2))[:3]
         words = [letters[:1], letters[:2], letters[1:3] + letters[:1], letters[-1:] * 2]
         for u, v in itertools.product(words, repeat=2):
             x, y = TensorElement.from_word(u), TensorElement.from_word(v)
@@ -498,7 +498,8 @@ class TestRankOrder:
 
     def test_more_letters_than_one_byte_ranks(self):
         # 1,056 letters: ranks above 255 need code points wider than a byte
-        letters = list(algebra_by_name("word32").letters_up_to_degree(2))
+        word32 = algebra_by_name("word32")
+        letters = list(word32.degree_slice(1) + word32.degree_slice(2))
         assert len(letters) == 1056
         rng = random.Random("rank-order:word32")
         rng.shuffle(letters)
@@ -701,7 +702,7 @@ class TestMemos:
         assert tensorq._stored_gathers.cache_info() == stored
 
     def test_a_streamed_pair_equals_the_recursion(self, zero_alg):
-        letters = zero_alg.letters_up_to_degree(2)[:3]
+        letters = (zero_alg.degree_slice(1) + zero_alg.degree_slice(2))[:3]
         u = tuple(itertools.islice(itertools.cycle(letters), 7))
         v = tuple(itertools.islice(itertools.cycle(letters[1:]), 6))
         assert len(u) + len(v) > tensorq._PATH_CACHE_LETTERS
@@ -751,7 +752,7 @@ class TestMemos:
             return spec.product_rule(a, b)
 
         fresh = dataclasses.replace(spec, cache={}, product_rule=counted)
-        letters = fresh.letters_up_to_degree(2)[:3]
+        letters = (fresh.degree_slice(1) + fresh.degree_slice(2))[:3]
         words = [(), letters[:1], letters[:2], letters[1:3] + letters[:1], letters[2:] * 2]
         for u in words:
             for v in words:
@@ -774,7 +775,7 @@ class TestMemos:
             return spec.member_rule(letter)
 
         fresh = dataclasses.replace(spec, cache={}, member_rule=counted)
-        letters = fresh.letters_up_to_degree(2)[:3]
+        letters = (fresh.degree_slice(1) + fresh.degree_slice(2))[:3]
         words = [(), letters[:1], letters[:2], letters[1:3] + letters[:1], letters[2:] * 2]
         for u in words:
             for v in words:
